@@ -223,7 +223,6 @@ struct PerfScenario
     std::uint64_t fftN = 64;
     bool serve = false; ///< run plan queries against a PlannerIndex
     std::uint64_t serveQueries = 0;
-    std::size_t serveCacheCapacity = 1 << 16; ///< 0 = no cache
     bool serveHotMix = false; ///< hot 64-key mix vs uniform keys
     /** Measure per-query p99 latency instead of bulk throughput; the
      *  recorded rate becomes 1e9 / p99_ns (inverse tail latency), so
@@ -313,10 +312,7 @@ perfScenarios()
 
     // The serving path (serve::PlannerIndex): plan-query throughput
     // over a synthetic three-machine index.  hot = repetitive stream
-    // (cache-hit path), uniform = diverse stream (cost-model compute
-    // path), nocache = the same diverse stream with the decision
-    // cache disabled (isolates the cache's benefit as a tracked
-    // number).
+    // (95% of queries from 64 keys), uniform = diverse stream.
     {
         PerfScenario s;
         s.name = "serve.qps.hot";
@@ -332,18 +328,10 @@ perfScenarios()
         s.serveQueries = 1'000'000;
         out.push_back(std::move(s));
     }
-    {
-        PerfScenario s;
-        s.name = "serve.qps.nocache";
-        s.serve = true;
-        s.serveQueries = 1'000'000;
-        s.serveCacheCapacity = 0;
-        out.push_back(std::move(s));
-    }
     // Tail latency, not throughput: the hot stream again, but the
     // tracked number is 1e9/p99_ns so the regression gate catches a
-    // slow outlier path (lock contention, an allocation sneaking into
-    // plan()) that averages would hide.
+    // slow outlier path (an allocation sneaking into plan()) that
+    // averages would hide.
     {
         PerfScenario s;
         s.name = "serve.slo.p99";
@@ -409,9 +397,7 @@ servePerfPacks()
 inline PerfRunCounts
 runServeScenario(const PerfScenario &s)
 {
-    serve::IndexConfig config;
-    config.cacheCapacity = s.serveCacheCapacity;
-    const serve::PlannerIndex index(servePerfPacks(), config);
+    const serve::PlannerIndex index(servePerfPacks());
     sim::Rng rng(42);
     const std::size_t machines = index.numMachines();
 

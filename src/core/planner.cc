@@ -8,14 +8,41 @@
 namespace gasnub::core {
 
 void
-TransferPlanner::addOption(PlanOption option)
+OptionEvaluator::add(PlanOption option)
 {
     GASNUB_ASSERT(option.surface, "option '", option.label,
                   "' has no surface");
     GASNUB_ASSERT(option.surface->complete(),
                   "option '", option.label,
                   "' has an incomplete surface");
+    _sameAxesAsPrev.push_back(
+        !_options.empty() &&
+        option.surface->sameAxes(*_options.back().surface));
     _options.push_back(std::move(option));
+}
+
+OptionEvaluator::Choice
+OptionEvaluator::best(double ws, std::uint64_t stride,
+                      const char *skip) const
+{
+    // Strict > keeps the first-registered option on ties, so the
+    // winner is independent of how many equal options follow it.
+    Choice best{_options.size(), 0};
+    predictEach(ws, stride, [&](std::size_t i, double mbs) {
+        if (skip && skip[i])
+            return;
+        if (best.index == _options.size() || mbs > best.mbs)
+            best = {i, mbs};
+    });
+    GASNUB_ASSERT(best.index < _options.size(),
+                  "every planner option is skipped");
+    return best;
+}
+
+void
+TransferPlanner::addOption(PlanOption option)
+{
+    _options.add(std::move(option));
     _strikes.push_back(0);
     _demoted.push_back(0);
 }
@@ -27,10 +54,14 @@ TransferPlanner::option(std::size_t i) const
     return _options[i];
 }
 
-std::vector<double>
-TransferPlanner::predictAll(const TransferQuery &query) const
+namespace {
+
+/** The planner's fatal preconditions on a query. */
+void
+validateQuery(const OptionEvaluator &options,
+              const TransferQuery &query)
 {
-    if (_options.empty())
+    if (options.empty())
         GASNUB_FATAL("transfer planner has no registered options; "
                      "addOption() a characterization surface (or "
                      "loadPlannerDir()) before planning");
@@ -41,44 +72,42 @@ TransferPlanner::predictAll(const TransferQuery &query) const
     if (query.stride == 0)
         GASNUB_FATAL("transfer planner query has stride 0; strides "
                      "are in words and start at 1 (contiguous)");
+}
+
+} // namespace
+
+std::vector<double>
+TransferPlanner::predictAll(const TransferQuery &query) const
+{
+    validateQuery(_options, query);
     std::vector<double> out;
     out.reserve(_options.size());
-    const double ws = planQueryWorkingSet(query);
-    for (const PlanOption &o : _options)
-        out.push_back(predictOptionMBs(o, ws, query.stride));
+    _options.predictEach(planQueryWorkingSet(query), query.stride,
+                         [&](std::size_t, double mbs) {
+                             out.push_back(mbs);
+                         });
     return out;
 }
 
 Plan
 TransferPlanner::best(const TransferQuery &query) const
 {
-    const std::vector<double> mbs = predictAll(query);
+    validateQuery(_options, query);
     // Demotions only apply while a healthy option remains; a fully
     // demoted planner behaves like an undemoted one rather than
     // stranding the transfer.
     const bool honor_demotions = numDemoted() < _options.size();
-    const auto usable = [&](std::size_t i) {
-        return !honor_demotions || !_demoted[i];
-    };
-    // Strict > keeps the first-registered option on ties, so the
-    // winner is independent of how many equal options follow it.
-    std::size_t best_i = 0;
-    while (!usable(best_i))
-        ++best_i;
-    for (std::size_t i = best_i + 1; i < mbs.size(); ++i)
-        if (usable(i) && mbs[i] > mbs[best_i])
-            best_i = i;
-    const PlanOption &o = _options[best_i];
+    const OptionEvaluator::Choice c =
+        _options.best(planQueryWorkingSet(query), query.stride,
+                      honor_demotions ? _demoted.data() : nullptr);
+    const PlanOption &o = _options[c.index];
     Plan p;
-    p.optionIndex = best_i;
+    p.optionIndex = c.index;
     p.label = o.label;
     p.method = o.method;
     p.strideOnSource = o.strideOnSource;
-    p.predictedMBs = mbs[best_i];
-    p.predictedSeconds =
-        query.bytes > 0
-            ? static_cast<double>(query.bytes) / (mbs[best_i] * 1e6)
-            : 0.0;
+    p.predictedMBs = c.mbs;
+    p.predictedSeconds = planSeconds(query, c.mbs);
     return p;
 }
 

@@ -112,23 +112,99 @@ planQueryWorkingSet(const TransferQuery &query)
 }
 
 /**
- * Predicted bandwidth of one option at working set @p ws (from
- * planQueryWorkingSet) and @p stride.  A blocked option works on
- * cache-sized chunks: its working set — and therefore its bandwidth
- * row — is capped at blockBytes.
+ * The working set option @p option's surface is read at for query
+ * working set @p ws.  A blocked option works on cache-sized chunks:
+ * its working set — and therefore its bandwidth row — is capped at
+ * blockBytes.
  */
 inline double
-predictOptionMBs(const PlanOption &option, double ws,
-                 std::uint64_t stride)
+effectiveWorkingSet(const PlanOption &option, double ws)
 {
-    const double eff_ws =
-        option.blockBytes != 0 &&
-                static_cast<double>(option.blockBytes) < ws
-            ? static_cast<double>(option.blockBytes)
-            : ws;
-    return option.surface->interpolate(eff_ws,
-                                       static_cast<double>(stride));
+    return option.blockBytes != 0 &&
+                   static_cast<double>(option.blockBytes) < ws
+               ? static_cast<double>(option.blockBytes)
+               : ws;
 }
+
+/** Predicted time for @p query at @p mbs (0 when it moves no bytes). */
+inline double
+planSeconds(const TransferQuery &query, double mbs)
+{
+    return query.bytes > 0
+               ? static_cast<double>(query.bytes) / (mbs * 1e6)
+               : 0.0;
+}
+
+/**
+ * The cost model over an ordered list of options — the one evaluator
+ * TransferPlanner and serve::PlannerIndex share, so the two consumers
+ * answer bit-for-bit alike.
+ *
+ * A query is located on a surface grid once, not once per option: an
+ * option reuses the previous option's GridCell when its surface has
+ * the same axes (checked once, in add()) and its effective working
+ * set is the same.  Options swept on one characterize grid therefore
+ * share a single locate; a blocked option, or one on another grid,
+ * locates afresh in the same loop.
+ */
+class OptionEvaluator
+{
+  public:
+    /** The winning option of best() and its predicted bandwidth. */
+    struct Choice
+    {
+        std::size_t index = 0;
+        double mbs = 0;
+    };
+
+    /** Append @p option; fatal when its surface is missing or
+     *  incomplete. */
+    void add(PlanOption option);
+
+    std::size_t size() const { return _options.size(); }
+    bool empty() const { return _options.empty(); }
+    const PlanOption &operator[](std::size_t i) const
+    {
+        return _options[i];
+    }
+
+    /**
+     * Call @p visit(i, mbs) with each option's predicted bandwidth at
+     * query working set @p ws (planQueryWorkingSet) and @p stride, in
+     * registration order.
+     */
+    template <class Visit>
+    void
+    predictEach(double ws, std::uint64_t stride, Visit &&visit) const
+    {
+        const double st = static_cast<double>(stride);
+        GridCell cell;
+        double cell_ws = 0;
+        for (std::size_t i = 0; i < _options.size(); ++i) {
+            const Surface &s = *_options[i].surface;
+            const double eff_ws = effectiveWorkingSet(_options[i], ws);
+            if (!_sameAxesAsPrev[i] || eff_ws != cell_ws) {
+                cell = s.locate(eff_ws, st);
+                cell_ws = eff_ws;
+            }
+            visit(i, s.interpolateAt(cell));
+        }
+    }
+
+    /**
+     * The option with the highest predicted bandwidth, ties keeping
+     * the first-registered one.  Options with a nonzero entry in
+     * @p skip (parallel to the options; null skips none) never win;
+     * at least one option must remain.
+     */
+    Choice best(double ws, std::uint64_t stride,
+                const char *skip = nullptr) const;
+
+  private:
+    std::vector<PlanOption> _options;
+    /** Option i's surface has option i-1's axes (never option 0). */
+    std::vector<char> _sameAxesAsPrev;
+};
 
 /**
  * When does an option get demoted for under-delivering?  A demotion
@@ -208,7 +284,7 @@ class TransferPlanner
     std::size_t numDemoted() const;
 
   private:
-    std::vector<PlanOption> _options;
+    OptionEvaluator _options;
     DegradePolicy _degrade;
     std::vector<int> _strikes;    ///< consecutive poor observations
     std::vector<char> _demoted;   ///< parallel to _options

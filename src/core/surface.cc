@@ -10,12 +10,59 @@
 
 namespace gasnub::core {
 
+namespace {
+
+/** Index of the grid cell containing @p v, clamped to the interior:
+ *  the last grid point not above @p v, 0 at or below the first. */
+std::size_t
+cellBelow(const std::vector<std::uint64_t> &grid, double v)
+{
+    if (v <= static_cast<double>(grid.front()))
+        return 0;
+    const auto above = std::upper_bound(
+        grid.begin(), grid.end(), v, [](double x, std::uint64_t g) {
+            return x < static_cast<double>(g);
+        });
+    const auto i = static_cast<std::size_t>(above - grid.begin());
+    return std::min(i - 1, grid.size() - 2);
+}
+
+/** Interpolation weight of @p v between the axis points i and i+1,
+ *  given the axis in log2 space. */
+double
+logWeight(const std::vector<double> &log2_grid, std::size_t i,
+          double v)
+{
+    const double lo = log2_grid[i];
+    const double hi = log2_grid[i + 1];
+    const double x = std::log2(std::max(v, 1.0));
+    if (x <= lo)
+        return 0.0;
+    if (x >= hi)
+        return 1.0;
+    return (x - lo) / (hi - lo);
+}
+
+std::vector<double>
+log2Axis(const std::vector<std::uint64_t> &grid)
+{
+    std::vector<double> out;
+    out.reserve(grid.size());
+    for (const std::uint64_t g : grid)
+        out.push_back(std::log2(static_cast<double>(g)));
+    return out;
+}
+
+} // namespace
+
 Surface::Surface(std::string name,
                  std::vector<std::uint64_t> working_sets,
                  std::vector<std::uint64_t> strides)
     : _name(std::move(name)),
       _workingSets(std::move(working_sets)),
       _strides(std::move(strides)),
+      _log2WorkingSets(log2Axis(_workingSets)),
+      _log2Strides(log2Axis(_strides)),
       _mbs(_workingSets.size() * _strides.size(), -1.0)
 {
     GASNUB_ASSERT(!_workingSets.empty() && !_strides.empty(),
@@ -67,63 +114,46 @@ Surface::complete() const
                        [](double v) { return v >= 0; });
 }
 
-namespace {
-
-/** Index of the grid cell containing @p v, clamped to the interior. */
-std::size_t
-cellBelow(const std::vector<std::uint64_t> &grid, double v)
+GridCell
+Surface::locate(double ws_bytes, double stride) const
 {
-    if (v <= static_cast<double>(grid.front()))
-        return 0;
-    for (std::size_t i = grid.size() - 1; i > 0; --i)
-        if (static_cast<double>(grid[i]) <= v)
-            return std::min(i, grid.size() - 2);
-    return 0;
+    GridCell cell;
+    if (_workingSets.size() > 1) {
+        cell.r = cellBelow(_workingSets, ws_bytes);
+        cell.wr = logWeight(_log2WorkingSets, cell.r, ws_bytes);
+    }
+    if (_strides.size() > 1) {
+        cell.c = cellBelow(_strides, stride);
+        cell.wc = logWeight(_log2Strides, cell.c, stride);
+    }
+    return cell;
 }
 
-/** Interpolation weight of @p v between grid[i] and grid[i+1]. */
 double
-logWeight(const std::vector<std::uint64_t> &grid, std::size_t i,
-          double v)
+Surface::interpolateAt(const GridCell &cell) const
 {
-    if (grid.size() == 1)
-        return 0.0;
-    const double lo = std::log2(static_cast<double>(grid[i]));
-    const double hi = std::log2(static_cast<double>(grid[i + 1]));
-    const double x = std::log2(std::max(v, 1.0));
-    if (x <= lo)
-        return 0.0;
-    if (x >= hi)
-        return 1.0;
-    return (x - lo) / (hi - lo);
-}
-
-} // namespace
-
-double
-Surface::interpolate(double ws_bytes, double stride) const
-{
-    GASNUB_ASSERT(complete(), _name, ": surface incomplete");
     const std::size_t nr = _workingSets.size();
     const std::size_t nc = _strides.size();
-    const std::size_t r = nr == 1 ? 0 : cellBelow(_workingSets,
-                                                  ws_bytes);
-    const std::size_t c = nc == 1 ? 0 : cellBelow(_strides, stride);
-    const double wr = nr == 1 ? 0 : logWeight(_workingSets, r,
-                                              ws_bytes);
-    const double wc = nc == 1 ? 0 : logWeight(_strides, c, stride);
-
     auto at_rc = [&](std::size_t rr, std::size_t cc) {
         rr = std::min(rr, nr - 1);
         cc = std::min(cc, nc - 1);
         return _mbs[rr * nc + cc];
     };
-    const double v00 = at_rc(r, c);
-    const double v01 = at_rc(r, c + 1);
-    const double v10 = at_rc(r + 1, c);
-    const double v11 = at_rc(r + 1, c + 1);
+    const double wr = cell.wr;
+    const double wc = cell.wc;
+    const double v00 = at_rc(cell.r, cell.c);
+    const double v01 = at_rc(cell.r, cell.c + 1);
+    const double v10 = at_rc(cell.r + 1, cell.c);
+    const double v11 = at_rc(cell.r + 1, cell.c + 1);
     return (1 - wr) * ((1 - wc) * v00 + wc * v01) +
            wr * ((1 - wc) * v10 + wc * v11);
+}
+
+double
+Surface::interpolate(double ws_bytes, double stride) const
+{
+    GASNUB_ASSERT(complete(), _name, ": surface incomplete");
+    return interpolateAt(locate(ws_bytes, stride));
 }
 
 std::vector<SurfacePoint>

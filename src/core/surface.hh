@@ -31,6 +31,20 @@ struct SurfacePoint
 };
 
 /**
+ * A query point located on a surface grid: the lower corner of the
+ * grid cell that holds it and its log2-space weights toward the upper
+ * corner.  Surfaces with the same axes locate a point identically, so
+ * one cell serves every option swept on the same grid.
+ */
+struct GridCell
+{
+    std::size_t r = 0; ///< working-set row
+    std::size_t c = 0; ///< stride column
+    double wr = 0;     ///< weight of row r + 1
+    double wc = 0;     ///< weight of column c + 1
+};
+
+/**
  * A (working set x stride) -> bandwidth surface.
  *
  * Built on a fixed grid; queries between grid points interpolate
@@ -67,11 +81,28 @@ class Surface
     /** @return true once every grid point has been filled. */
     bool complete() const;
 
+    /** @return true when @p o has exactly this surface's axes. */
+    bool sameAxes(const Surface &o) const
+    {
+        return _workingSets == o._workingSets &&
+               _strides == o._strides;
+    }
+
     /**
      * Bandwidth estimate at an arbitrary (ws, stride), bilinear in
-     * log-log space; clamps outside the grid.
+     * log-log space; clamps outside the grid.  Fatal when the surface
+     * is incomplete.
      */
     double interpolate(double ws_bytes, double stride) const;
+
+    /** The grid cell and weights of (ws, stride); clamps outside. */
+    GridCell locate(double ws_bytes, double stride) const;
+
+    /**
+     * Bilinear estimate at a cell from locate() on this surface or
+     * on one with the same axes.  The caller guarantees complete().
+     */
+    double interpolateAt(const GridCell &cell) const;
 
     /** All points in row-major (working set, stride) order. */
     std::vector<SurfacePoint> points() const;
@@ -130,6 +161,8 @@ class Surface
     std::string _name;
     std::vector<std::uint64_t> _workingSets;
     std::vector<std::uint64_t> _strides;
+    std::vector<double> _log2WorkingSets; ///< log2 of each axis value
+    std::vector<double> _log2Strides;
     std::vector<double> _mbs; ///< row-major, -1 = unset
 
     // Attribution layer (optional; empty resource list = disabled).

@@ -3,13 +3,10 @@
 #include <utility>
 
 #include "sim/logging.hh"
-#include "sim/metrics.hh"
 
 namespace gasnub::serve {
 
-PlannerIndex::PlannerIndex(std::vector<MachinePack> packs,
-                           IndexConfig config)
-    : _cache(config.cacheCapacity, config.cacheShards)
+PlannerIndex::PlannerIndex(std::vector<MachinePack> packs)
 {
     GASNUB_ASSERT(!packs.empty(),
                   "a planner index needs at least one pack");
@@ -22,25 +19,21 @@ PlannerIndex::PlannerIndex(std::vector<MachinePack> packs,
                          "from exactly one pack");
         GASNUB_ASSERT(!p.options.empty(), "machine '", p.machine,
                       "' has no planner options");
-        for (const core::PlanOption &o : p.options) {
-            GASNUB_ASSERT(o.surface && o.surface->complete(),
-                          "machine '", p.machine, "' option '",
-                          o.label, "' has an incomplete surface");
-        }
-        _machines.push_back(
-            Machine{std::move(p.machine), std::move(p.options)});
+        Machine m{std::move(p.machine), {}};
+        for (core::PlanOption &o : p.options)
+            m.options.add(std::move(o));
+        _machines.push_back(std::move(m));
     }
 }
 
 PlannerIndex
-PlannerIndex::fromPackFiles(const std::vector<std::string> &paths,
-                            IndexConfig config)
+PlannerIndex::fromPackFiles(const std::vector<std::string> &paths)
 {
     std::vector<MachinePack> packs;
     packs.reserve(paths.size());
     for (const std::string &path : paths)
         packs.push_back(loadPackFile(path));
-    return PlannerIndex(std::move(packs), config);
+    return PlannerIndex(std::move(packs));
 }
 
 int
@@ -85,64 +78,24 @@ validateQuery(std::size_t machine_id, std::size_t num_machines,
 } // namespace
 
 PlanAnswer
-PlannerIndex::compute(std::size_t machine_id,
-                      const core::TransferQuery &query) const
-{
-    const Machine &m = _machines[machine_id];
-    // Strict > keeps the first-registered option on ties — the same
-    // selection rule as TransferPlanner::best with no demotions, so
-    // the two consumers never disagree on a winner.
-    const double ws = core::planQueryWorkingSet(query);
-    std::size_t best_i = 0;
-    double best_mbs =
-        core::predictOptionMBs(m.options[0], ws, query.stride);
-    for (std::size_t i = 1; i < m.options.size(); ++i) {
-        const double mbs =
-            core::predictOptionMBs(m.options[i], ws, query.stride);
-        if (mbs > best_mbs) {
-            best_mbs = mbs;
-            best_i = i;
-        }
-    }
-    const core::PlanOption &o = m.options[best_i];
-    PlanAnswer a;
-    a.machine = static_cast<std::uint32_t>(machine_id);
-    a.optionIndex = static_cast<std::uint32_t>(best_i);
-    a.method = o.method;
-    a.strideOnSource = o.strideOnSource;
-    a.predictedMBs = best_mbs;
-    a.predictedSeconds =
-        query.bytes > 0
-            ? static_cast<double>(query.bytes) / (best_mbs * 1e6)
-            : 0.0;
-    a.label = o.label;
-    return a;
-}
-
-PlanAnswer
 PlannerIndex::plan(std::size_t machine_id,
                    const core::TransferQuery &query) const
 {
     validateQuery(machine_id, _machines.size(), query);
-    const QueryKey key{static_cast<std::uint32_t>(machine_id),
-                       query.bytes, query.wsBytes, query.stride};
-    CachedPlan cached;
-    if (_cache.lookup(key, cached)) {
-        const core::PlanOption &o =
-            _machines[machine_id].options[cached.optionIndex];
-        PlanAnswer a;
-        a.machine = key.machine;
-        a.optionIndex = cached.optionIndex;
-        a.method = o.method;
-        a.strideOnSource = o.strideOnSource;
-        a.predictedMBs = cached.predictedMBs;
-        a.predictedSeconds = cached.predictedSeconds;
-        a.label = o.label;
-        return a;
-    }
-    const PlanAnswer a = compute(machine_id, query);
-    _cache.insert(key, CachedPlan{a.optionIndex, a.predictedMBs,
-                                  a.predictedSeconds});
+    // The same evaluator and selection rule as TransferPlanner::best
+    // with no demotions, so the two consumers never disagree.
+    const core::OptionEvaluator &options = _machines[machine_id].options;
+    const core::OptionEvaluator::Choice c = options.best(
+        core::planQueryWorkingSet(query), query.stride);
+    const core::PlanOption &o = options[c.index];
+    PlanAnswer a;
+    a.machine = static_cast<std::uint32_t>(machine_id);
+    a.optionIndex = static_cast<std::uint32_t>(c.index);
+    a.method = o.method;
+    a.strideOnSource = o.strideOnSource;
+    a.predictedMBs = c.mbs;
+    a.predictedSeconds = core::planSeconds(query, c.mbs);
+    a.label = o.label;
     return a;
 }
 
@@ -161,86 +114,19 @@ PlannerIndex::planFull(std::size_t machine_id,
     return p;
 }
 
-std::size_t
-PlannerIndex::cacheShards() const
-{
-    return _cache.numShards();
-}
-
-DecisionCacheStats
-PlannerIndex::cacheShardStats(std::size_t shard) const
-{
-    GASNUB_ASSERT(shard < _cache.numShards(), "bad cache shard ",
-                  shard);
-    return _cache.shardStats(shard);
-}
-
-void
-PlannerIndex::registerMetrics(metrics::Registry &registry) const
-{
-    metrics::Gauge &hits = registry.gauge(
-        "serve.cache.hits", "decision-cache hits (all shards)");
-    metrics::Gauge &misses = registry.gauge(
-        "serve.cache.misses", "decision-cache misses (all shards)");
-    metrics::Gauge &evictions =
-        registry.gauge("serve.cache.evictions",
-                       "decision-cache evictions (all shards)");
-    metrics::Gauge &entries = registry.gauge(
-        "serve.cache.entries", "occupied decision-cache slots");
-    struct ShardGauges
-    {
-        metrics::Gauge *hits;
-        metrics::Gauge *misses;
-        metrics::Gauge *evictions;
-    };
-    std::vector<ShardGauges> shards;
-    shards.reserve(_cache.numShards());
-    for (std::size_t i = 0; i < _cache.numShards(); ++i) {
-        const std::string prefix =
-            "serve.cache.shard" + std::to_string(i);
-        shards.push_back(ShardGauges{
-            &registry.gauge(prefix + ".hits",
-                            "decision-cache shard hits"),
-            &registry.gauge(prefix + ".misses",
-                            "decision-cache shard misses"),
-            &registry.gauge(prefix + ".evictions",
-                            "decision-cache shard evictions")});
-    }
-    registry.addCollector([this, &hits, &misses, &evictions,
-                           &entries, shards] {
-        DecisionCacheStats total;
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            const DecisionCacheStats s = _cache.shardStats(i);
-            shards[i].hits->set(
-                static_cast<std::int64_t>(s.hits));
-            shards[i].misses->set(
-                static_cast<std::int64_t>(s.misses));
-            shards[i].evictions->set(
-                static_cast<std::int64_t>(s.evictions));
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-            total.entries += s.entries;
-        }
-        hits.set(static_cast<std::int64_t>(total.hits));
-        misses.set(static_cast<std::int64_t>(total.misses));
-        evictions.set(static_cast<std::int64_t>(total.evictions));
-        entries.set(static_cast<std::int64_t>(total.entries));
-    });
-}
-
 void
 PlannerIndex::predictAll(std::size_t machine_id,
                          const core::TransferQuery &query,
                          std::vector<double> &out) const
 {
     validateQuery(machine_id, _machines.size(), query);
-    const Machine &m = _machines[machine_id];
+    const core::OptionEvaluator &options = _machines[machine_id].options;
     out.clear();
-    out.reserve(m.options.size());
-    const double ws = core::planQueryWorkingSet(query);
-    for (const core::PlanOption &o : m.options)
-        out.push_back(core::predictOptionMBs(o, ws, query.stride));
+    out.reserve(options.size());
+    options.predictEach(core::planQueryWorkingSet(query), query.stride,
+                        [&](std::size_t, double mbs) {
+                            out.push_back(mbs);
+                        });
 }
 
 } // namespace gasnub::serve

@@ -5,18 +5,18 @@
  *
  * core::TransferPlanner is the sweep-side consumer: it owns demotion
  * state, is built per process (or per worker) and answers one
- * machine's queries.  PlannerIndex is the serving layer the ROADMAP
- * asks for: an immutable, shareable in-process index over one or more
- * surface packs (one per machine) that answers
+ * machine's queries.  PlannerIndex is the serving layer: an
+ * immutable, shareable in-process index over one or more surface
+ * packs (one per machine) that answers
  * (machine x pattern x working set) -> (method + predicted bandwidth)
- * queries from any number of threads, fronted by a bounded sharded
- * decision cache.
+ * queries from any number of threads without locks.
  *
  * Contract: plan() is byte-identical to TransferPlanner::best() over
- * the same options (same doubles, same tie-breaking), with the cache
- * on or off — it evaluates the cost model through the exact same
- * core::planQueryWorkingSet / core::predictOptionMBs helpers.  A
- * differential test over a golden query corpus locks this.
+ * the same options (same doubles, same tie-breaking) — both evaluate
+ * the cost model through the one core::OptionEvaluator, which locates
+ * a query on a shared option grid once rather than once per option.
+ * A differential test over a golden query corpus, checked against a
+ * frozen copy of the original per-option interpolation, locks this.
  */
 
 #ifndef GASNUB_SERVE_PLANNER_INDEX_HH
@@ -28,22 +28,21 @@
 #include <vector>
 
 #include "core/planner.hh"
-#include "serve/decision_cache.hh"
 #include "serve/pack.hh"
-
-namespace gasnub::metrics {
-class Registry;
-}
 
 namespace gasnub::serve {
 
-/** Decision-cache sizing for an index. */
-struct IndexConfig
+/**
+ * Decision-cache counters, kept only because the repository
+ * benchmark's probe still reads them through cacheStats().  The index
+ * has no cache, so they are always zero; they stay until a benchmark
+ * change drops the probe's cache metrics.
+ */
+struct DecisionCacheStats
 {
-    /** Total decision-cache slots; 0 disables the cache. */
-    std::size_t cacheCapacity = 1 << 16;
-    /** Cache shards (concurrency grain). */
-    std::size_t cacheShards = 16;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
 };
 
 /**
@@ -71,13 +70,11 @@ class PlannerIndex
      * the index never changes, so const queries are safe from any
      * thread.
      */
-    explicit PlannerIndex(std::vector<MachinePack> packs,
-                          IndexConfig config = {});
+    explicit PlannerIndex(std::vector<MachinePack> packs);
 
     /** Load @p paths (one pack file per machine) and build. */
     static PlannerIndex
-    fromPackFiles(const std::vector<std::string> &paths,
-                  IndexConfig config = {});
+    fromPackFiles(const std::vector<std::string> &paths);
 
     std::size_t numMachines() const { return _machines.size(); }
 
@@ -102,10 +99,9 @@ class PlannerIndex
     /**
      * Answer @p query for machine @p machine_id: the option with the
      * highest predicted bandwidth, ties keeping the first-registered
-     * option — exactly TransferPlanner::best().  Zero-allocation on
-     * both the cache-hit and the compute path.  Fatal (clear
-     * diagnostic) on a bad machine id or a degenerate query, like
-     * the planner.
+     * option — exactly TransferPlanner::best().  Zero-allocation.
+     * Fatal (clear diagnostic) on a bad machine id or a degenerate
+     * query, like the planner.
      */
     PlanAnswer plan(std::size_t machine_id,
                     const core::TransferQuery &query) const;
@@ -119,38 +115,18 @@ class PlannerIndex
                     const core::TransferQuery &query,
                     std::vector<double> &out) const;
 
-    bool cacheEnabled() const { return _cache.enabled(); }
-    DecisionCacheStats cacheStats() const { return _cache.stats(); }
-    void resetCacheStats() { _cache.resetStats(); }
-
-    /** Decision-cache shard count (0 when the cache is disabled). */
-    std::size_t cacheShards() const;
-
-    /** One decision-cache shard's counters. */
-    DecisionCacheStats cacheShardStats(std::size_t shard) const;
-
-    /**
-     * Register this index's live telemetry with @p registry:
-     * serve.cache.{hits,misses,evictions,entries} gauges plus
-     * per-shard serve.cache.shard<i>.{hits,misses,evictions}, all
-     * refreshed by a collector before every export.  The index must
-     * outlive every registry export (the serving tools register at
-     * startup and join their flushers before teardown).
-     */
-    void registerMetrics(metrics::Registry &registry) const;
+    /** Always zero (see DecisionCacheStats). */
+    DecisionCacheStats cacheStats() const { return {}; }
+    void resetCacheStats() {}
 
   private:
     struct Machine
     {
         std::string name;
-        std::vector<core::PlanOption> options;
+        core::OptionEvaluator options;
     };
 
-    PlanAnswer compute(std::size_t machine_id,
-                       const core::TransferQuery &query) const;
-
     std::vector<Machine> _machines;
-    mutable DecisionCache _cache;
 };
 
 } // namespace gasnub::serve

@@ -241,7 +241,7 @@ class Histogram : public Metric
  * do it at startup, keep the returned reference for the hot path.
  * References stay valid for the registry's lifetime.  Collectors are
  * callbacks run before every export to refresh gauges from sources
- * that keep their own counters (e.g.\ the decision-cache shards).
+ * that keep their own counters.
  */
 class Registry
 {

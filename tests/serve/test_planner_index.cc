@@ -3,14 +3,19 @@
  * The serving layer's keystone contract: serve::PlannerIndex answers
  * plan queries byte-identically to core::TransferPlanner over the
  * same options — for all three characterized machines' golden
- * surfaces, through a pack file round-trip, with the decision cache
- * on or off, on hit and miss paths alike.
+ * surfaces, through a pack file round-trip.  Both consumers share
+ * one evaluator, so both are also checked against a frozen oracle: a
+ * verbatim copy of the original per-option bilinear interpolation,
+ * which located every query once per option.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <thread>
 #include <vector>
 
 #include "core/planner.hh"
@@ -63,18 +68,210 @@ goldenOptions(const GoldenMachine &m)
     return options;
 }
 
+/**
+ * Four options on the golden loads grid (4K..2M x 1..64), one of them
+ * blocked inside that grid, with an option on the fetch grid
+ * (64K..256K x 1..8) placed between them: the evaluator's shared cell
+ * must be re-located after the blocked option when the query working
+ * set is above the block, and after the grid change.
+ */
+std::vector<core::PlanOption>
+sharedGridOptions()
+{
+    using remote::TransferMethod;
+    std::vector<core::PlanOption> options;
+    options.emplace_back("t3e-loads", TransferMethod::Fetch, true,
+                         golden("golden_t3e_loads.surf"));
+    options.emplace_back("t3d-loads-blocked", TransferMethod::Deposit,
+                         true, golden("golden_t3d_loads.surf"),
+                         std::uint64_t(256) * 1024);
+    options.emplace_back("dec8400-loads",
+                         TransferMethod::CoherentPull, true,
+                         golden("golden_dec8400_loads.surf"));
+    options.emplace_back("t3e-fetch", TransferMethod::Fetch, false,
+                         golden("golden_t3e_fetch.surf"));
+    options.emplace_back("t3d-loads", TransferMethod::Deposit, false,
+                         golden("golden_t3d_loads.surf"));
+    return options;
+}
+
+/** A surface with values that vary along every axis it has. */
+core::Surface
+synthetic(const char *name, std::vector<std::uint64_t> ws,
+          std::vector<std::uint64_t> strides)
+{
+    core::Surface s(name, ws, strides);
+    double v = 37.5;
+    for (const std::uint64_t w : ws)
+        for (const std::uint64_t st : strides)
+            s.set(w, st, v += 11.25 + static_cast<double>(w % 7));
+    return s;
+}
+
+/** One-row, one-column and single-point surfaces. */
+std::vector<core::PlanOption>
+degenerateOptions()
+{
+    using remote::TransferMethod;
+    std::vector<core::PlanOption> options;
+    options.emplace_back("one-row", TransferMethod::Fetch, true,
+                         synthetic("one row", {64_KiB}, {1, 2, 8, 64}));
+    options.emplace_back(
+        "one-column", TransferMethod::Deposit, true,
+        synthetic("one column", {4_KiB, 64_KiB, 1_MiB}, {1}),
+        std::uint64_t(128) * 1024);
+    options.emplace_back("one-point", TransferMethod::CoherentPull,
+                         true, synthetic("one point", {64_KiB}, {4}));
+    return options;
+}
+
+/** Every machine the differential runs over, by name. */
+struct TestMachine
+{
+    std::string name;
+    std::vector<core::PlanOption> options;
+};
+
+std::vector<TestMachine>
+testMachines()
+{
+    std::vector<TestMachine> machines;
+    for (const GoldenMachine &m : kMachines)
+        machines.push_back({m.name, goldenOptions(m)});
+    machines.push_back({"shared-grid", sharedGridOptions()});
+    machines.push_back({"degenerate", degenerateOptions()});
+    return machines;
+}
+
 std::vector<MachinePack>
-goldenPacks()
+testPacks()
 {
     std::vector<MachinePack> packs;
-    for (const GoldenMachine &m : kMachines) {
+    for (TestMachine &m : testMachines()) {
         MachinePack p;
         p.machine = m.name;
-        p.options = goldenOptions(m);
+        p.options = std::move(m.options);
         packs.push_back(std::move(p));
     }
     return packs;
 }
+
+// ----------------------------------------------------------------
+// The frozen oracle: the original Surface::interpolate, cellBelow and
+// logWeight, copied verbatim (reading the grid through the public
+// accessors), plus the original per-option working-set rule and
+// strict-> selection.  Nothing here is shared with the code under
+// test, so a change to the evaluator cannot move both sides at once.
+
+namespace oracle {
+
+/** Index of the grid cell containing @p v, clamped to the interior. */
+std::size_t
+cellBelow(const std::vector<std::uint64_t> &grid, double v)
+{
+    if (v <= static_cast<double>(grid.front()))
+        return 0;
+    for (std::size_t i = grid.size() - 1; i > 0; --i)
+        if (static_cast<double>(grid[i]) <= v)
+            return std::min(i, grid.size() - 2);
+    return 0;
+}
+
+/** Interpolation weight of @p v between grid[i] and grid[i+1]. */
+double
+logWeight(const std::vector<std::uint64_t> &grid, std::size_t i,
+          double v)
+{
+    if (grid.size() == 1)
+        return 0.0;
+    const double lo = std::log2(static_cast<double>(grid[i]));
+    const double hi = std::log2(static_cast<double>(grid[i + 1]));
+    const double x = std::log2(std::max(v, 1.0));
+    if (x <= lo)
+        return 0.0;
+    if (x >= hi)
+        return 1.0;
+    return (x - lo) / (hi - lo);
+}
+
+double
+interpolate(const core::Surface &s, double ws_bytes, double stride)
+{
+    const std::vector<std::uint64_t> &_workingSets = s.workingSets();
+    const std::vector<std::uint64_t> &_strides = s.strides();
+    const std::vector<core::SurfacePoint> points = s.points();
+    const std::size_t nr = _workingSets.size();
+    const std::size_t nc = _strides.size();
+    const std::size_t r = nr == 1 ? 0 : cellBelow(_workingSets,
+                                                  ws_bytes);
+    const std::size_t c = nc == 1 ? 0 : cellBelow(_strides, stride);
+    const double wr = nr == 1 ? 0 : logWeight(_workingSets, r,
+                                              ws_bytes);
+    const double wc = nc == 1 ? 0 : logWeight(_strides, c, stride);
+
+    auto at_rc = [&](std::size_t rr, std::size_t cc) {
+        rr = std::min(rr, nr - 1);
+        cc = std::min(cc, nc - 1);
+        return points[rr * nc + cc].mbs;
+    };
+    const double v00 = at_rc(r, c);
+    const double v01 = at_rc(r, c + 1);
+    const double v10 = at_rc(r + 1, c);
+    const double v11 = at_rc(r + 1, c + 1);
+    return (1 - wr) * ((1 - wc) * v00 + wc * v01) +
+           wr * ((1 - wc) * v10 + wc * v11);
+}
+
+double
+predictOptionMBs(const core::PlanOption &option, double ws,
+                 std::uint64_t stride)
+{
+    const double eff_ws =
+        option.blockBytes != 0 &&
+                static_cast<double>(option.blockBytes) < ws
+            ? static_cast<double>(option.blockBytes)
+            : ws;
+    return interpolate(*option.surface, eff_ws,
+                       static_cast<double>(stride));
+}
+
+std::vector<double>
+predictAll(const std::vector<core::PlanOption> &options,
+           const core::TransferQuery &query)
+{
+    const double ws = query.wsBytes != 0
+                          ? static_cast<double>(query.wsBytes)
+                          : static_cast<double>(query.bytes);
+    std::vector<double> out;
+    for (const core::PlanOption &o : options)
+        out.push_back(predictOptionMBs(o, ws, query.stride));
+    return out;
+}
+
+core::Plan
+best(const std::vector<core::PlanOption> &options,
+     const core::TransferQuery &query)
+{
+    const std::vector<double> mbs = predictAll(options, query);
+    std::size_t best_i = 0;
+    for (std::size_t i = 1; i < mbs.size(); ++i)
+        if (mbs[i] > mbs[best_i])
+            best_i = i;
+    const core::PlanOption &o = options[best_i];
+    core::Plan p;
+    p.optionIndex = best_i;
+    p.label = o.label;
+    p.method = o.method;
+    p.strideOnSource = o.strideOnSource;
+    p.predictedMBs = mbs[best_i];
+    p.predictedSeconds =
+        query.bytes > 0
+            ? static_cast<double>(query.bytes) / (mbs[best_i] * 1e6)
+            : 0.0;
+    return p;
+}
+
+} // namespace oracle
 
 /**
  * The query corpus: a grid around the surfaces' own axes (on-grid,
@@ -87,13 +284,17 @@ corpus()
     std::vector<core::TransferQuery> qs;
     for (std::uint64_t ws :
          {std::uint64_t(512), std::uint64_t(1_KiB),
-          std::uint64_t(3000), std::uint64_t(64_KiB),
-          std::uint64_t(100000), std::uint64_t(262144),
-          std::uint64_t(1_MiB), std::uint64_t(32_MiB)}) {
+          std::uint64_t(3000), std::uint64_t(4_KiB),
+          std::uint64_t(64_KiB), std::uint64_t(100000),
+          std::uint64_t(128_KiB), std::uint64_t(262143),
+          std::uint64_t(262144), std::uint64_t(262145),
+          std::uint64_t(1_MiB), std::uint64_t(2_MiB),
+          std::uint64_t(32_MiB)}) {
         for (std::uint64_t st : {std::uint64_t(1), std::uint64_t(2),
-                                 std::uint64_t(3), std::uint64_t(5),
-                                 std::uint64_t(8),
-                                 std::uint64_t(64)}) {
+                                 std::uint64_t(3), std::uint64_t(4),
+                                 std::uint64_t(5), std::uint64_t(8),
+                                 std::uint64_t(64),
+                                 std::uint64_t(100)}) {
             qs.push_back({ws, ws, st});
             qs.push_back({4 * ws, ws, st}); // bytes != ws
             qs.push_back({ws, 0, st});      // ws defaults to bytes
@@ -140,44 +341,25 @@ void
 runDifferential(const PlannerIndex &index)
 {
     const std::vector<core::TransferQuery> qs = corpus();
-    for (const GoldenMachine &m : kMachines) {
+    for (const TestMachine &m : testMachines()) {
         core::TransferPlanner planner;
-        for (const core::PlanOption &o : goldenOptions(m))
+        for (const core::PlanOption &o : m.options)
             planner.addOption(o);
         const int id = index.machineId(m.name);
         ASSERT_GE(id, 0) << m.name;
-        // Two passes: the second hits the decision cache (when
-        // enabled), and must answer identically to the first.
-        for (int pass = 0; pass < 2; ++pass) {
-            for (const core::TransferQuery &q : qs) {
-                expectIdentical(
-                    planner.best(q),
-                    index.planFull(static_cast<std::size_t>(id), q),
-                    m.name, q);
-            }
+        for (const core::TransferQuery &q : qs) {
+            const core::Plan want = oracle::best(m.options, q);
+            expectIdentical(want, planner.best(q), m.name.c_str(), q);
+            expectIdentical(
+                want, index.planFull(static_cast<std::size_t>(id), q),
+                m.name.c_str(), q);
         }
     }
 }
 
-TEST(PlannerIndexDifferential, MatchesThePlannerWithTheCacheOn)
+TEST(PlannerIndexDifferential, MatchesThePlannerAndTheFrozenOracle)
 {
-    runDifferential(PlannerIndex(goldenPacks()));
-}
-
-TEST(PlannerIndexDifferential, MatchesThePlannerWithTheCacheOff)
-{
-    IndexConfig config;
-    config.cacheCapacity = 0;
-    runDifferential(PlannerIndex(goldenPacks(), config));
-}
-
-TEST(PlannerIndexDifferential, MatchesThePlannerWithATinyCache)
-{
-    // Heavy eviction traffic: every answer still byte-identical.
-    IndexConfig config;
-    config.cacheCapacity = 8;
-    config.cacheShards = 2;
-    runDifferential(PlannerIndex(goldenPacks(), config));
+    runDifferential(PlannerIndex(testPacks()));
 }
 
 TEST(PlannerIndexDifferential, SurvivesAPackFileRoundTrip)
@@ -186,7 +368,7 @@ TEST(PlannerIndexDifferential, SurvivesAPackFileRoundTrip)
         fs::path(::testing::TempDir()) / "index_packs";
     fs::create_directories(dir);
     std::vector<std::string> paths;
-    for (const MachinePack &p : goldenPacks()) {
+    for (const MachinePack &p : testPacks()) {
         const fs::path path = dir / (p.machine + ".pack");
         savePackFile(p, path.string());
         paths.push_back(path.string());
@@ -195,9 +377,32 @@ TEST(PlannerIndexDifferential, SurvivesAPackFileRoundTrip)
     fs::remove_all(dir);
 }
 
+TEST(PlannerIndexDifferential, SurfaceInterpolationMatchesTheOracle)
+{
+    // Every option surface, one query at a time (no shared cell),
+    // including fractional coordinates between and beyond the axes.
+    std::vector<double> coords = {0.5, 1, 1.5, 3, 1000, 4096, 4097,
+                                  65535.5, 65536, 70000, 262144,
+                                  1e6, 2097152, 1e9};
+    for (const TestMachine &m : testMachines()) {
+        for (const core::PlanOption &o : m.options) {
+            for (const double ws : coords) {
+                for (const double st : coords) {
+                    const double want =
+                        oracle::interpolate(*o.surface, ws, st);
+                    const double got = o.surface->interpolate(ws, st);
+                    EXPECT_TRUE(sameBits(want, got))
+                        << o.surface->name() << " at (" << ws << ", "
+                        << st << "): " << want << " != " << got;
+                }
+            }
+        }
+    }
+}
+
 TEST(PlannerIndex, PlanAndPlanFullAgree)
 {
-    const PlannerIndex index(goldenPacks());
+    const PlannerIndex index(testPacks());
     for (const core::TransferQuery &q : corpus()) {
         const PlanAnswer a = index.plan(0, q);
         const core::Plan p = index.planFull(0, q);
@@ -212,40 +417,63 @@ TEST(PlannerIndex, PlanAndPlanFullAgree)
 
 TEST(PlannerIndex, PredictAllMatchesThePlanner)
 {
-    const PlannerIndex index(goldenPacks());
+    const PlannerIndex index(testPacks());
     std::vector<double> got;
-    for (const GoldenMachine &m : kMachines) {
+    for (const TestMachine &m : testMachines()) {
         core::TransferPlanner planner;
-        for (const core::PlanOption &o : goldenOptions(m))
+        for (const core::PlanOption &o : m.options)
             planner.addOption(o);
         const int id = index.machineId(m.name);
         for (const core::TransferQuery &q : corpus()) {
-            const std::vector<double> want = planner.predictAll(q);
+            const std::vector<double> want =
+                oracle::predictAll(m.options, q);
+            const std::vector<double> planned = planner.predictAll(q);
             index.predictAll(static_cast<std::size_t>(id), q, got);
+            ASSERT_EQ(want.size(), planned.size());
             ASSERT_EQ(want.size(), got.size());
-            for (std::size_t i = 0; i < want.size(); ++i)
-                EXPECT_TRUE(sameBits(want[i], got[i]));
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_TRUE(sameBits(want[i], planned[i]))
+                    << m.name << " option " << i;
+                EXPECT_TRUE(sameBits(want[i], got[i]))
+                    << m.name << " option " << i;
+            }
         }
     }
 }
 
-TEST(PlannerIndex, CacheAccountingSeesRepeats)
+TEST(PlannerIndex, ConcurrentQueriesMatchSerialAnswers)
 {
-    const PlannerIndex index(goldenPacks());
-    const core::TransferQuery q{1_MiB, 1_MiB, 8};
-    index.plan(0, q);
-    index.plan(0, q);
-    index.plan(0, q);
-    const DecisionCacheStats s = index.cacheStats();
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits, 2u);
-    EXPECT_EQ(s.entries, 1u);
+    // The index is immutable and lock-free: threads sharing it must
+    // see exactly the serial answers (run under TSan in CI).
+    const PlannerIndex index(testPacks());
+    const std::vector<core::TransferQuery> qs = corpus();
+    std::vector<double> want;
+    for (std::size_t m = 0; m < index.numMachines(); ++m)
+        for (const core::TransferQuery &q : qs)
+            want.push_back(index.plan(m, q).predictedMBs);
+    constexpr int kThreads = 4;
+    std::vector<std::vector<double>> got(kThreads);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < kThreads; ++t) {
+        pool.emplace_back([&, t] {
+            for (std::size_t m = 0; m < index.numMachines(); ++m)
+                for (const core::TransferQuery &q : qs)
+                    got[t].push_back(index.plan(m, q).predictedMBs);
+        });
+    }
+    for (std::thread &th : pool)
+        th.join();
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_TRUE(sameBits(want[i], got[t][i])) << i;
+    }
 }
 
 TEST(PlannerIndex, MachineLookupIsExact)
 {
-    const PlannerIndex index(goldenPacks());
-    EXPECT_EQ(index.numMachines(), 3u);
+    const PlannerIndex index(testPacks());
+    EXPECT_EQ(index.numMachines(), 5u);
     EXPECT_GE(index.machineId("t3e"), 0);
     EXPECT_GE(index.machineId("dec8400"), 0);
     EXPECT_EQ(index.machineId("sp2"), -1);
@@ -258,7 +486,7 @@ TEST(PlannerIndex, MachineLookupIsExact)
 
 TEST(PlannerIndexDeath, DuplicateMachineNamesAreRejected)
 {
-    std::vector<MachinePack> packs = goldenPacks();
+    std::vector<MachinePack> packs = testPacks();
     packs[1].machine = packs[0].machine;
     EXPECT_EXIT(PlannerIndex{std::move(packs)},
                 ::testing::ExitedWithCode(1), "duplicate machine");
@@ -266,7 +494,7 @@ TEST(PlannerIndexDeath, DuplicateMachineNamesAreRejected)
 
 TEST(PlannerIndexDeath, DegenerateQueriesDieLikeThePlanner)
 {
-    const PlannerIndex index(goldenPacks());
+    const PlannerIndex index(testPacks());
     EXPECT_EXIT(index.plan(99, {1_KiB, 1_KiB, 1}),
                 ::testing::ExitedWithCode(1), "machine");
     EXPECT_EXIT(index.plan(0, {0, 0, 1}),

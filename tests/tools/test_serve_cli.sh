@@ -134,13 +134,13 @@ else
 fi
 
 # serve answers JSON queries on stdin; fetch wins everywhere in this
-# surface pair, and the same query twice exercises the cache.
+# surface pair.
 cat > "$tmp/queries" <<'EOF'
 {"machine": "demo", "bytes": 1048576, "ws": 1048576, "stride": 8}
 {"machine": "demo", "bytes": 1048576, "ws": 1048576, "stride": 8}
 {"machine": "demo", "bytes": 2048, "ws": 1024, "stride": 1}
 EOF
-out=$("$serve" --pack "$tmp/demo.pack" --stats < "$tmp/queries" \
+out=$("$serve" --pack "$tmp/demo.pack" < "$tmp/queries" \
       2>"$tmp/err")
 if [ $? -ne 0 ]; then
     echo "FAIL: serve run failed"
@@ -152,24 +152,58 @@ elif [ "$(echo "$out" | wc -l)" -ne 3 ]; then
 elif ! echo "$out" | head -1 | grep -q '"option": "fetch-sload"'; then
     echo "FAIL: serve picked the wrong option"
     fails=1
-elif ! grep -q "cache hits=1" "$tmp/err"; then
-    echo "FAIL: serve --stats did not report the cache hit"
-    cat "$tmp/err"
-    fails=1
 else
-    echo "ok: serve answers JSON queries and counts cache hits"
+    echo "ok: serve answers JSON queries"
 fi
 
-# Identical answers with the cache off (spot-check of the
-# byte-identity contract at the CLI level).
-out2=$("$serve" --pack "$tmp/demo.pack" --no-cache \
-       < "$tmp/queries" 2>/dev/null)
-if [ "$out" != "$out2" ]; then
-    echo "FAIL: serve answers differ with --no-cache"
+# Answers are byte-identical whether one worker or two plan a batch
+# (spot-check of the determinism contract at the CLI level), over
+# on-grid, off-grid and out-of-grid points.
+for ws in 512 1024 3000 65536 1048576 4194304; do
+    for st in 1 2 8 20 64 100; do
+        printf '{"machine": "demo", "bytes": %d, "ws": %d, "stride": %d}\n' \
+            $((ws * 2)) "$ws" "$st"
+    done
+done > "$tmp/grid_queries"
+"$serve" --pack "$tmp/demo.pack" --threads 1 < "$tmp/grid_queries" \
+    > "$tmp/answers.t1" 2>/dev/null
+"$serve" --pack "$tmp/demo.pack" --threads 2 --batch 7 \
+    < "$tmp/grid_queries" > "$tmp/answers.t2" 2>/dev/null
+if [ "$(wc -l < "$tmp/answers.t1")" -ne 36 ]; then
+    echo "FAIL: serve --threads 1 answered $(wc -l < "$tmp/answers.t1") of 36"
+    fails=1
+elif ! cmp -s "$tmp/answers.t1" "$tmp/answers.t2"; then
+    echo "FAIL: serve answers differ between --threads 1 and 2"
     fails=1
 else
-    echo "ok: serve --no-cache answers are identical"
+    echo "ok: serve --threads 1 and 2 answers are identical"
 fi
+
+# Inexact JSON numbers are fatal with the line number, never
+# truncated into a different query: a fraction, and a value past
+# 2^53 (whose conversion to an integer would be undefined).
+expect_inexact() {
+    desc="$1"
+    key="$2"
+    printf '%s\n%s\n' \
+        '{"machine": "demo", "bytes": 4096, "ws": 0, "stride": 2}' \
+        "$3" | "$serve" --pack "$tmp/demo.pack" >/dev/null 2>"$tmp/err"
+    code=$?
+    if [ "$code" -ne 1 ]; then
+        echo "FAIL: $desc: exit $code, expected 1"
+        fails=1
+    elif ! grep -q "query line 2: '$key'" "$tmp/err"; then
+        echo "FAIL: $desc: diagnostic does not name line 2 and '$key'"
+        cat "$tmp/err"
+        fails=1
+    else
+        echo "ok: $desc"
+    fi
+}
+expect_inexact "fractional JSON number is fatal" bytes \
+    '{"machine": "demo", "bytes": 4096.9, "ws": 0, "stride": 2.7}'
+expect_inexact "JSON number past 2^53 is fatal" stride \
+    '{"machine": "demo", "bytes": 4096, "ws": 0, "stride": 1.5e30}'
 
 # Unknown machines are fatal with a diagnostic, not silent.
 echo '{"machine": "sp2", "bytes": 8, "ws": 8, "stride": 1}' |
@@ -183,12 +217,16 @@ fi
 
 # Telemetry differential: answers must be byte-identical with the
 # full telemetry stack on (metrics file, trace spans, slow-query log)
-# versus everything off.
-"$serve" --pack "$tmp/demo.pack" < "$tmp/queries" \
+# versus everything off.  A plan query takes well under a
+# microsecond, so --slow-query-us 1 logs one only when its span
+# crosses a microsecond tick; the stream is long enough (2160
+# queries) to make some records certain.
+for i in $(seq 60); do cat "$tmp/grid_queries"; done > "$tmp/many_queries"
+"$serve" --pack "$tmp/demo.pack" < "$tmp/many_queries" \
     > "$tmp/answers.off" 2>/dev/null
 "$serve" --pack "$tmp/demo.pack" --metrics-out "$tmp/serve.prom" \
     --slow-query-us 1 --trace-out "$tmp/serve.trace.json" \
-    < "$tmp/queries" > "$tmp/answers.on" 2>"$tmp/err"
+    < "$tmp/many_queries" > "$tmp/answers.on" 2>"$tmp/err"
 if ! cmp -s "$tmp/answers.off" "$tmp/answers.on"; then
     echo "FAIL: answers differ with telemetry on"
     fails=1
@@ -196,10 +234,10 @@ else
     echo "ok: telemetry does not perturb answers"
 fi
 
-# The exposition file is valid Prometheus text and counts all three
-# queries; the slow-query log produced structured records.
+# The exposition file is valid Prometheus text and counts every
+# query; the slow-query log produced structured records.
 if ! "$(dirname "$0")/check_metrics.sh" "$tmp/serve.prom" \
-        gasnub_serve_requests 3; then
+        gasnub_serve_requests 2160; then
     echo "FAIL: serve --metrics-out exposition invalid or wrong count"
     fails=1
 else
@@ -247,7 +285,7 @@ fi
 # GASNUB_LOG_TIMESTAMPS prefixes service-log lines without touching
 # stdout answers.
 GASNUB_LOG_TIMESTAMPS=1 "$serve" --pack "$tmp/demo.pack" \
-    --slow-query-us 1 < "$tmp/queries" > "$tmp/answers.ts" \
+    --slow-query-us 1 < "$tmp/many_queries" > "$tmp/answers.ts" \
     2>"$tmp/err.ts"
 if ! cmp -s "$tmp/answers.off" "$tmp/answers.ts"; then
     echo "FAIL: answers differ under GASNUB_LOG_TIMESTAMPS"
@@ -276,24 +314,24 @@ elif ! echo "$out" | grep -q '"p99_ns"'; then
 else
     echo "ok: loadgen --json"
 fi
-# The query stream is a pure function of (seed, mix, thread id), so
-# a repeat run — and a run with the cache off — must produce the
-# same answer checksum.
+# The query stream is a pure function of (seed, mix), so a repeat
+# run — and a run on a different number of threads — must produce
+# the same answer checksum.
 sum1=$(echo "$out" | sed 's/.*"checksum": "\([0-9a-f]*\)".*/\1/')
 out=$("$loadgen" --pack "$tmp/demo.pack" --queries 5000 \
       --threads 2 --mix hot --seed 7 --json 2>/dev/null)
 sum2=$(echo "$out" | sed 's/.*"checksum": "\([0-9a-f]*\)".*/\1/')
 out=$("$loadgen" --pack "$tmp/demo.pack" --queries 5000 \
-      --threads 2 --mix hot --seed 7 --no-cache --json 2>/dev/null)
+      --threads 1 --mix hot --seed 7 --json 2>/dev/null)
 sum3=$(echo "$out" | sed 's/.*"checksum": "\([0-9a-f]*\)".*/\1/')
 if [ -z "$sum1" ] || [ "$sum1" != "$sum2" ]; then
     echo "FAIL: loadgen checksum varies across runs ($sum1 vs $sum2)"
     fails=1
 elif [ "$sum1" != "$sum3" ]; then
-    echo "FAIL: loadgen answers differ with --no-cache ($sum1 vs $sum3)"
+    echo "FAIL: loadgen checksum differs with --threads 1 ($sum1 vs $sum3)"
     fails=1
 else
-    echo "ok: loadgen checksum is reproducible, cache on or off"
+    echo "ok: loadgen checksum is reproducible across runs and --threads"
 fi
 
 # loadgen telemetry: the exposition counter equals the completed

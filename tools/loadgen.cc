@@ -3,8 +3,7 @@
  * Deterministic load harness for the planner-as-a-service stack.
  *
  *   loadgen --pack FILE [--pack FILE ...] --queries N [--threads T]
- *           [--mix uniform|hot|scan] [--seed S] [--no-cache]
- *           [--cache-capacity N] [--cache-shards N] [--json]
+ *           [--mix uniform|hot|scan] [--seed S] [--json]
  *           [--profile] [--metrics-out FILE]
  *           [--metrics-interval-ms N] [--timeline FILE]
  *
@@ -12,28 +11,30 @@
  * serve::PlannerIndex from T threads and reports sustained
  * queries/sec plus p50/p95/p99 per-query latency (per-thread
  * stats::Histogram of nanoseconds, merged order-independently).  The
- * query stream is a pure function of (--seed, --mix, thread id), so
+ * query stream is a pure function of (--seed, --mix): it is cut into
+ * independently seeded blocks that the threads take round-robin, so
  * two runs issue the identical query multiset regardless of
- * scheduling; an order-independent XOR checksum over the answers'
- * predicted-bandwidth bits is printed so runs can be diffed for
- * answer drift, not just throughput.
+ * scheduling or --threads; an order-independent XOR checksum over
+ * the answers' predicted-bandwidth bits is printed so runs can be
+ * diffed for answer drift, not just throughput.
  *
  * Mixes:
- *   uniform  many distinct (ws, stride) keys — cache-miss heavy
- *   hot      95% of queries from 64 hot keys — cache-hit heavy
- *   scan     a fixed 1024-query cycle — all hits after warm-up
+ *   uniform  many distinct (ws, stride) keys
+ *   hot      95% of queries from 64 hot keys
+ *   scan     a fixed 1024-query cycle
  *
  * Live telemetry (--metrics-out / --timeline) feeds the process-wide
  * metrics::Registry while load runs: a loadgen.queries counter
- * (exact; CI asserts it equals the completed-query count), a
- * loadgen.latency_us rolling-window histogram, and the decision-cache
- * gauges.  --metrics-out re-exports the registry atomically every
- * interval; --timeline appends one JSON line per second with the
- * completed count, 1s rate, and 1s-window p50/p95/p99, all read from
- * the same registry a scraper would see.  The stdout report and the
- * answer checksum are byte-identical with telemetry on or off.
+ * (exact; CI asserts it equals the completed-query count) and a
+ * loadgen.latency_us rolling-window histogram.  --metrics-out
+ * re-exports the registry atomically every interval; --timeline
+ * appends one JSON line per second with the completed count, 1s rate,
+ * and 1s-window p50/p95/p99, all read from the same registry a
+ * scraper would see.  The stdout report and the answer checksum are
+ * byte-identical with telemetry on or off.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -71,10 +72,6 @@ printUsage(std::ostream &os)
           "  --mix NAME         uniform | hot | scan (default "
           "uniform)\n"
           "  --seed S           query-stream seed (default 1)\n"
-          "  --no-cache         disable the decision cache\n"
-          "  --cache-capacity N decision-cache slots (default "
-          "65536)\n"
-          "  --cache-shards N   decision-cache shards (default 16)\n"
           "  --json             machine-readable report on stdout\n"
           "  --profile          profiler zone report on stderr\n"
           "  --metrics-out FILE live metrics exposition, rewritten "
@@ -89,8 +86,8 @@ printUsage(std::ostream &os)
           "                     1s-window p50/p95/p99\n"
           "Benchmarks serve::PlannerIndex under a deterministic "
           "seeded query\nmix: reports queries/sec, p50/p95/p99 "
-          "latency, cache hit rate, and\nan order-independent answer "
-          "checksum (docs/planner_service.md).\n";
+          "latency, and an\norder-independent answer checksum "
+          "(docs/planner_service.md).\n";
 }
 
 [[noreturn]] void
@@ -152,47 +149,60 @@ struct Telemetry
     metrics::Histogram *latencyUs = nullptr;
 };
 
+/**
+ * Queries per independently seeded block of the stream.  Blocks go to
+ * the threads round-robin, so the query multiset — and with it the
+ * order-independent checksum — does not depend on --threads.
+ */
+constexpr std::uint64_t kStreamBlock = 4096;
+
 void
 worker(const serve::PlannerIndex &index, Mix mix,
        const std::vector<GenQuery> &keys, std::uint64_t seed,
-       std::size_t thread_id, std::uint64_t queries,
-       ThreadResult &result, const Telemetry &telem)
+       std::size_t thread_id, std::size_t threads,
+       std::uint64_t queries, ThreadResult &result,
+       const Telemetry &telem)
 {
     GASNUB_PROF_ZONE("loadgen.worker");
-    sim::Rng rng(seed * 0x9e3779b97f4a7c15ULL + thread_id + 1);
     const std::size_t machines = index.numMachines();
-    for (std::uint64_t i = 0; i < queries; ++i) {
-        GenQuery q;
-        switch (mix) {
-        case Mix::Uniform:
-            q = uniformQuery(rng, machines);
-            break;
-        case Mix::Hot:
-            q = rng.below(20) < 19
-                    ? keys[rng.below(keys.size())]
-                    : uniformQuery(rng, machines);
-            break;
-        case Mix::Scan:
-            q = keys[(thread_id + i) % keys.size()];
-            break;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        const serve::PlanAnswer a = index.plan(q.machine, q.query);
-        const auto t1 = std::chrono::steady_clock::now();
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(a.predictedMBs));
-        std::memcpy(&bits, &a.predictedMBs, sizeof(bits));
-        result.checksum ^= bits;
-        const std::uint64_t ns = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                t1 - t0)
-                .count());
-        result.latency.sample(ns);
-        ++result.issued;
-        if (telem.queries) {
-            telem.queries->add(1);
-            telem.latencyUs->sample(ns / 1000,
-                                    metrics::monotonicSeconds());
+    for (std::uint64_t b = thread_id; b * kStreamBlock < queries;
+         b += threads) {
+        sim::Rng rng(seed * 0x9e3779b97f4a7c15ULL + b + 1);
+        const std::uint64_t end =
+            std::min(queries, (b + 1) * kStreamBlock);
+        for (std::uint64_t i = b * kStreamBlock; i < end; ++i) {
+            GenQuery q;
+            switch (mix) {
+            case Mix::Uniform:
+                q = uniformQuery(rng, machines);
+                break;
+            case Mix::Hot:
+                q = rng.below(20) < 19
+                        ? keys[rng.below(keys.size())]
+                        : uniformQuery(rng, machines);
+                break;
+            case Mix::Scan:
+                q = keys[i % keys.size()];
+                break;
+            }
+            const auto t0 = std::chrono::steady_clock::now();
+            const serve::PlanAnswer a = index.plan(q.machine, q.query);
+            const auto t1 = std::chrono::steady_clock::now();
+            std::uint64_t bits;
+            static_assert(sizeof(bits) == sizeof(a.predictedMBs));
+            std::memcpy(&bits, &a.predictedMBs, sizeof(bits));
+            result.checksum ^= bits;
+            const std::uint64_t ns = static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    t1 - t0)
+                    .count());
+            result.latency.sample(ns);
+            ++result.issued;
+            if (telem.queries) {
+                telem.queries->add(1);
+                telem.latencyUs->sample(ns / 1000,
+                                        metrics::monotonicSeconds());
+            }
         }
     }
 }
@@ -226,7 +236,6 @@ main(int argc, char **argv)
     std::string metrics_out;
     int metrics_interval_ms = 1000;
     std::string timeline;
-    serve::IndexConfig config;
 
     for (int i = 1; i < argc; ++i) {
         const std::string opt = argv[i];
@@ -265,14 +274,6 @@ main(int argc, char **argv)
         } else if (opt == "--seed")
             seed = static_cast<std::uint64_t>(
                 std::atoll(val().c_str()));
-        else if (opt == "--no-cache")
-            config.cacheCapacity = 0;
-        else if (opt == "--cache-capacity")
-            config.cacheCapacity = static_cast<std::size_t>(
-                std::atoll(val().c_str()));
-        else if (opt == "--cache-shards")
-            config.cacheShards = static_cast<std::size_t>(
-                std::atoll(val().c_str()));
         else if (opt == "--json")
             json = true;
         else if (opt == "--profile")
@@ -299,7 +300,7 @@ main(int argc, char **argv)
     logTimestampsFromEnv();
 
     const serve::PlannerIndex index =
-        serve::PlannerIndex::fromPackFiles(packs, config);
+        serve::PlannerIndex::fromPackFiles(packs);
     const std::vector<GenQuery> keys = fixedKeys(
         seed, index.numMachines(), mix == Mix::Scan ? 1024 : 64);
 
@@ -307,18 +308,12 @@ main(int argc, char **argv)
     metrics::Registry &reg = metrics::Registry::instance();
     if (!metrics_out.empty() || !timeline.empty()) {
         metrics::setEnabled(true);
-        index.registerMetrics(reg);
         telem.queries = &reg.counter("loadgen.queries",
                                      "plan queries completed");
         telem.latencyUs = &reg.histogram(
             "loadgen.latency_us",
             "per-query plan latency (microseconds)");
     }
-
-    // Split the query budget; earlier threads take the remainder.
-    std::vector<std::uint64_t> share(threads, queries / threads);
-    for (std::uint64_t i = 0; i < queries % threads; ++i)
-        ++share[i];
 
     // The per-second timeline thread reads the same registry objects
     // a scraper would, so it doubles as a live test of the rolling
@@ -374,8 +369,8 @@ main(int argc, char **argv)
         pool.reserve(threads);
         for (std::size_t t = 0; t < threads; ++t)
             pool.emplace_back(worker, std::cref(index), mix,
-                              std::cref(keys), seed, t, share[t],
-                              std::ref(results[t]),
+                              std::cref(keys), seed, t, threads,
+                              queries, std::ref(results[t]),
                               std::cref(telem));
         for (std::thread &t : pool)
             t.join();
@@ -408,25 +403,16 @@ main(int argc, char **argv)
     const double p50 = total.latency.percentile(0.50);
     const double p95 = total.latency.percentile(0.95);
     const double p99 = total.latency.percentile(0.99);
-    const serve::DecisionCacheStats cs = index.cacheStats();
-    const std::uint64_t lookups = cs.hits + cs.misses;
-    const double hit_rate =
-        lookups ? static_cast<double>(cs.hits) / lookups : 0.0;
 
     if (json) {
         std::printf(
             "{\"queries\": %llu, \"threads\": %zu, \"mix\": "
             "\"%s\", \"seed\": %llu, \"seconds\": %.6f, \"qps\": "
             "%.1f, \"p50_ns\": %.1f, \"p95_ns\": %.1f, \"p99_ns\": "
-            "%.1f, \"cache\": {\"hits\": %llu, \"misses\": %llu, "
-            "\"evictions\": %llu, \"hit_rate\": %.4f}, "
-            "\"checksum\": \"%016llx\"}\n",
+            "%.1f, \"checksum\": \"%016llx\"}\n",
             static_cast<unsigned long long>(total.issued), threads,
             mixName(mix), static_cast<unsigned long long>(seed),
             seconds, qps, p50, p95, p99,
-            static_cast<unsigned long long>(cs.hits),
-            static_cast<unsigned long long>(cs.misses),
-            static_cast<unsigned long long>(cs.evictions), hit_rate,
             static_cast<unsigned long long>(total.checksum));
     } else {
         std::printf("loadgen: %llu queries, %zu thread(s), mix=%s, "
@@ -439,12 +425,6 @@ main(int argc, char **argv)
         std::printf("  latency   p50 %.0f ns, p95 %.0f ns, p99 "
                     "%.0f ns\n",
                     p50, p95, p99);
-        std::printf("  cache     hits=%llu misses=%llu "
-                    "evictions=%llu hit-rate=%.2f%%\n",
-                    static_cast<unsigned long long>(cs.hits),
-                    static_cast<unsigned long long>(cs.misses),
-                    static_cast<unsigned long long>(cs.evictions),
-                    hit_rate * 100.0);
         std::printf("  checksum  %016llx\n",
                     static_cast<unsigned long long>(
                         total.checksum));

@@ -3,8 +3,7 @@
  * Transfer-planning query front end over surface packs.
  *
  *   serve --pack FILE [--pack FILE ...] [--binary] [--threads N]
- *         [--batch N] [--no-cache] [--cache-capacity N]
- *         [--cache-shards N] [--stats] [--metrics-out FILE]
+ *         [--batch N] [--metrics-out FILE]
  *         [--metrics-interval-ms N] [--slow-query-us N]
  *         [--trace-out FILE]
  *
@@ -33,19 +32,21 @@
  * Binary framing (--binary) — fixed 32-byte records both ways, host
  * little-endian; see docs/planner_service.md for the exact layout.
  * Malformed queries are fatal with a record/line diagnostic (exit 1
- * via GASNUB_FATAL, exit 2 for JSON syntax), never silent garbage.
+ * via GASNUB_FATAL, exit 2 for JSON syntax), never silent garbage; a
+ * JSON number must be an integer below 2^53.
  *
  * Live telemetry (--metrics-out / --slow-query-us / --trace-out)
  * feeds the process-wide metrics::Registry: request/batch counters,
  * per-query service-time and batch-size histograms with rolling
- * 1s/10s/60s windows, per-worker query counters, decision-cache
- * gauges, a structured slow-query log, and per-query Chrome-trace
- * spans.  Answers are byte-identical with telemetry on or off (the
- * CLI test diffs them), and with everything off the hot path pays a
- * single relaxed load per batch.
+ * 1s/10s/60s windows, per-worker query counters, a structured
+ * slow-query log, and per-query Chrome-trace spans.  Answers are
+ * byte-identical with telemetry on or off (the CLI test diffs them),
+ * and with everything off the hot path pays a single relaxed load
+ * per batch.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -80,12 +81,6 @@ printUsage(std::ostream &os)
           "  --threads N        workers per batch (default 1)\n"
           "  --batch N          queries planned per dispatch "
           "(default 1024)\n"
-          "  --no-cache         disable the decision cache\n"
-          "  --cache-capacity N decision-cache slots (default "
-          "65536)\n"
-          "  --cache-shards N   decision-cache shards (default 16)\n"
-          "  --stats            cache hit/miss/eviction stats on "
-          "stderr at EOF\n"
           "  --metrics-out FILE live metrics exposition, rewritten "
           "atomically\n"
           "                     (.json -> JSON, else Prometheus "
@@ -161,11 +156,21 @@ std::uint64_t
 numberField(const JsonValue &v, const char *key,
             std::uint64_t line_no)
 {
+    // A double holds every integer below 2^53 exactly; from 2^53 on
+    // it cannot tell n from n + 1.  A fraction, or a value that
+    // large, would otherwise be cast into a different query (or
+    // overflow the cast).
+    constexpr double kExactLimit = 9007199254740992.0; // 2^53
     const JsonValue *f = v.find(key);
     if (!f || f->kind != JsonValue::Kind::Number || f->number < 0)
         GASNUB_FATAL("serve: query line ", line_no,
                      ": missing or bad '", key,
                      "' (want a non-negative number)");
+    if (!(f->number < kExactLimit) ||
+        f->number != std::floor(f->number))
+        GASNUB_FATAL("serve: query line ", line_no, ": '", key,
+                     "' is ", f->number,
+                     ", not an integer below 2^53");
     return static_cast<std::uint64_t>(f->number);
 }
 
@@ -455,12 +460,10 @@ main(int argc, char **argv)
     bool binary = false;
     int threads = 1;
     std::size_t batch = 1024;
-    bool stats = false;
     std::string metrics_out;
     int metrics_interval_ms = 1000;
     std::uint64_t slow_query_us = 0;
     std::string trace_out;
-    serve::IndexConfig config;
 
     for (int i = 1; i < argc; ++i) {
         const std::string opt = argv[i];
@@ -484,16 +487,6 @@ main(int argc, char **argv)
         else if (opt == "--batch")
             batch = static_cast<std::size_t>(
                 std::atoll(val().c_str()));
-        else if (opt == "--no-cache")
-            config.cacheCapacity = 0;
-        else if (opt == "--cache-capacity")
-            config.cacheCapacity = static_cast<std::size_t>(
-                std::atoll(val().c_str()));
-        else if (opt == "--cache-shards")
-            config.cacheShards = static_cast<std::size_t>(
-                std::atoll(val().c_str()));
-        else if (opt == "--stats")
-            stats = true;
         else if (opt == "--metrics-out")
             metrics_out = val();
         else if (opt == "--metrics-interval-ms")
@@ -514,17 +507,13 @@ main(int argc, char **argv)
         metrics_interval_ms = 1;
 
     const serve::PlannerIndex index =
-        serve::PlannerIndex::fromPackFiles(packs, config);
+        serve::PlannerIndex::fromPackFiles(packs);
     std::fprintf(stderr, "serve: %zu machine(s):", index.numMachines());
     for (std::size_t i = 0; i < index.numMachines(); ++i)
         std::fprintf(stderr, " %s", index.machineName(i).c_str());
     std::fprintf(stderr, "\n");
 
-    // The cache gauges register unconditionally — they power both the
-    // exit --stats report and any mid-run exposition, and cost nothing
-    // until a collector runs.  Per-query recording is opt-in.
     metrics::Registry &reg = metrics::Registry::instance();
-    index.registerMetrics(reg);
 
     Telemetry telem;
     if (!metrics_out.empty() || !trace_out.empty() ||
@@ -576,27 +565,5 @@ main(int argc, char **argv)
         trace::Tracer::instance().exportChromeJson(os);
     }
 
-    if (stats) {
-        // Routed through the registry (satellite of the live
-        // telemetry work): collect() refreshes the cache gauges from
-        // the shard counters, so the same numbers are available to a
-        // mid-run scrape and to this exit report.
-        reg.collect();
-        const auto gval = [&reg](const char *name) {
-            const metrics::Metric *m = reg.find(name);
-            GASNUB_ASSERT(m, "unregistered gauge ", name);
-            return static_cast<unsigned long long>(
-                static_cast<const metrics::Gauge *>(m)->value());
-        };
-        std::fprintf(
-            stderr,
-            "serve: cache hits=%llu misses=%llu evictions=%llu "
-            "entries=%llu/%llu\n",
-            gval("serve.cache.hits"), gval("serve.cache.misses"),
-            gval("serve.cache.evictions"),
-            gval("serve.cache.entries"),
-            static_cast<unsigned long long>(
-                index.cacheStats().capacity));
-    }
     return rc;
 }
