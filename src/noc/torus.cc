@@ -72,11 +72,15 @@ Torus::Torus(const TorusConfig &config, stats::Group *parent)
     // outgoing direction ("r3.+x").
     static const char *const dir_names[6] = {"+x", "-x", "+y",
                                              "-y", "+z", "-z"};
-    for (int r = 0; r < _nicCount; ++r)
+    for (int r = 0; r < _nicCount; ++r) {
+        // Appending, not prepending "r": GCC 12's -Wrestrict misfires
+        // on operator+(const char *, std::string &&) (GCC bug 105651).
+        std::string router = "r";
+        router += std::to_string(r);
         for (int d = 0; d < 6; ++d)
             _linkBusyTicks.subname(static_cast<std::size_t>(r) * 6 + d,
-                                   "r" + std::to_string(r) +
-                                       dir_names[d]);
+                                   router + dir_names[d]);
+    }
     if (parent)
         parent->addChild(&_stats);
 }

@@ -1,11 +1,12 @@
 #include "sim/logging.hh"
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+
+#include "sim/metrics.hh"
 
 namespace gasnub {
 
@@ -14,28 +15,17 @@ namespace {
 LogLevel globalLevel = LogLevel::Normal;
 std::atomic<bool> timestampsOn{false};
 
-/** One monotonic origin for every prefixed line in the process. */
-std::chrono::steady_clock::time_point
-logEpoch()
-{
-    static const auto epoch = std::chrono::steady_clock::now();
-    return epoch;
-}
-
 /** "[seconds.micros] " when timestamps are on, "" otherwise. */
 std::string
 timestampPrefix()
 {
     if (!timestampsOn.load(std::memory_order_relaxed))
         return "";
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - logEpoch())
-            .count();
+    const std::uint64_t us = metrics::monotonicMicros();
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "[%lld.%06lld] ",
-                  static_cast<long long>(us / 1000000),
-                  static_cast<long long>(us % 1000000));
+    std::snprintf(buf, sizeof(buf), "[%llu.%06llu] ",
+                  static_cast<unsigned long long>(us / 1000000),
+                  static_cast<unsigned long long>(us % 1000000));
     return buf;
 }
 
@@ -66,7 +56,7 @@ void
 setLogTimestamps(bool on)
 {
     if (on)
-        logEpoch(); // pin the origin before the first prefixed line
+        metrics::monotonicMicros(); // pin the origin before the first line
     timestampsOn.store(on, std::memory_order_relaxed);
 }
 

@@ -28,9 +28,10 @@ LogLevel logLevel();
 
 /**
  * Opt-in monotonic timestamps: when on, every warn/inform/log line is
- * prefixed with "[seconds.micros] " measured on one process-wide
- * monotonic clock, so service-log and slow-query lines emitted by
- * concurrent worker threads are orderable after the fact.  Off by
+ * prefixed with "[seconds.micros] " read from metrics::monotonicMicros(),
+ * so service-log and slow-query lines emitted by concurrent worker
+ * threads are orderable after the fact and share their time origin
+ * with serve's --trace-out spans.  Off by
  * default — golden CLI output is unchanged unless the user opts in
  * via setLogTimestamps() or the GASNUB_LOG_TIMESTAMPS environment
  * variable (any non-empty value other than "0").

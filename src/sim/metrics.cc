@@ -1,24 +1,15 @@
 #include "sim/metrics.hh"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <ostream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
+#include "sim/stats.hh"
 
 namespace gasnub::metrics {
-
-namespace detail {
-std::atomic<bool> metricsEnabled{false};
-} // namespace detail
-
-void
-setEnabled(bool on)
-{
-    detail::metricsEnabled.store(on, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -27,46 +18,6 @@ processStart()
 {
     static const auto start = std::chrono::steady_clock::now();
     return start;
-}
-
-/** Index of the log2 bucket holding @p v (>= 1). */
-unsigned
-bucketOf(std::uint64_t v)
-{
-    return static_cast<unsigned>(std::bit_width(v)) - 1;
-}
-
-/**
- * The shared percentile model (stats::Histogram semantics): locate
- * the 1-based rank's bucket exactly, interpolate linearly within it.
- * @p buckets[i] counts samples in [2^i, 2^(i+1)); @p zeros counts
- * zero-valued samples, which occupy the lowest ranks.
- */
-double
-percentileFromBuckets(const std::uint64_t *buckets,
-                      std::size_t num_buckets, std::uint64_t zeros,
-                      std::uint64_t count, double p)
-{
-    GASNUB_ASSERT(p >= 0 && p <= 1, "percentile wants p in [0, 1]");
-    if (count == 0)
-        return 0.0;
-    const double rank = p * static_cast<double>(count - 1) + 1.0;
-    double seen = static_cast<double>(zeros);
-    if (rank <= seen)
-        return 0.0;
-    for (std::size_t i = 0; i < num_buckets; ++i) {
-        if (buckets[i] == 0)
-            continue;
-        const double in_bucket = static_cast<double>(buckets[i]);
-        if (rank <= seen + in_bucket) {
-            const double lo =
-                static_cast<double>(std::uint64_t(1) << i);
-            const double frac = (rank - seen) / in_bucket;
-            return lo + frac * lo;
-        }
-        seen += in_bucket;
-    }
-    return 0.0; // unreachable when counts are consistent
 }
 
 } // namespace
@@ -111,7 +62,8 @@ Histogram::sample(std::uint64_t v, std::int64_t now_sec)
     if (v == 0) {
         _zeros.fetch_add(1, std::memory_order_relaxed);
     } else {
-        b = std::min<unsigned>(bucketOf(v), kBuckets - 1);
+        b = std::min<unsigned>(stats::Histogram::bucketOf(v),
+                               kBuckets - 1);
         _buckets[b].fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -123,13 +75,11 @@ Histogram::sample(std::uint64_t v, std::int64_t now_sec)
     if (stamped != now_sec) {
         if (slot.second.compare_exchange_strong(
                 stamped, now_sec, std::memory_order_acq_rel)) {
-            slot.count.store(0, std::memory_order_relaxed);
             slot.zeros.store(0, std::memory_order_relaxed);
             for (auto &bucket : slot.buckets)
                 bucket.store(0, std::memory_order_relaxed);
         }
     }
-    slot.count.fetch_add(1, std::memory_order_relaxed);
     if (v == 0)
         slot.zeros.fetch_add(1, std::memory_order_relaxed);
     else
@@ -151,24 +101,17 @@ Histogram::maxSeen() const
 double
 Histogram::percentile(double p) const
 {
-    // Endpoint semantics match stats::Histogram: p=0 is the exact
-    // min, p=1 the exact max.
-    if (count() == 0)
-        return 0.0;
-    if (p == 0.0)
-        return _zeros.load(std::memory_order_relaxed)
-                   ? 0.0
-                   : static_cast<double>(minSeen());
-    if (p == 1.0)
-        return static_cast<double>(maxSeen());
+    // The count comes from the same bucket snapshot, so a sample
+    // racing this read cannot push the rank past the buckets.
     std::uint64_t buckets[kBuckets];
-    for (std::size_t i = 0; i < kBuckets; ++i)
+    const std::uint64_t zeros = _zeros.load(std::memory_order_relaxed);
+    std::uint64_t count = zeros;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
         buckets[i] = _buckets[i].load(std::memory_order_relaxed);
-    const double v = percentileFromBuckets(
-        buckets, kBuckets, _zeros.load(std::memory_order_relaxed),
-        count(), p);
-    return std::min(std::max(v, static_cast<double>(minSeen())),
-                    static_cast<double>(maxSeen()));
+        count += buckets[i];
+    }
+    return stats::Histogram::percentileOf(buckets, zeros, count,
+                                          minSeen(), maxSeen(), p);
 }
 
 Histogram::Window
@@ -192,19 +135,20 @@ Histogram::window(int seconds, std::int64_t now_sec) const
             _slots[static_cast<std::size_t>(sec) % kSlots];
         if (slot.second.load(std::memory_order_acquire) != sec)
             continue; // empty or already recycled
-        w.count += slot.count.load(std::memory_order_relaxed);
         zeros += slot.zeros.load(std::memory_order_relaxed);
         for (std::size_t i = 0; i < kBuckets; ++i)
             buckets[i] +=
                 slot.buckets[i].load(std::memory_order_relaxed);
     }
+    // The count is what the merged buckets hold, so the rank always
+    // lands inside them.
+    w.count = zeros;
+    for (const std::uint64_t b : buckets)
+        w.count += b;
     w.rate = static_cast<double>(w.count) / seconds;
-    w.p50 = percentileFromBuckets(buckets, kBuckets, zeros, w.count,
-                                  0.50);
-    w.p95 = percentileFromBuckets(buckets, kBuckets, zeros, w.count,
-                                  0.95);
-    w.p99 = percentileFromBuckets(buckets, kBuckets, zeros, w.count,
-                                  0.99);
+    w.p50 = stats::Histogram::interpolate(buckets, zeros, w.count, 0.50);
+    w.p95 = stats::Histogram::interpolate(buckets, zeros, w.count, 0.95);
+    w.p99 = stats::Histogram::interpolate(buckets, zeros, w.count, 0.99);
     return w;
 }
 
@@ -265,25 +209,6 @@ Registry::histogram(const std::string &name, const std::string &desc)
     _entries.push_back(Entry{Kind::Histogram,
                              std::make_unique<Histogram>(name, desc)});
     return *static_cast<Histogram *>(_entries.back().metric.get());
-}
-
-void
-Registry::addCollector(std::function<void()> fn)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _collectors.push_back(std::move(fn));
-}
-
-void
-Registry::collect()
-{
-    std::vector<std::function<void()>> collectors;
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        collectors = _collectors;
-    }
-    for (const auto &fn : collectors)
-        fn();
 }
 
 const Metric *
@@ -386,9 +311,8 @@ jsonHistogram(std::ostream &os, const Histogram &h,
 } // namespace
 
 void
-Registry::exportPrometheus(std::ostream &os, std::int64_t now_sec)
+Registry::exportPrometheus(std::ostream &os, std::int64_t now_sec) const
 {
-    collect();
     std::lock_guard<std::mutex> lock(_mutex);
     for (const Entry &e : _entries) {
         const std::string n = prometheusName(e.metric->name());
@@ -418,17 +342,16 @@ Registry::exportPrometheus(std::ostream &os, std::int64_t now_sec)
 
 void
 Registry::exportJson(std::ostream &os, std::int64_t now_sec,
-                     bool compact)
+                     bool compact) const
 {
-    collect();
     const char *sep = compact ? "" : "\n";
     const char *indent = compact ? "" : "  ";
     std::lock_guard<std::mutex> lock(_mutex);
     os << "{\"metrics\": [" << sep;
     for (std::size_t i = 0; i < _entries.size(); ++i) {
         const Entry &e = _entries[i];
-        os << indent << "{\"name\": \"" << e.metric->name()
-           << "\", \"desc\": \"" << e.metric->desc() << "\", ";
+        os << indent << "{\"name\": " << json::quoted(e.metric->name())
+           << ", \"desc\": " << json::quoted(e.metric->desc()) << ", ";
         switch (e.kind) {
         case Kind::Counter:
             os << "\"type\": \"counter\", \"value\": "

@@ -21,9 +21,8 @@
  * Design constraints:
  *  - lock-light hot path: recording is relaxed atomics only; the
  *    registry mutex is touched at registration and export time, never
- *    per sample.  With telemetry off, instrumented call sites cost at
- *    most one relaxed load (metrics::enabled(), mirroring
- *    prof::enabled()).
+ *    per sample.  Tools that do not ask for telemetry register no
+ *    metrics and record nothing.
  *  - zero perturbation: metrics only observe the host clock and the
  *    values handed to them; simulated results, query answers, and all
  *    golden surfaces are byte-identical with telemetry on or off
@@ -46,7 +45,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -55,25 +53,17 @@
 
 namespace gasnub::metrics {
 
-namespace detail {
-/** Process-wide telemetry switch, read inline by guarded call sites. */
-extern std::atomic<bool> metricsEnabled;
-} // namespace detail
-
-/** @return true when live telemetry is being recorded. */
-inline bool
-enabled()
-{
-    return detail::metricsEnabled.load(std::memory_order_relaxed);
-}
-
-/** Turn telemetry recording on or off process-wide. */
-void setEnabled(bool on = true);
-
-/** Whole seconds of monotonic time since the first call (>= 0). */
+/**
+ * Whole seconds of monotonic time since the first call to this or
+ * monotonicMicros() (>= 0).
+ */
 std::int64_t monotonicSeconds();
 
-/** Microseconds of monotonic time since the first call (>= 0). */
+/**
+ * Microseconds on the same axis as monotonicSeconds() — the process's
+ * one host clock: serve's trace spans, metric windows and
+ * GASNUB_LOG_TIMESTAMPS prefixes all read it.
+ */
 std::uint64_t monotonicMicros();
 
 /** The registry's rolling windows, in seconds. */
@@ -192,9 +182,8 @@ class Histogram : public Metric
     std::uint64_t maxSeen() const;
 
     /**
-     * Cumulative quantile @p p in [0, 1], stats::Histogram's model:
-     * exact bucket, linear interpolation, clamped to [min, max]; 0
-     * when empty.
+     * Cumulative quantile @p p in [0, 1]:
+     * stats::Histogram::percentileOf() over the current buckets.
      */
     double percentile(double p) const;
 
@@ -211,7 +200,8 @@ class Histogram : public Metric
 
     /**
      * Digest of the last @p seconds (the current partial second plus
-     * the preceding complete ones) ending at @p now_sec.
+     * the preceding complete ones) ending at @p now_sec; percentiles
+     * are stats::Histogram::interpolate() over the merged slots.
      */
     Window window(int seconds, std::int64_t now_sec) const;
 
@@ -219,7 +209,6 @@ class Histogram : public Metric
     struct Slot
     {
         std::atomic<std::int64_t> second{-1};
-        std::atomic<std::uint64_t> count{0};
         std::atomic<std::uint64_t> zeros{0};
         std::array<std::atomic<std::uint32_t>, kBuckets> buckets{};
     };
@@ -234,14 +223,12 @@ class Histogram : public Metric
 };
 
 /**
- * The registry: named metrics plus collectors, exported on demand.
+ * The registry: named metrics, exported on demand.
  *
  * Registration (counter()/gauge()/histogram()) interns by name — the
  * same name always returns the same object — and is mutex-protected;
  * do it at startup, keep the returned reference for the hot path.
- * References stay valid for the registry's lifetime.  Collectors are
- * callbacks run before every export to refresh gauges from sources
- * that keep their own counters.
+ * References stay valid for the registry's lifetime.
  */
 class Registry
 {
@@ -265,28 +252,22 @@ class Registry
     Histogram &histogram(const std::string &name,
                          const std::string &desc);
 
-    /** Run @p fn before every export (refresh derived gauges). */
-    void addCollector(std::function<void()> fn);
-
-    /** Run all collectors now (the exporters do this themselves). */
-    void collect();
-
     /** Find a metric by exact name; nullptr when absent. */
     const Metric *find(const std::string &name) const;
 
     /**
      * Prometheus text exposition: # HELP/# TYPE headers, sanitized
      * gasnub_* names, cumulative totals, summary quantiles, and
-     * window series as labeled gauges.  Runs the collectors first.
+     * window series as labeled gauges.
      */
-    void exportPrometheus(std::ostream &os, std::int64_t now_sec);
+    void exportPrometheus(std::ostream &os, std::int64_t now_sec) const;
 
     /**
      * The same data as one JSON object {"metrics": [...]}; one line
      * per call when @p compact (the serve control-stream dump).
      */
     void exportJson(std::ostream &os, std::int64_t now_sec,
-                    bool compact = false);
+                    bool compact = false) const;
 
     /** Registered metric count (tests). */
     std::size_t size() const;
@@ -302,9 +283,8 @@ class Registry
 
     Metric *findLocked(const std::string &name, Kind kind);
 
-    mutable std::mutex _mutex; ///< guards _entries/_collectors layout
+    mutable std::mutex _mutex; ///< guards the _entries layout
     std::vector<Entry> _entries;
-    std::vector<std::function<void()>> _collectors;
 };
 
 /**

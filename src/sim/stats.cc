@@ -2,81 +2,22 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <iomanip>
-#include <limits>
 #include <ostream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace gasnub::stats {
 
 namespace {
 
-/** JSON-escape @p s into @p os (quotes not included). */
-void
-jsonEscape(std::ostream &os, const std::string &s)
-{
-    for (const char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                const char hex[] = "0123456789abcdef";
-                os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-            } else {
-                os << c;
-            }
-        }
-    }
-}
-
-/** A JSON string literal. */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    jsonEscape(os, s);
-    os << '"';
-}
-
-/**
- * Print a double as a JSON number: integral values (the common case
- * for counters) print without a fraction; everything else with
- * round-trip precision.  NaN/inf (possible in formulas) become null,
- * which JSON requires.
- */
-void
-jsonNumber(std::ostream &os, double v)
-{
-    if (!std::isfinite(v)) {
-        os << "null";
-        return;
-    }
-    if (v == std::floor(v) && std::abs(v) < 9.007199254740992e15) {
-        os << static_cast<long long>(v);
-        return;
-    }
-    const auto flags = os.flags();
-    const auto prec = os.precision();
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    os.flags(flags);
-    os.precision(prec);
-}
-
 /** Common {"name":...,"type":...,"desc":... prefix of a stat. */
 void
 jsonHead(std::ostream &os, const StatBase &s, const char *type)
 {
-    os << "{\"name\":";
-    jsonString(os, s.name());
-    os << ",\"type\":\"" << type << "\",\"desc\":";
-    jsonString(os, s.desc());
+    os << "{\"name\":" << json::quoted(s.name()) << ",\"type\":\""
+       << type << "\",\"desc\":" << json::quoted(s.desc());
 }
 
 /**
@@ -113,9 +54,7 @@ void
 Scalar::printJson(std::ostream &os) const
 {
     jsonHead(os, *this, "scalar");
-    os << ",\"value\":";
-    jsonNumber(os, _value);
-    os << "}";
+    os << ",\"value\":" << json::number(_value) << "}";
 }
 
 void
@@ -136,9 +75,8 @@ void
 Average::printJson(std::ostream &os) const
 {
     jsonHead(os, *this, "average");
-    os << ",\"mean\":";
-    jsonNumber(os, mean());
-    os << ",\"count\":" << _count << "}";
+    os << ",\"mean\":" << json::number(mean()) << ",\"count\":" << _count
+       << "}";
 }
 
 void
@@ -206,17 +144,12 @@ void
 Distribution::printJson(std::ostream &os) const
 {
     jsonHead(os, *this, "distribution");
-    os << ",\"min\":";
-    jsonNumber(os, _min);
-    os << ",\"max\":";
-    jsonNumber(os, _max);
-    os << ",\"count\":" << _count << ",\"mean\":";
-    jsonNumber(os, mean());
-    os << ",\"minSeen\":";
-    jsonNumber(os, _minSeen);
-    os << ",\"maxSeen\":";
-    jsonNumber(os, _maxSeen);
-    os << ",\"underflow\":" << _underflow
+    os << ",\"min\":" << json::number(_min)
+       << ",\"max\":" << json::number(_max) << ",\"count\":" << _count
+       << ",\"mean\":" << json::number(mean())
+       << ",\"minSeen\":" << json::number(_minSeen)
+       << ",\"maxSeen\":" << json::number(_maxSeen)
+       << ",\"underflow\":" << _underflow
        << ",\"overflow\":" << _overflow << ",\"buckets\":[";
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         if (i)
@@ -295,10 +228,41 @@ Histogram::sample(std::uint64_t v, std::uint64_t n)
 }
 
 double
-Histogram::percentile(double p) const
+Histogram::interpolate(std::span<const std::uint64_t> buckets,
+                       std::uint64_t zeros, std::uint64_t count,
+                       double p)
 {
     GASNUB_ASSERT(p >= 0 && p <= 1, "percentile wants p in [0, 1]");
-    if (_count == 0)
+    if (count == 0)
+        return 0.0;
+    // Rank of the requested sample, 1-based; p=0 is the first sample,
+    // p=1 the last.
+    const double rank = p * static_cast<double>(count - 1) + 1.0;
+    double seen = static_cast<double>(zeros);
+    if (rank <= seen)
+        return 0.0;
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        if (buckets[i] == 0)
+            continue;
+        const double in_bucket = static_cast<double>(buckets[i]);
+        if (rank <= seen + in_bucket) {
+            // Linear interpolation across [2^i, 2^(i+1)) by the
+            // rank's position within the bucket.
+            const double lo =
+                static_cast<double>(std::uint64_t(1) << i);
+            return lo + (rank - seen) / in_bucket * lo;
+        }
+        seen += in_bucket;
+    }
+    return 0.0; // unreachable when count == zeros + sum(buckets)
+}
+
+double
+Histogram::percentileOf(std::span<const std::uint64_t> buckets,
+                        std::uint64_t zeros, std::uint64_t count,
+                        std::uint64_t min, std::uint64_t max, double p)
+{
+    if (count == 0)
         return 0.0;
     // The endpoints are exact samples, not interpolation targets:
     // p=0 is the smallest sample seen, p=1 the largest.  Interior
@@ -306,33 +270,19 @@ Histogram::percentile(double p) const
     // push p=0 above the min whenever the min shares its bucket with
     // no smaller rank.
     if (p == 0.0)
-        return _zeros ? 0.0 : static_cast<double>(minSeen());
+        return zeros ? 0.0 : static_cast<double>(min);
     if (p == 1.0)
-        return static_cast<double>(maxSeen());
-    // Rank of the requested sample, 1-based; p=0 is the first sample
-    // (min), p=1 the last (max).
-    const double rank = p * static_cast<double>(_count - 1) + 1.0;
-    double seen = static_cast<double>(_zeros);
-    if (rank <= seen)
-        return 0.0;
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (_buckets[i] == 0)
-            continue;
-        const double in_bucket = static_cast<double>(_buckets[i]);
-        if (rank <= seen + in_bucket) {
-            // Linear interpolation across [2^i, 2^(i+1)) by the
-            // rank's position within the bucket.
-            const double lo =
-                static_cast<double>(std::uint64_t(1) << i);
-            const double frac = (rank - seen) / in_bucket;
-            const double v = lo + frac * lo;
-            return std::min(std::max(v,
-                                     static_cast<double>(minSeen())),
-                            static_cast<double>(maxSeen()));
-        }
-        seen += in_bucket;
-    }
-    return static_cast<double>(maxSeen());
+        return static_cast<double>(max);
+    return std::min(std::max(interpolate(buckets, zeros, count, p),
+                             static_cast<double>(min)),
+                    static_cast<double>(max));
+}
+
+double
+Histogram::percentile(double p) const
+{
+    return percentileOf(_buckets, _zeros, _count, minSeen(), maxSeen(),
+                        p);
 }
 
 void
@@ -445,19 +395,17 @@ void
 Vector::printJson(std::ostream &os) const
 {
     jsonHead(os, *this, "vector");
-    os << ",\"total\":";
-    jsonNumber(os, total());
-    os << ",\"values\":[";
+    os << ",\"total\":" << json::number(total()) << ",\"values\":[";
     for (std::size_t i = 0; i < _values.size(); ++i) {
         if (i)
             os << ',';
-        jsonNumber(os, _values[i]);
+        os << json::number(_values[i]);
     }
     os << "],\"subnames\":[";
     for (std::size_t i = 0; i < _subnames.size(); ++i) {
         if (i)
             os << ',';
-        jsonString(os, _subnames[i]);
+        os << json::quoted(_subnames[i]);
     }
     os << "]}";
 }
@@ -497,9 +445,7 @@ void
 Formula::printJson(std::ostream &os) const
 {
     jsonHead(os, *this, "formula");
-    os << ",\"value\":";
-    jsonNumber(os, value());
-    os << "}";
+    os << ",\"value\":" << json::number(value()) << "}";
 }
 
 void
@@ -561,9 +507,8 @@ IntervalBandwidth::printJson(std::ostream &os) const
     jsonHead(os, *this, "intervalBandwidth");
     os << ",\"bucketTicks\":" << bucketTicks()
        << ",\"totalBytes\":" << _totalBytes
-       << ",\"clamped\":" << _clamped << ",\"peakMBs\":";
-    jsonNumber(os, peakMBs());
-    os << ",\"bucketBytes\":[";
+       << ",\"clamped\":" << _clamped
+       << ",\"peakMBs\":" << json::number(peakMBs()) << ",\"bucketBytes\":[";
     for (std::size_t i = 0; i < _buckets.size(); ++i) {
         if (i)
             os << ',';
@@ -644,9 +589,7 @@ Group::dump(std::ostream &os) const
 void
 Group::dumpJson(std::ostream &os) const
 {
-    os << "{\"name\":";
-    jsonString(os, _name);
-    os << ",\"stats\":[";
+    os << "{\"name\":" << json::quoted(_name) << ",\"stats\":[";
     for (std::size_t i = 0; i < _stats.size(); ++i) {
         if (i)
             os << ',';

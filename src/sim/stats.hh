@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -191,13 +192,35 @@ class Histogram : public StatBase
 
     /**
      * Approximate value at quantile @p p in [0, 1] (0.5 = median,
-     * 0.99 = p99): the sample's log2 bucket located exactly, the
-     * position within it interpolated linearly, clamped to
-     * [minSeen, maxSeen].  0 when the histogram is empty.  Tail
+     * 0.99 = p99): percentileOf() over this histogram.  Tail
      * latencies from merged per-thread histograms — the serving
      * harness's p50/p95/p99 — come from here.
      */
     double percentile(double p) const;
+
+    /**
+     * The log2 percentile model, unclamped: the 1-based rank
+     * p * (count - 1) + 1 located in its bucket exactly, the position
+     * within [2^i, 2^(i+1)) interpolated linearly.  @p buckets[i]
+     * counts samples in [2^i, 2^(i+1)); @p zeros counts zero-valued
+     * samples, which hold the lowest ranks; @p count must equal
+     * zeros + sum(buckets).  0 when @p count is 0.  Rolling windows,
+     * which keep no min/max, use this directly.
+     */
+    static double interpolate(std::span<const std::uint64_t> buckets,
+                              std::uint64_t zeros, std::uint64_t count,
+                              double p);
+
+    /**
+     * interpolate() with exact endpoints — p=0 is @p min (0 when
+     * there are zeros), p=1 is @p max — and interior values clamped
+     * to [min, max].  Shared by every cumulative log2 histogram so
+     * batch stats and live metrics never disagree about a quantile.
+     */
+    static double percentileOf(std::span<const std::uint64_t> buckets,
+                               std::uint64_t zeros, std::uint64_t count,
+                               std::uint64_t min, std::uint64_t max,
+                               double p);
 
     void print(std::ostream &os) const override;
     void printJson(std::ostream &os) const override;

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <ostream>
 
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace gasnub::sim {
@@ -222,15 +223,15 @@ TimeAccountStat::print(std::ostream &os) const
 void
 TimeAccountStat::printJson(std::ostream &os) const
 {
-    os << "{\"name\":\"" << name()
-       << "\",\"type\":\"timeAccount\",\"desc\":\"" << desc()
-       << "\",\"resources\":[";
+    os << "{\"name\":" << json::quoted(name())
+       << ",\"type\":\"timeAccount\",\"desc\":"
+       << json::quoted(desc()) << ",\"resources\":[";
     for (std::size_t i = 0; i < _acct->names().size(); ++i) {
         const auto r = static_cast<TimeAccount::ResId>(i);
         if (i)
             os << ',';
-        os << "{\"name\":\"" << _acct->names()[i]
-           << "\",\"busyTicks\":" << _acct->busyTicks(r)
+        os << "{\"name\":" << json::quoted(_acct->names()[i])
+           << ",\"busyTicks\":" << _acct->busyTicks(r)
            << ",\"stallTicks\":" << _acct->stallTicks(r) << "}";
     }
     os << "]}";

@@ -10,8 +10,8 @@
  *     GASNUB_REGEN_GOLDEN=1 ./build/tests/test_core \
  *         --gtest_filter='GoldenSurfaces*'
  *
- * then review the diff of tests/data/*.surf and commit it together
- * with the model change that explains it.
+ * then review the diff of the .surf files under tests/data/ and
+ * commit it together with the model change that explains it.
  */
 
 #include <gtest/gtest.h>

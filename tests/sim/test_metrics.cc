@@ -3,7 +3,7 @@
  * Tests for the live-telemetry registry (sim/metrics.hh): counter and
  * gauge semantics, histogram percentile parity with stats::Histogram,
  * rolling-window rotation driven on a synthetic seconds axis, name
- * interning, collectors, and both exposition formats.
+ * interning, and both exposition formats.
  */
 
 #include <gtest/gtest.h>
@@ -18,16 +18,6 @@
 namespace {
 
 using namespace gasnub;
-
-TEST(MetricsEnabled, DefaultsOffAndTogglesProcessWide)
-{
-    metrics::setEnabled(false);
-    EXPECT_FALSE(metrics::enabled());
-    metrics::setEnabled(true);
-    EXPECT_TRUE(metrics::enabled());
-    metrics::setEnabled(false);
-    EXPECT_FALSE(metrics::enabled());
-}
 
 TEST(MetricsCounter, AddsAreExactAcrossThreads)
 {
@@ -81,22 +71,11 @@ TEST(MetricsRegistryDeath, KindCollisionIsFatal)
                 ::testing::ExitedWithCode(1), "dual");
 }
 
-TEST(MetricsRegistry, CollectorsRunBeforeExport)
-{
-    metrics::Registry reg;
-    metrics::Gauge &g = reg.gauge("derived", "refreshed");
-    int source = 0;
-    reg.addCollector([&] { g.set(source); });
-    source = 99;
-    std::ostringstream os;
-    reg.exportPrometheus(os, 0);
-    EXPECT_NE(os.str().find("gasnub_derived 99"), std::string::npos);
-}
-
 /**
  * The histogram must agree with stats::Histogram's percentile model
  * (same log2 buckets, same interpolation, same [min, max] clamp) so
- * dashboards and end-of-run stats never disagree about a quantile.
+ * dashboards and end-of-run stats never disagree about a quantile;
+ * its windows use the same model unclamped.
  */
 TEST(MetricsHistogram, PercentileMatchesStatsHistogram)
 {
@@ -115,6 +94,21 @@ TEST(MetricsHistogram, PercentileMatchesStatsHistogram)
     EXPECT_EQ(mh.count(), 10u);
     EXPECT_EQ(mh.minSeen(), 0u);
     EXPECT_EQ(mh.maxSeen(), 1000000u);
+
+    const metrics::Histogram::Window w = mh.window(1, 0);
+    EXPECT_EQ(w.count, 10u);
+    const auto unclamped = [&](double p) {
+        return stats::Histogram::interpolate(sh.buckets(), sh.zeros(),
+                                             sh.count(), p);
+    };
+    EXPECT_DOUBLE_EQ(w.p50, unclamped(0.50));
+    EXPECT_DOUBLE_EQ(w.p95, unclamped(0.95));
+    EXPECT_DOUBLE_EQ(w.p99, unclamped(0.99));
+    // p99 falls in the top sample's bucket [2^19, 2^20), whose
+    // interpolation runs past the 1000000 maximum: windows do not
+    // clamp, the cumulative percentile does.
+    EXPECT_GT(w.p99, 1000000.0);
+    EXPECT_DOUBLE_EQ(mh.percentile(0.99), 1000000.0);
 }
 
 TEST(MetricsHistogram, EmptyAndEndpointEdgeCases)
@@ -223,6 +217,7 @@ TEST(MetricsJson, ExpositionIsOneObjectAndCompactIsOneLine)
     metrics::Registry reg;
     reg.counter("req", "requests").add(3);
     reg.histogram("lat", "latency").sample(7, 0);
+    reg.gauge("quote", "a \"quoted\"\nword");
     std::ostringstream pretty, compact;
     reg.exportJson(pretty, 0);
     reg.exportJson(compact, 0, true);
@@ -230,6 +225,10 @@ TEST(MetricsJson, ExpositionIsOneObjectAndCompactIsOneLine)
               std::string::npos);
     EXPECT_NE(pretty.str().find("\"value\": 3"), std::string::npos);
     EXPECT_NE(pretty.str().find("\"windows\""), std::string::npos);
+    // Names and descriptions go through the shared JSON writer.
+    EXPECT_NE(
+        pretty.str().find("\"desc\": \"a \\\"quoted\\\"\\nword\""),
+        std::string::npos);
     // Compact form is a single line (the serve control-stream dump).
     const std::string c = compact.str();
     EXPECT_EQ(c.find('\n'), std::string::npos);

@@ -6,15 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <vector>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 
 namespace {
 
 using namespace gasnub::stats;
+namespace json = gasnub::json;
 
 TEST(Scalar, CountsAndResets)
 {
@@ -231,6 +235,37 @@ TEST(Group, DumpJsonIsWellFormedAndStable)
               std::count(out.begin(), out.end(), ']'));
     // Byte-stable across identical dumps.
     EXPECT_EQ(out, dump());
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlBytes)
+{
+    std::ostringstream os;
+    os << json::quoted("a\"b\\c\nd\te\rf\x01g");
+    EXPECT_EQ(os.str(), "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001g\"");
+}
+
+TEST(JsonWriter, NumbersAreIntegersNullOrRoundTripFractions)
+{
+    auto text = [](double v) {
+        std::ostringstream os;
+        os << json::number(v);
+        return os.str();
+    };
+    EXPECT_EQ(text(42.0), "42");
+    EXPECT_EQ(text(-3.0), "-3");
+    EXPECT_EQ(text(1e15), "1000000000000000");
+    EXPECT_EQ(text(std::nan("")), "null");
+    EXPECT_EQ(text(std::numeric_limits<double>::infinity()), "null");
+    EXPECT_EQ(text(-std::numeric_limits<double>::infinity()), "null");
+    for (const double v : {0.1, 2.0 / 3.0, -1e-300, 123456.789}) {
+        const std::string t = text(v);
+        EXPECT_EQ(std::stod(t), v) << t;
+    }
+    // The caller's stream formatting survives a number.
+    std::ostringstream os;
+    os.precision(3);
+    os << json::number(0.1) << ' ' << 0.123456;
+    EXPECT_EQ(os.str(), "0.10000000000000001 0.123");
 }
 
 TEST(Histogram, BucketBoundariesArePowersOfTwo)

@@ -1,10 +1,12 @@
 #!/bin/sh
 # CLI contract tests for the characterize tool: malformed command
-# lines exit with code 2 and an error on stderr, valid ones exit 0.
-# Usage: test_characterize_cli.sh /path/to/characterize
+# lines exit with code 2 and an error on stderr, valid ones exit 0;
+# plus the report tool's JSON output over a hand-written ledger.
+# Usage: test_characterize_cli.sh /path/to/characterize /path/to/report
 set -u
 
 bin="$1"
+report="$2"
 fails=0
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
@@ -161,6 +163,33 @@ if ! GASNUB_PROFILE=1 "$bin" t3e loads --max-ws=4K --cap 4K \
     fails=1
 else
     echo "ok: GASNUB_PROFILE=1 enables profiling"
+fi
+
+# report --format json escapes what it read: a ledger whose stat and
+# resource names hold a newline and a tab still yields one valid line.
+cat > "$tmp/ledger.json" <<'EOF'
+{"name":"","stats":[{"name":"ledger\nA","type":"timeAccount","desc":"",
+"resources":[{"name":"dram\tbank","busyTicks":30,"stallTicks":0},
+{"name":"nic","busyTicks":10,"stallTicks":0}]}],"groups":[]}
+EOF
+if ! "$report" --stats-json "$tmp/ledger.json" --format json \
+        > "$tmp/report.json" 2>"$err"; then
+    echo "FAIL: report over a hand-written ledger failed"
+    cat "$err"
+    fails=1
+elif [ "$(wc -l < "$tmp/report.json")" -ne 1 ]; then
+    echo "FAIL: report --format json printed more than one line"
+    fails=1
+elif LC_ALL=C tr -d '\n' < "$tmp/report.json" |
+        LC_ALL=C grep -q '[[:cntrl:]]'; then
+    echo "FAIL: report --format json printed raw control bytes"
+    fails=1
+elif ! grep -qF '"title":"ledger\nA"' "$tmp/report.json" ||
+        ! grep -qF '"resource":"dram\tbank"' "$tmp/report.json"; then
+    echo "FAIL: report --format json did not escape the names"
+    fails=1
+else
+    echo "ok: report --format json escapes ledger names"
 fi
 
 exit $fails

@@ -297,6 +297,31 @@ else
     echo "ok: GASNUB_LOG_TIMESTAMPS prefixes logs, not answers"
 fi
 
+# One host clock: log prefixes and --trace-out spans share a time
+# origin.  Query N's slow_query line is logged after span N ends and,
+# with one query per batch, before span N+1 starts.  Times compare in
+# whole microseconds: "[s.us]" prefixes, span "ts"/"dur" in us.
+GASNUB_LOG_TIMESTAMPS=1 "$serve" --pack "$tmp/demo.pack" --batch 1 \
+    --slow-query-us 1 --trace-out "$tmp/clock.json" \
+    < "$tmp/many_queries" > /dev/null 2>"$tmp/err.clock"
+sed -n 's/.*"ts":\([0-9]*\)\.[0-9]*,"dur":\([0-9]*\)\.[0-9]*,"args":{"id":\([0-9]*\),.*/span \3 \1 \2/p' \
+    "$tmp/clock.json" > "$tmp/clock.events"
+sed -n 's/^\[\([0-9]*\)\.\([0-9]*\)\] log: slow_query id=\([0-9]*\) .*/log \3 \1 \2/p' \
+    "$tmp/err.clock" >> "$tmp/clock.events"
+if ! awk '
+    $1 == "span" { start[$2] = $3; end[$2] = $3 + $4; next }
+    {
+        t = $3 * 1000000 + $4; logs++
+        if (!($2 in end) || t < end[$2]) bad++
+        if (($2 + 1) in start && t > start[$2 + 1]) bad++
+    }
+    END { exit !(logs > 0 && bad == 0) }' "$tmp/clock.events"; then
+    echo "FAIL: slow-query timestamps and trace spans disagree on time"
+    fails=1
+else
+    echo "ok: slow-query log and trace spans share one clock"
+fi
+
 # loadgen: a deterministic mix reports queries, qps, percentiles,
 # and the same answer checksum on every run.
 out=$("$loadgen" --pack "$tmp/demo.pack" --queries 5000 \

@@ -44,6 +44,7 @@
 
 #include "bench_util.hh"
 #include "json_util.hh"
+#include "sim/json.hh"
 
 using namespace gasnub;
 using tooljson::JsonParser;
@@ -186,18 +187,6 @@ runPerfSim(const std::string &path)
     return out;
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 void
 writeBench(std::ostream &os, int pr, int repeats, int jobs, bool smoke,
            const std::vector<Timing> &timings,
@@ -207,10 +196,10 @@ writeBench(std::ostream &os, int pr, int repeats, int jobs, bool smoke,
     uname(&uts);
     os << "{\n  \"schema\": \"" << kSchema << "\",\n";
     os << "  \"pr\": " << pr << ",\n";
-    os << "  \"host\": {\"system\": \"" << jsonEscape(uts.sysname)
-       << "\", \"release\": \"" << jsonEscape(uts.release)
-       << "\", \"machine\": \"" << jsonEscape(uts.machine)
-       << "\", \"cpus\": " << std::thread::hardware_concurrency()
+    os << "  \"host\": {\"system\": " << json::quoted(uts.sysname)
+       << ", \"release\": " << json::quoted(uts.release)
+       << ", \"machine\": " << json::quoted(uts.machine)
+       << ", \"cpus\": " << std::thread::hardware_concurrency()
 #ifdef NDEBUG
        << ", \"build\": \"Release\"},\n";
 #else

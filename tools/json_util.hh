@@ -5,7 +5,7 @@
  * Covers exactly what this repo's writers emit — stats
  * Group::dumpJson trees, BENCH_<pr>.json protocol files, profiler
  * exports: objects, arrays, strings, numbers, bools and null, with
- * the stats writer's control-byte escapes.  Parse errors are fatal
+ * sim/json.hh's control-byte escapes.  Parse errors are fatal
  * (exit 2) with the caller-supplied context in the message.
  */
 
@@ -148,7 +148,7 @@ class JsonParser
                   case 'b': c = '\b'; break;
                   case 'f': c = '\f'; break;
                   case 'u': {
-                    // The stats writer only escapes control bytes;
+                    // sim/json.hh only \u-escapes control bytes;
                     // decode the low byte and move on.  Checked by
                     // hand: std::stoi would throw (not fail) on
                     // non-hex digits.

@@ -36,12 +36,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
@@ -307,7 +305,6 @@ main(int argc, char **argv)
     Telemetry telem;
     metrics::Registry &reg = metrics::Registry::instance();
     if (!metrics_out.empty() || !timeline.empty()) {
-        metrics::setEnabled(true);
         telem.queries = &reg.counter("loadgen.queries",
                                      "plan queries completed");
         telem.latencyUs = &reg.histogram(
@@ -315,53 +312,44 @@ main(int argc, char **argv)
             "per-query plan latency (microseconds)");
     }
 
-    // The per-second timeline thread reads the same registry objects
-    // a scraper would, so it doubles as a live test of the rolling
+    // The per-second timeline reads the same registry objects a
+    // scraper would, so it doubles as a live test of the rolling
     // windows under real concurrency.
-    std::thread timeline_thread;
-    std::mutex tl_mutex;
-    std::condition_variable tl_cv;
-    bool tl_stop = false;
+    std::ofstream timeline_os;
+    std::uint64_t timeline_last = 0;
+    std::optional<toolmetrics::PeriodicTask> timeline_task;
     if (!timeline.empty()) {
-        timeline_thread = std::thread([&] {
-            std::ofstream os(timeline, std::ios::trunc);
-            if (!os)
-                GASNUB_FATAL("loadgen: cannot write timeline file '",
-                             timeline, "'");
-            std::uint64_t last = 0;
-            std::unique_lock<std::mutex> lock(tl_mutex);
-            for (;;) {
-                tl_cv.wait_for(lock, std::chrono::seconds(1));
-                const bool stop = tl_stop;
-                const std::int64_t now_sec =
-                    metrics::monotonicSeconds();
-                const std::uint64_t done = telem.queries->value();
-                const metrics::Histogram::Window w =
-                    telem.latencyUs->window(1, now_sec);
-                char buf[256];
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "{\"t_s\": %lld, \"completed\": %llu, \"qps\": "
-                    "%llu, \"p50_us\": %.1f, \"p95_us\": %.1f, "
-                    "\"p99_us\": %.1f}\n",
-                    static_cast<long long>(now_sec),
-                    static_cast<unsigned long long>(done),
-                    static_cast<unsigned long long>(done - last),
-                    w.p50, w.p95, w.p99);
-                os << buf;
-                os.flush();
-                last = done;
-                if (stop)
-                    return;
-            }
+        timeline_os.open(timeline, std::ios::trunc);
+        if (!timeline_os)
+            GASNUB_FATAL("loadgen: cannot write timeline file '",
+                         timeline, "'");
+        timeline_task.emplace(std::chrono::seconds(1), [&] {
+            const std::int64_t now_sec = metrics::monotonicSeconds();
+            const std::uint64_t done = telem.queries->value();
+            const metrics::Histogram::Window w =
+                telem.latencyUs->window(1, now_sec);
+            char buf[256];
+            std::snprintf(
+                buf, sizeof(buf),
+                "{\"t_s\": %lld, \"completed\": %llu, \"qps\": "
+                "%llu, \"p50_us\": %.1f, \"p95_us\": %.1f, "
+                "\"p99_us\": %.1f}\n",
+                static_cast<long long>(now_sec),
+                static_cast<unsigned long long>(done),
+                static_cast<unsigned long long>(done - timeline_last),
+                w.p50, w.p95, w.p99);
+            timeline_os << buf;
+            timeline_os.flush();
+            timeline_last = done;
         });
     }
 
     std::vector<ThreadResult> results(threads);
     // Flusher lifetime brackets the timed region so its exports never
     // land inside the qps measurement window.
-    std::optional<toolmetrics::MetricsFlusher> flusher;
-    flusher.emplace(reg, metrics_out, metrics_interval_ms);
+    std::optional<toolmetrics::PeriodicTask> flusher;
+    toolmetrics::startMetricsFlusher(flusher, reg, metrics_out,
+                                     metrics_interval_ms);
     const auto start = std::chrono::steady_clock::now();
     {
         GASNUB_PROF_ZONE("loadgen.run");
@@ -378,14 +366,7 @@ main(int argc, char **argv)
     const auto end = std::chrono::steady_clock::now();
     // Final exposition after every worker retired its last query.
     flusher.reset();
-    if (timeline_thread.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(tl_mutex);
-            tl_stop = true;
-        }
-        tl_cv.notify_all();
-        timeline_thread.join();
-    }
+    timeline_task.reset();
     const double seconds =
         std::chrono::duration<double>(end - start).count();
 

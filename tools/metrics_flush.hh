@@ -2,8 +2,8 @@
  * @file
  * Shared telemetry-file plumbing for the serving tools (serve,
  * loadgen): format selection by extension, atomic write-then-rename
- * exports, and the periodic flusher thread that re-exports the
- * registry next to the worker threads.
+ * exports, and the periodic task that re-runs a writer next to the
+ * worker threads (--metrics-out, loadgen's --timeline).
  *
  * The atomic rename is the load-bearing part: a scraper (or the CI
  * smoke job) reading the file mid-flush must always see one complete
@@ -18,7 +18,9 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -43,7 +45,8 @@ jsonByExtension(const std::string &path)
  * publish metrics it cannot write is misconfigured, not degraded.
  */
 inline void
-writeMetricsFile(metrics::Registry &registry, const std::string &path)
+writeMetricsFile(const metrics::Registry &registry,
+                 const std::string &path)
 {
     const std::string tmp = path + ".tmp";
     {
@@ -65,58 +68,72 @@ writeMetricsFile(metrics::Registry &registry, const std::string &path)
 }
 
 /**
- * A background thread re-exporting @p registry into @p path every
- * @p interval_ms until destruction; the destructor joins the thread
- * and writes one final export so the file always ends at the run's
- * true totals.  An empty path makes the whole object a no-op.
+ * A background thread that runs @p fn every @p interval and once
+ * more when the task is destroyed, so whatever @p fn writes always
+ * ends at the run's true totals.  The destructor joins the thread.
  */
-class MetricsFlusher
+class PeriodicTask
 {
   public:
-    MetricsFlusher(metrics::Registry &registry, std::string path,
-                   int interval_ms)
-        : _registry(registry), _path(std::move(path))
-    {
-        if (_path.empty())
-            return;
-        // Flush once up front so scrapers find the file immediately.
-        writeMetricsFile(_registry, _path);
-        _thread = std::thread([this, interval_ms] {
-            std::unique_lock<std::mutex> lock(_mutex);
-            for (;;) {
-                _cv.wait_for(lock,
-                             std::chrono::milliseconds(interval_ms));
-                if (_stop)
-                    return;
-                writeMetricsFile(_registry, _path);
-            }
-        });
-    }
+    PeriodicTask(std::chrono::milliseconds interval,
+                 std::function<void()> fn)
+        : _fn(std::move(fn)), _thread([this, interval] { run(interval); })
+    {}
 
-    ~MetricsFlusher()
+    ~PeriodicTask()
     {
-        if (!_thread.joinable())
-            return;
         {
             std::lock_guard<std::mutex> lock(_mutex);
             _stop = true;
         }
         _cv.notify_all();
         _thread.join();
-        writeMetricsFile(_registry, _path);
     }
 
-    MetricsFlusher(const MetricsFlusher &) = delete;
-    MetricsFlusher &operator=(const MetricsFlusher &) = delete;
+    PeriodicTask(const PeriodicTask &) = delete;
+    PeriodicTask &operator=(const PeriodicTask &) = delete;
 
   private:
-    metrics::Registry &_registry;
-    std::string _path;
+    void
+    run(std::chrono::milliseconds interval)
+    {
+        std::unique_lock<std::mutex> lock(_mutex);
+        for (;;) {
+            const bool stop =
+                _cv.wait_for(lock, interval, [this] { return _stop; });
+            lock.unlock();
+            _fn();
+            if (stop)
+                return;
+            lock.lock();
+        }
+    }
+
+    std::function<void()> _fn;
     std::mutex _mutex;
     std::condition_variable _cv;
-    bool _stop = false;
+    bool _stop = false; ///< guarded by _mutex
     std::thread _thread;
 };
+
+/**
+ * --metrics-out: export @p registry into @p path now, so scrapers find
+ * the file at once, then every @p interval_ms from @p task, which
+ * writes the final exposition when it is reset or destroyed.  An
+ * empty @p path leaves @p task empty.  @p registry and @p path must
+ * outlive @p task.
+ */
+inline void
+startMetricsFlusher(std::optional<PeriodicTask> &task,
+                    const metrics::Registry &registry,
+                    const std::string &path, int interval_ms)
+{
+    if (path.empty())
+        return;
+    writeMetricsFile(registry, path);
+    task.emplace(std::chrono::milliseconds(interval_ms),
+                 [&registry, &path] { writeMetricsFile(registry, path); });
+}
 
 } // namespace gasnub::toolmetrics
 

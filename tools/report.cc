@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/surface_io.hh"
+#include "sim/json.hh"
 #include "sim/units.hh"
 
 #include "json_util.hh"
@@ -422,18 +423,6 @@ printMd(const std::vector<Report> &reports, const Throughput &thr,
     }
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
 void
 printJson(const std::vector<Report> &reports, const Throughput &thr,
           std::ostream &os)
@@ -460,15 +449,17 @@ printJson(const std::vector<Report> &reports, const Throughput &thr,
     os << "\"reports\":[";
     bool firstRep = true;
     for (const Report &rep : reports) {
-        os << (firstRep ? "" : ",") << "{\"title\":\""
-           << jsonEscape(rep.title) << "\",\"source\":\""
-           << rep.source << "\",\"regions\":[";
+        os << (firstRep ? "" : ",")
+           << "{\"title\":" << json::quoted(rep.title)
+           << ",\"source\":" << json::quoted(rep.source)
+           << ",\"regions\":[";
         firstRep = false;
         bool firstReg = true;
         for (const Region &r : rep.regions) {
-            os << (firstReg ? "" : ",") << "{\"workingSetBand\":\""
-               << r.wsBand << "\",\"strideBand\":\"" << r.strideBand
-               << "\",\"points\":" << r.points
+            os << (firstReg ? "" : ",")
+               << "{\"workingSetBand\":" << json::quoted(r.wsBand)
+               << ",\"strideBand\":" << json::quoted(r.strideBand)
+               << ",\"points\":" << r.points
                << ",\"elapsedTicks\":" << r.elapsed
                << ",\"resources\":[";
             firstReg = false;
@@ -476,9 +467,10 @@ printJson(const std::vector<Report> &reports, const Throughput &thr,
             for (const Slice &s : r.slices) {
                 char buf[32];
                 std::snprintf(buf, sizeof(buf), "%.4f", s.share);
-                os << (firstSl ? "" : ",") << "{\"resource\":\""
-                   << jsonEscape(s.resource) << "\",\"sharePercent\":"
-                   << buf << ",\"ticks\":" << s.ticks << "}";
+                os << (firstSl ? "" : ",")
+                   << "{\"resource\":" << json::quoted(s.resource)
+                   << ",\"sharePercent\":" << buf
+                   << ",\"ticks\":" << s.ticks << "}";
                 firstSl = false;
             }
             os << "]}";

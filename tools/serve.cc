@@ -40,9 +40,7 @@
  * per-query service-time and batch-size histograms with rolling
  * 1s/10s/60s windows, per-worker query counters, a structured
  * slow-query log, and per-query Chrome-trace spans.  Answers are
- * byte-identical with telemetry on or off (the CLI test diffs them),
- * and with everything off the hot path pays a single relaxed load
- * per batch.
+ * byte-identical with telemetry on or off (the CLI test diffs them).
  */
 
 #include <algorithm>
@@ -51,6 +49,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -175,9 +174,8 @@ numberField(const JsonValue &v, const char *key,
 }
 
 /**
- * Hot-path telemetry handles, resolved once at startup.  When off
- * the planning loops are the pre-telemetry code paths verbatim; when
- * on, workers only stamp per-query span bounds (monotonic micros) —
+ * Hot-path telemetry handles, resolved once at startup.  When on,
+ * workers only stamp per-query span bounds (monotonic micros) —
  * histograms, the slow-query log, and trace spans are fed from the
  * main thread after the join, because the Tracer is single-threaded
  * and the slow-query log wants the answer's option label.
@@ -207,32 +205,12 @@ planBatch(const serve::PlannerIndex &index,
           Telemetry &telem, std::uint64_t first_id)
 {
     answers.resize(n);
-    if (!telem.on) {
-        if (threads <= 1 || n < 2) {
-            for (std::size_t i = 0; i < n; ++i)
-                answers[i] = index.plan(requests[i].machine,
-                                        requests[i].query);
-            return;
-        }
-        const std::size_t workers = std::min<std::size_t>(
-            static_cast<std::size_t>(threads), n);
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                for (std::size_t i = w; i < n; i += workers)
-                    answers[i] = index.plan(requests[i].machine,
-                                            requests[i].query);
-            });
-        }
-        for (std::thread &t : pool)
-            t.join();
-        return;
+    const bool on = telem.on;
+    if (on) {
+        telem.queueDepth->set(static_cast<std::int64_t>(n));
+        telem.t0.resize(n);
+        telem.t1.resize(n);
     }
-
-    telem.queueDepth->set(static_cast<std::int64_t>(n));
-    telem.t0.resize(n);
-    telem.t1.resize(n);
     const std::size_t workers =
         (threads <= 1 || n < 2)
             ? 1
@@ -241,13 +219,16 @@ planBatch(const serve::PlannerIndex &index,
     auto run = [&](std::size_t w) {
         std::uint64_t done = 0;
         for (std::size_t i = w; i < n; i += workers) {
-            telem.t0[i] = metrics::monotonicMicros();
+            if (on)
+                telem.t0[i] = metrics::monotonicMicros();
             answers[i] = index.plan(requests[i].machine,
                                     requests[i].query);
-            telem.t1[i] = metrics::monotonicMicros();
+            if (on)
+                telem.t1[i] = metrics::monotonicMicros();
             ++done;
         }
-        telem.workers[w]->add(done);
+        if (on)
+            telem.workers[w]->add(done);
     };
     if (workers == 1) {
         run(0);
@@ -259,6 +240,8 @@ planBatch(const serve::PlannerIndex &index,
         for (std::thread &t : pool)
             t.join();
     }
+    if (!on)
+        return;
 
     const std::int64_t now_sec = metrics::monotonicSeconds();
     for (std::size_t i = 0; i < n; ++i) {
@@ -520,7 +503,6 @@ main(int argc, char **argv)
         slow_query_us > 0) {
         telem.on = true;
         telem.slowUs = slow_query_us;
-        metrics::setEnabled(true);
         telem.requests =
             &reg.counter("serve.requests", "plan queries answered");
         telem.batches = &reg.counter("serve.batches",
@@ -550,8 +532,9 @@ main(int argc, char **argv)
 
     int rc;
     {
-        toolmetrics::MetricsFlusher flusher(reg, metrics_out,
-                                            metrics_interval_ms);
+        std::optional<toolmetrics::PeriodicTask> flusher;
+        toolmetrics::startMetricsFlusher(flusher, reg, metrics_out,
+                                         metrics_interval_ms);
         rc = binary ? runBinary(index, threads, batch, telem)
                     : runJson(index, threads, batch, telem);
         // flusher writes the final exposition on scope exit.
