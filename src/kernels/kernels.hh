@@ -52,15 +52,6 @@ struct KernelParams
      * set cannot be cached anyway.
      */
     bool prime = true;
-    /**
-     * Run the priming pass through the full timing simulation instead
-     * of the functional tag walk.  The warm state left behind is
-     * identical (resetTiming() discards everything else a timed prime
-     * produces), so this exists only as the reference oracle for the
-     * prime-equivalence tests; the functional walk is several times
-     * cheaper and is the default.
-     */
-    bool timedPrime = false;
 };
 
 /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "mem/access.hh"
-#include "mem/simmode.hh"
 #include "sim/logging.hh"
 #include "sim/units.hh"
 
@@ -102,10 +101,10 @@ writeSweepBatched(mem::MemoryHierarchy &h, const mem::StridedSweep &sweep)
 }
 
 /**
- * Warm @p h with the sweep via the functional tag walk (default
- * priming pass; see MemoryHierarchy::primeBatch).  On the 8400 the
- * prime hook replays the bus directory updates, so machine-level
- * coherence state is warmed exactly as a timed prime would.
+ * Warm @p h with the sweep via the functional tag walk (see
+ * MemoryHierarchy::primeBatch).  On the 8400 the prime hook replays
+ * the bus directory updates, so machine-level coherence state is
+ * warmed exactly as a timed prime would.
  */
 void
 primeSweep(mem::MemoryHierarchy &h, const mem::StridedSweep &sweep)
@@ -130,28 +129,11 @@ loadSumOn(machine::Machine &m, NodeId node, const KernelParams &p)
     std::uint64_t caches = 0;
     for (const auto &lc : h.config().levels)
         caches += lc.cache.sizeBytes;
-    const bool batched = mem::batchedSimEnabled();
-    if (p.prime && ws <= 2 * caches) {
-        if (!p.timedPrime) {
-            primeSweep(h, sweep);
-        } else {
-            if (batched) {
-                readSweepBatched(h, sweep);
-            } else {
-                for (std::uint64_t i = 0; i < sweep.size(); ++i)
-                    h.read(sweep[i]);
-            }
-            h.drain();
-        }
-    }
+    if (p.prime && ws <= 2 * caches)
+        primeSweep(h, sweep);
     m.resetTiming();
 
-    if (batched) {
-        readSweepBatched(h, sweep);
-    } else {
-        for (std::uint64_t i = 0; i < sweep.size(); ++i)
-            h.read(sweep[i]);
-    }
+    readSweepBatched(h, sweep);
     const Tick elapsed = h.drain();
 
     KernelResult res;
@@ -171,12 +153,7 @@ storeConstantOn(machine::Machine &m, NodeId node, const KernelParams &p)
     const std::uint64_t words = ws / wordBytes;
     const mem::StridedSweep sweep(p.base, words, p.stride);
     m.resetTiming();
-    if (mem::batchedSimEnabled()) {
-        writeSweepBatched(h, sweep);
-    } else {
-        for (std::uint64_t i = 0; i < sweep.size(); ++i)
-            h.write(sweep[i]);
-    }
+    writeSweepBatched(h, sweep);
     const Tick elapsed = h.drain();
 
     KernelResult res;
@@ -209,29 +186,21 @@ copyOn(machine::Machine &m, NodeId node, const KernelParams &p,
     const mem::StridedSweep stores(dst_base, words, store_stride);
 
     m.resetTiming();
-    if (mem::batchedSimEnabled()) {
-        // Interleave the two sweeps pairwise into mixed batches.
-        constexpr std::size_t kPairWords =
-            mem::AccessBatch::kCapacity / 2;
-        mem::StridedSweep::Cursor lc(loads);
-        mem::StridedSweep::Cursor sc(stores);
-        Addr lbuf[kPairWords];
-        Addr sbuf[kPairWords];
-        while (const std::size_t n = lc.fill(lbuf, kPairWords)) {
-            const std::size_t ns = sc.fill(sbuf, n);
-            GASNUB_ASSERT(ns == n, "copy sweeps out of step");
-            mem::AccessBatch ab;
-            for (std::size_t k = 0; k < n; ++k) {
-                ab.push(lbuf[k], mem::AccessType::Read);
-                ab.push(sbuf[k], mem::AccessType::Write);
-            }
-            h.processBatch(ab);
+    // Interleave the two sweeps pairwise into mixed batches.
+    constexpr std::size_t kPairWords = mem::AccessBatch::kCapacity / 2;
+    mem::StridedSweep::Cursor lc(loads);
+    mem::StridedSweep::Cursor sc(stores);
+    Addr lbuf[kPairWords];
+    Addr sbuf[kPairWords];
+    while (const std::size_t n = lc.fill(lbuf, kPairWords)) {
+        const std::size_t ns = sc.fill(sbuf, n);
+        GASNUB_ASSERT(ns == n, "copy sweeps out of step");
+        mem::AccessBatch ab;
+        for (std::size_t k = 0; k < n; ++k) {
+            ab.push(lbuf[k], mem::AccessType::Read);
+            ab.push(sbuf[k], mem::AccessType::Write);
         }
-    } else {
-        for (std::uint64_t i = 0; i < words; ++i) {
-            h.read(loads[i]);
-            h.write(stores[i]);
-        }
+        h.processBatch(ab);
     }
     const Tick elapsed = h.drain();
 
@@ -260,15 +229,8 @@ loadSumLoaded(machine::Machine &m, const KernelParams &p)
     for (const auto &lc : m.node(0).config().levels)
         caches += lc.cache.sizeBytes;
     if (p.prime && ws <= 2 * caches) {
-        for (NodeId id = 0; id < n; ++id) {
-            if (!p.timedPrime) {
-                primeSweep(m.node(id), sweeps[id]);
-                continue;
-            }
-            for (std::uint64_t i = 0; i < words; ++i)
-                m.node(id).read(sweeps[id][i]);
-            m.node(id).drain();
-        }
+        for (NodeId id = 0; id < n; ++id)
+            primeSweep(m.node(id), sweeps[id]);
     }
     m.resetTiming();
     // Round-robin across processors so shared resources see requests

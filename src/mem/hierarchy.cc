@@ -99,18 +99,8 @@ MemoryHierarchy::memorySide(Addr addr, FetchIntent intent, Tick earliest,
 
 Tick
 MemoryHierarchy::dramLineRead(Addr line_addr, std::uint32_t line_bytes,
-                              Tick issue, bool &covered, bool exclusive)
-{
-    const StreamHit sh = _readAhead.note(line_addr, line_bytes);
-    covered = sh.covered;
-    return dramLineReadNoted(line_addr, line_bytes, issue, sh,
-                             exclusive);
-}
-
-Tick
-MemoryHierarchy::dramLineReadNoted(Addr line_addr,
-                                   std::uint32_t line_bytes, Tick issue,
-                                   const StreamHit &sh, bool exclusive)
+                              Tick issue, const StreamHit &sh,
+                              bool exclusive)
 {
     ++_dramLineFills;
 
@@ -156,14 +146,14 @@ MemoryHierarchy::dramLineReadNoted(Addr line_addr,
 
 Tick
 MemoryHierarchy::serveRead(std::size_t level, Addr addr, Tick issue,
-                           std::size_t &served_level, bool &covered,
-                           bool exclusive)
+                           std::size_t &served_level, bool exclusive)
 {
     const std::size_t n = _caches.size();
     if (level == n) {
         served_level = n;
         const Addr line = addr & _lastLineMask;
-        return dramLineRead(line, _lastLineBytes, issue, covered,
+        return dramLineRead(line, _lastLineBytes, issue,
+                            _readAhead.note(line, _lastLineBytes),
                             exclusive);
     }
 
@@ -178,8 +168,8 @@ MemoryHierarchy::serveRead(std::size_t level, Addr addr, Tick issue,
         return std::max(start + occ, issue + t.hit);
     }
 
-    const Tick below = serveRead(level + 1, addr, issue, served_level,
-                                 covered, exclusive);
+    const Tick below =
+        serveRead(level + 1, addr, issue, served_level, exclusive);
     if (r.evictedDirty)
         postWriteback(level, r.victimAddr, below);
 
@@ -211,48 +201,6 @@ MemoryHierarchy::postWriteback(std::size_t from_level, Addr victim_line,
         _acct->charge(_cacheRes, start, start + occ);
     if (r.evictedDirty)
         postWriteback(target, r.victimAddr, earliest);
-}
-
-Tick
-MemoryHierarchy::read(Addr addr)
-{
-    GASNUB_PROF_ZONE("mem.read");
-    ++_reads;
-    const Tick want = _nextIssue;
-
-    // Functional peek to decide whether this access consumes a slot of
-    // the bounded outstanding-read window.
-    std::size_t peek_level = _caches.size();
-    for (std::size_t k = 0; k < _caches.size(); ++k) {
-        if (_caches[k]->contains(addr)) {
-            peek_level = k;
-            break;
-        }
-    }
-    bool would_cover = false;
-    if (peek_level == _caches.size())
-        would_cover = _readAhead.wouldCover(addr & _lastLineMask);
-    const bool uses_window =
-        peek_level >= _config.windowFromLevel && !would_cover;
-
-    const Tick issue = uses_window ? _readWindow.admit(want) : want;
-    _nextIssue = issue + _loadIssueTicks;
-    if (_acct)
-        _acct->charge(_issueRes, issue, _nextIssue);
-
-    std::size_t served = 0;
-    bool covered = false;
-    const Tick ready =
-        serveRead(0, addr, issue, served, covered, false);
-
-    (void)covered;
-    if (uses_window) {
-        _readWindow.complete(ready);
-        if (_config.blockingOffchipReads)
-            _nextIssue = std::max(_nextIssue, ready);
-    }
-    _lastComplete = std::max(_lastComplete, ready);
-    return ready;
 }
 
 Tick
@@ -297,9 +245,8 @@ MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
         // Write-allocate: fetch the line from below (read for
         // ownership), then write.
         std::size_t fill_from = 0;
-        bool covered = false;
-        const Tick below = serveRead(level + 1, addr, issue, fill_from,
-                                     covered, true);
+        const Tick below =
+            serveRead(level + 1, addr, issue, fill_from, true);
         served_level = fill_from;
         if (r.evictedDirty)
             postWriteback(level, r.victimAddr, below);
@@ -312,6 +259,14 @@ MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
 
     // No-write-allocate miss (write-through L1): forward downstream.
     return serveWrite(level + 1, addr, issue, served_level);
+}
+
+Tick
+MemoryHierarchy::read(Addr addr)
+{
+    GASNUB_PROF_ZONE("mem.read");
+    ++_reads;
+    return readOne(addr);
 }
 
 Tick
@@ -352,16 +307,15 @@ MemoryHierarchy::writeOne(Addr addr)
 }
 
 Tick
-MemoryHierarchy::readFastOne(Addr addr)
+MemoryHierarchy::readOne(Addr addr)
 {
     const Tick want = _nextIssue;
     const std::size_t n = _caches.size();
 
-    // Single mutating walk replacing the legacy contains() peek +
-    // serveRead() descent.  Allocation at an upper level never changes
-    // a deeper level's probe, so the first hit of this walk is the
-    // same level the peek would have reported, and the stored per-level
-    // results let the fill unwind replay the exact legacy order.
+    // One mutating walk down the levels finds the serving level.
+    // Allocation at an upper level never changes a deeper level's
+    // probe, so the first hit is the level that holds the line, and
+    // the stored per-level results drive the fill unwind below.
     CacheResult walk[kMaxLevels];
     std::size_t hit_level = n;
     for (std::size_t k = 0; k < n; ++k) {
@@ -372,22 +326,17 @@ MemoryHierarchy::readFastOne(Addr addr)
         }
     }
 
-    // Off-chip fills run the stream detector once, up front: the
-    // note() verdict equals what the legacy wouldCover() preview
-    // reports (note is its mutating twin), and nothing between here
-    // and the fill touches the detector, so reusing it keeps the
-    // legacy byte-identity while dropping one full filter scan per
-    // miss.
-    bool would_cover = false;
+    // Off-chip fills run the stream detector once, before issue: its
+    // verdict decides both the window accounting and how the fill is
+    // scheduled, and nothing in between touches the detector.
     Addr line = 0;
     StreamHit sh;
     if (hit_level == n) {
         line = addr & _lastLineMask;
         sh = _readAhead.note(line, _lastLineBytes);
-        would_cover = sh.covered;
     }
     const bool uses_window =
-        hit_level >= _config.windowFromLevel && !would_cover;
+        hit_level >= _config.windowFromLevel && !sh.covered;
 
     const Tick issue = uses_window ? _readWindow.admit(want) : want;
     _nextIssue = issue + _loadIssueTicks;
@@ -396,8 +345,7 @@ MemoryHierarchy::readFastOne(Addr addr)
 
     Tick below;
     if (hit_level == n) {
-        below = dramLineReadNoted(line, _lastLineBytes, issue, sh,
-                                  false);
+        below = dramLineRead(line, _lastLineBytes, issue, sh, false);
     } else {
         const LevelTicks &t = _levelTicks[hit_level];
         const Tick start = _ports[hit_level].acquire(issue, t.hitOcc);
@@ -406,7 +354,8 @@ MemoryHierarchy::readFastOne(Addr addr)
         below = std::max(start + t.hitOcc, issue + t.hit);
     }
 
-    // Fill upward, deepest first — the unwind of the legacy recursion.
+    // Fill upward, deepest first: each level's victim writeback and
+    // fill occupancy in the same order serveRead()'s recursion uses.
     for (std::size_t j = hit_level; j-- > 0;) {
         if (walk[j].evictedDirty)
             postWriteback(j, walk[j].victimAddr, below);
@@ -432,7 +381,7 @@ MemoryHierarchy::readBatch(const Addr *addrs, std::size_t n)
     GASNUB_PROF_ZONE("mem.readBatch");
     _reads += static_cast<double>(n);
     for (std::size_t i = 0; i < n; ++i)
-        readFastOne(addrs[i]);
+        readOne(addrs[i]);
 }
 
 void
@@ -455,7 +404,7 @@ MemoryHierarchy::processBatch(const AccessBatch &batch)
     _writes += static_cast<double>(batch.count - reads);
     for (std::size_t i = 0; i < batch.count; ++i) {
         if (batch.kinds[i] == AccessType::Read)
-            readFastOne(batch.addrs[i]);
+            readOne(batch.addrs[i]);
         else
             writeOne(batch.addrs[i]);
     }

@@ -140,15 +140,14 @@ class MemoryHierarchy
     Tick write(Addr addr);
 
     /**
-     * Batched fast path: issue @p n word loads in program order.
-     * Timing, functional state, and stats are bit-identical to n
-     * read() calls; the per-access profiler zone, stats increments,
-     * and the double cache walk (peek + access) are hoisted out of
-     * the loop.
+     * Batched path: issue @p n word loads in program order.  Timing,
+     * functional state, and stats are bit-identical to n read()
+     * calls; the per-access profiler zone and stats increments are
+     * hoisted out of the loop.
      */
     void readBatch(const Addr *addrs, std::size_t n);
 
-    /** Batched fast path for @p n word stores (see readBatch). */
+    /** Batched path for @p n word stores (see readBatch). */
     void writeBatch(const Addr *addrs, std::size_t n);
 
     /**
@@ -310,12 +309,10 @@ class MemoryHierarchy
      * @param addr  Accessed address.
      * @param issue Processor issue tick.
      * @param served_level Out: the level that provided the data.
-     * @param covered Out: true if a stream covered the DRAM fill.
      * @return data-ready tick at the processor.
      */
     Tick serveRead(std::size_t level, Addr addr, Tick issue,
-                   std::size_t &served_level, bool &covered,
-                   bool exclusive);
+                   std::size_t &served_level, bool exclusive);
 
     /**
      * Serve a store at @p level (the first write-back level under a
@@ -329,32 +326,26 @@ class MemoryHierarchy
     void postWriteback(std::size_t from_level, Addr victim_line,
                        Tick earliest);
 
-    /** Read one line from DRAM (demand or covered). */
-    Tick dramLineRead(Addr line_addr, std::uint32_t line_bytes,
-                      Tick issue, bool &covered, bool exclusive);
-
     /**
-     * dramLineRead for a fill the caller already ran through
-     * ReadAhead::note() — the fast path notes once and reuses the
-     * verdict for both window accounting and the fill itself, where
-     * the legacy path pays a wouldCover() preview scan plus the
-     * note() scan per off-chip miss.
+     * Read one line from DRAM, demand or stream-covered as @p sh (the
+     * caller's ReadAhead::note() verdict for this fill) says.
      */
-    Tick dramLineReadNoted(Addr line_addr, std::uint32_t line_bytes,
-                           Tick issue, const StreamHit &sh,
-                           bool exclusive);
+    Tick dramLineRead(Addr line_addr, std::uint32_t line_bytes,
+                      Tick issue, const StreamHit &sh, bool exclusive);
 
     /** Route one memory-side access via the hook or local DRAM. */
     DramResult memorySide(Addr addr, FetchIntent intent, Tick earliest,
                           std::uint32_t bytes);
 
     /**
-     * One load on the fast path: a single mutating cache walk decides
-     * hit level, window use, and eviction unwinding — replacing the
-     * legacy contains() peek + serveRead() descent with identical
-     * resource-acquisition and accounting order.
+     * One load, shared by read() and the batch paths (no
+     * prof-zone/stat updates — callers hoist those).  A single
+     * mutating cache walk decides the serving level; an off-chip miss
+     * consults the stream detector once, and a read uses a window slot
+     * iff it is served at or below windowFromLevel and no stream
+     * covers its fill.  Fills unwind upward in serveRead() order.
      */
-    Tick readFastOne(Addr addr);
+    Tick readOne(Addr addr);
 
     /** One store, shared by write() and the batch paths (no
      * prof-zone/stat updates — callers hoist those). */
@@ -362,11 +353,11 @@ class MemoryHierarchy
 
     Tick nsTicks(double ns) const;
 
-    /** Upper bound on cache levels (fast-path walk scratch array). */
+    /** Upper bound on cache levels (readOne's walk scratch array). */
     static constexpr std::size_t kMaxLevels = 8;
 
     /** Per-level timing precomputed from the config (== nsTicks of
-     * the LevelTiming fields, so both paths share exact values). */
+     * the LevelTiming fields). */
     struct LevelTicks
     {
         Tick hit = 0;

@@ -102,22 +102,6 @@ ReadAhead::note(Addr line_addr, std::uint32_t line_bytes)
     return hit;
 }
 
-bool
-ReadAhead::wouldCover(Addr line_addr) const
-{
-    if (!_config.enabled)
-        return false;
-    for (const Slot &s : _slots) {
-        if (s.valid && s.nextLine == line_addr)
-            return s.run + 1 >= _config.threshold;
-    }
-    for (const Candidate &c : _filter) {
-        if (c.valid && c.nextLine == line_addr)
-            return 2 >= _config.threshold;
-    }
-    return false;
-}
-
 Tick
 ReadAhead::lastStart(std::uint32_t slot) const
 {

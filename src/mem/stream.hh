@@ -71,13 +71,6 @@ class ReadAhead
     StreamHit note(Addr line_addr, std::uint32_t line_bytes);
 
     /**
-     * @return true if a fill of @p line_addr would be covered by an
-     * active stream (const preview of note(), used by the hierarchy to
-     * decide window accounting before mutating detector state).
-     */
-    bool wouldCover(Addr line_addr) const;
-
-    /**
      * Timestamp bookkeeping for the decoupled pipeline: the start time
      * of the previous fill in @p slot, used by the hierarchy as the
      * earliest issue time of the next prefetched fill.

@@ -10,7 +10,7 @@
 namespace gasnub::trace {
 
 namespace detail {
-thread_local std::uint32_t activeMask = 0;
+thread_local constinit std::uint32_t activeMask = 0;
 } // namespace detail
 
 namespace {

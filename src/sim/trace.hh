@@ -66,9 +66,12 @@ namespace detail {
  * The calling thread's active category mask; read inline by every
  * trace point.  Thread-local so parallel sweep workers can trace into
  * private buffers (or run with tracing off) without touching the main
- * thread's setting.
+ * thread's setting.  constinit tells every including file that the
+ * variable needs no dynamic initialization, so reads are a plain TLS
+ * load rather than a call through GCC's TLS init wrapper (which
+ * UBSan reports as a null load when no wrapper is emitted).
  */
-extern thread_local std::uint32_t activeMask;
+extern thread_local constinit std::uint32_t activeMask;
 } // namespace detail
 
 /** @return true if category @p c is currently being recorded. */

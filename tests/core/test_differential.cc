@@ -1,55 +1,191 @@
 /**
  * @file
- * Differential lockdown of the batched access-stream fast path.
+ * Byte-exact fixtures for the simulator's single access path.
  *
- * The batched simulation path (mem::AccessBatch + readBatch/
- * writeBatch/processBatch) is a pure software-overhead optimisation:
- * it must produce, tick for tick and byte for byte, the outputs of
- * the legacy one-call-per-access path it replaces.  These tests run
- * the same sweeps through both paths — on all three machines, serial
- * and with a 4-worker SweepRunner, with and without an injected fault
- * plan — and compare the saved surfaces (attribution rows included)
- * and the full stats JSON as strings.
+ * Each test renders a deterministic run as text — saved surfaces
+ * (attribution rows included), exact ticks and kernel results, and the
+ * full stats JSON — and compares it with a file committed under
+ * tests/data/differential/.  The fixtures were captured while a second,
+ * one-call-per-access implementation of every kernel and a fully timed
+ * priming pass still existed and produced the same bytes, so they lock
+ * the batched kernels, the functional prime and the per-access
+ * MemoryHierarchy::read()/write() callers to that reference.
+ *
+ * A failure names the fixture and its first differing line.  After an
+ * intentional model change, regenerate with
+ *
+ *     GASNUB_REGEN_GOLDEN=1 ./build/tests/test_core \
+ *         --gtest_filter='*Differential*:*PrimeEquivalence*:CallerFixtures.*'
+ *
+ * and review the diff of tests/data/differential/.
  */
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
+#include <iomanip>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/characterizer.hh"
+#include "core/redistribution.hh"
 #include "core/surface_io.hh"
 #include "core/sweep_runner.hh"
+#include "fft/fft2d_dist.hh"
+#include "gas/runtime.hh"
+#include "kernels/blocked.hh"
+#include "kernels/indexed.hh"
 #include "kernels/kernels.hh"
 #include "kernels/remote_kernels.hh"
 #include "machine/configs.hh"
 #include "machine/machine.hh"
-#include "mem/simmode.hh"
+#include "machine/sync.hh"
 #include "sim/trace.hh"
 #include "sim/units.hh"
+
+#ifndef GASNUB_TESTS_DATA_DIR
+#error "GASNUB_TESTS_DATA_DIR must point at tests/data"
+#endif
 
 namespace {
 
 using namespace gasnub;
 using namespace gasnub::core;
 
-/** Flip the batched/legacy switch and restore it on scope exit. */
-class ScopedSimMode
-{
-  public:
-    explicit ScopedSimMode(bool batched)
-        : _saved(mem::batchedSimEnabled())
-    {
-        mem::setBatchedSim(batched);
-    }
-    ~ScopedSimMode() { mem::setBatchedSim(_saved); }
+constexpr const char *kRegenCommand =
+    "GASNUB_REGEN_GOLDEN=1 ./build/tests/test_core "
+    "--gtest_filter='*Differential*:*PrimeEquivalence*:CallerFixtures.*'";
 
-  private:
-    bool _saved;
-};
+bool
+regenRequested()
+{
+    return std::getenv("GASNUB_REGEN_GOLDEN") != nullptr;
+}
+
+/** Line @p n (0-based) of @p text, or "<end of text>". */
+std::string
+lineOf(const std::string &text, std::size_t n)
+{
+    std::istringstream in(text);
+    std::string line;
+    for (std::size_t i = 0; std::getline(in, line); ++i)
+        if (i == n)
+            return line;
+    return "<end of text>";
+}
+
+/**
+ * Compare @p actual with the file at @p path, or (when @p regen)
+ * rewrite the file.  A missing, empty or unreadable fixture fails with
+ * the regeneration command; a mismatch names the first differing line.
+ */
+void
+expectMatchesFile(const std::string &path, const std::string &actual,
+                  bool regen)
+{
+    if (regen) {
+        std::ofstream out(path, std::ios::binary);
+        out << actual;
+        ASSERT_TRUE(out.good()) << "cannot write fixture " << path;
+        return;
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream buf;
+    if (!in || !(buf << in.rdbuf())) {
+        ADD_FAILURE() << "missing, empty or unreadable fixture " << path
+                      << "; create it with " << kRegenCommand;
+        return;
+    }
+    const std::string want = buf.str();
+    if (want == actual)
+        return;
+    const auto diff =
+        std::mismatch(want.begin(), want.end(), actual.begin(),
+                      actual.end());
+    const std::size_t line = static_cast<std::size_t>(
+        std::count(want.begin(), diff.first, '\n'));
+    ADD_FAILURE() << "output differs from fixture " << path
+                  << " at line " << line + 1
+                  << "\n  fixture: " << lineOf(want, line)
+                  << "\n  actual:  " << lineOf(actual, line)
+                  << "\nIf the change is intended, regenerate with "
+                  << kRegenCommand << " and review the diff.";
+}
+
+/** expectMatchesFile on tests/data/differential/@p name. */
+void
+expectMatchesFixture(const std::string &name, const std::string &actual)
+{
+    expectMatchesFile(std::string(GASNUB_TESTS_DATA_DIR) +
+                          "/differential/" + name,
+                      actual, regenRequested());
+}
+
+const char *
+slug(machine::SystemKind kind)
+{
+    switch (kind) {
+      case machine::SystemKind::Dec8400: return "dec8400";
+      case machine::SystemKind::CrayT3D: return "t3d";
+      case machine::SystemKind::CrayT3E: return "t3e";
+    }
+    return "unknown";
+}
+
+std::string
+paramName(const ::testing::TestParamInfo<machine::SystemKind> &info)
+{
+    switch (info.param) {
+      case machine::SystemKind::Dec8400: return "Dec8400";
+      case machine::SystemKind::CrayT3D: return "CrayT3D";
+      case machine::SystemKind::CrayT3E: return "CrayT3E";
+    }
+    return "Unknown";
+}
+
+const auto kAllMachines = ::testing::Values(
+    machine::SystemKind::Dec8400, machine::SystemKind::CrayT3D,
+    machine::SystemKind::CrayT3E);
+
+/**
+ * The full stats JSON of @p m under a section header, broken after
+ * every object and array so a mismatch names the stat that moved.
+ */
+std::string
+statsSection(machine::Machine &m)
+{
+    std::ostringstream os;
+    m.statsGroup().dumpJson(os);
+    std::string out = "# stats\n";
+    for (const char c : os.str()) {
+        out += c;
+        if (c == ',' && (out.end()[-2] == '}' || out.end()[-2] == ']'))
+            out += '\n';
+    }
+    return out + "\n";
+}
+
+/** @p v printed with enough digits to round-trip exactly. */
+std::string
+exact(double v)
+{
+    std::ostringstream os;
+    os << std::setprecision(17) << v;
+    return os.str();
+}
+
+std::string
+resultLine(const kernels::KernelResult &r)
+{
+    return "elapsed=" + std::to_string(r.elapsed) +
+           " accesses=" + std::to_string(r.accesses) +
+           " bytes=" + std::to_string(r.bytes) + " mbs=" + exact(r.mbs);
+}
 
 constexpr const char *kFaultPlan = "seed=7;dram-stall:prob=.3,extra=300";
 
@@ -63,7 +199,7 @@ smallGrid()
     return cfg;
 }
 
-/** Every kernel family the batched path rewrote. */
+/** Every batched local kernel family. */
 std::vector<SweepSpec>
 localSpecs()
 {
@@ -73,22 +209,15 @@ localSpecs()
                                  0)};
 }
 
-struct Output
-{
-    std::string surface;
-    std::string stats;
-};
-
 /**
- * Run the local sweeps on one machine.  @p jobs <= 0 runs a serial
- * Characterizer; otherwise a SweepRunner with that many workers, its
- * stats merged into the main machine as production drivers do.
+ * Run the local sweeps on one machine and render surfaces plus stats.
+ * @p jobs <= 0 runs a serial Characterizer; otherwise a SweepRunner
+ * with that many workers, its stats merged into the main machine as
+ * production drivers do — which must give the same bytes.
  */
-Output
-runLocal(machine::SystemKind kind, bool batched, int jobs,
-         const std::string &faults)
+std::string
+runLocal(machine::SystemKind kind, int jobs, const std::string &faults)
 {
-    ScopedSimMode mode(batched);
     trace::Tracer tracer;
     trace::ScopedThreadTracer scoped(tracer, 0);
     machine::SystemConfig sys;
@@ -98,8 +227,8 @@ runLocal(machine::SystemKind kind, bool batched, int jobs,
         sys.faults = sim::FaultPlan::parse(faults);
     machine::Machine m(sys);
     const CharacterizeConfig cfg = smallGrid();
-    Output out;
     std::ostringstream so;
+    so << "# surfaces\n";
     if (jobs <= 0) {
         Characterizer c(m);
         for (const SweepSpec &spec : localSpecs())
@@ -110,19 +239,14 @@ runLocal(machine::SystemKind kind, bool batched, int jobs,
             saveSurface(runner.run(spec, cfg), so);
         runner.mergeStatsInto(m.statsGroup());
     }
-    out.surface = so.str();
-    std::ostringstream st;
-    m.statsGroup().dumpJson(st);
-    out.stats = st.str();
-    return out;
+    return so.str() + statsSection(m);
 }
 
-void
-expectIdentical(const Output &legacy, const Output &batched)
+std::string
+localFixture(machine::SystemKind kind, bool faults)
 {
-    EXPECT_FALSE(legacy.surface.empty());
-    EXPECT_EQ(legacy.surface, batched.surface);
-    EXPECT_EQ(legacy.stats, batched.stats);
+    return std::string("local_") + slug(kind) +
+           (faults ? "_faults" : "") + ".txt";
 }
 
 class Differential
@@ -130,50 +254,37 @@ class Differential
 {
 };
 
-TEST_P(Differential, SerialBatchedMatchesLegacy)
+TEST_P(Differential, SerialMatchesFixture)
 {
-    expectIdentical(runLocal(GetParam(), false, 0, ""),
-                    runLocal(GetParam(), true, 0, ""));
+    expectMatchesFixture(localFixture(GetParam(), false),
+                         runLocal(GetParam(), 0, ""));
 }
 
-TEST_P(Differential, ParallelBatchedMatchesLegacy)
+TEST_P(Differential, ParallelMatchesFixture)
 {
-    expectIdentical(runLocal(GetParam(), false, 4, ""),
-                    runLocal(GetParam(), true, 4, ""));
+    expectMatchesFixture(localFixture(GetParam(), false),
+                         runLocal(GetParam(), 4, ""));
 }
 
-TEST_P(Differential, FaultySerialBatchedMatchesLegacy)
+TEST_P(Differential, FaultySerialMatchesFixture)
 {
-    expectIdentical(runLocal(GetParam(), false, 0, kFaultPlan),
-                    runLocal(GetParam(), true, 0, kFaultPlan));
+    expectMatchesFixture(localFixture(GetParam(), true),
+                         runLocal(GetParam(), 0, kFaultPlan));
 }
 
-TEST_P(Differential, FaultyParallelBatchedMatchesLegacy)
+TEST_P(Differential, FaultyParallelMatchesFixture)
 {
-    expectIdentical(runLocal(GetParam(), false, 4, kFaultPlan),
-                    runLocal(GetParam(), true, 4, kFaultPlan));
+    expectMatchesFixture(localFixture(GetParam(), true),
+                         runLocal(GetParam(), 4, kFaultPlan));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllMachines, Differential,
-    ::testing::Values(machine::SystemKind::Dec8400,
-                      machine::SystemKind::CrayT3D,
-                      machine::SystemKind::CrayT3E),
-    [](const ::testing::TestParamInfo<machine::SystemKind> &info) {
-        switch (info.param) {
-          case machine::SystemKind::Dec8400: return "Dec8400";
-          case machine::SystemKind::CrayT3D: return "CrayT3D";
-          case machine::SystemKind::CrayT3E: return "CrayT3E";
-        }
-        return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllMachines, Differential, kAllMachines,
+                         paramName);
 
-/** Remote transfers exercise the batched Machine::produce() path. */
-Output
-runRemote(machine::SystemKind kind, remote::TransferMethod method,
-          bool batched)
+/** A remote sweep: Machine::produce() plus the native engine. */
+std::string
+runRemote(machine::SystemKind kind, remote::TransferMethod method)
 {
-    ScopedSimMode mode(batched);
     trace::Tracer tracer;
     trace::ScopedThreadTracer scoped(tracer, 0);
     machine::SystemConfig sys;
@@ -184,50 +295,33 @@ runRemote(machine::SystemKind kind, remote::TransferMethod method,
     cfg.workingSets = {16_KiB, 64_KiB};
     cfg.strides = {1, 2};
     cfg.capBytes = 64_KiB;
-    Output out;
     std::ostringstream so;
-    saveSurface(c.run(SweepSpec::remote(method, false, 1, 0), cfg),
-                so);
-    out.surface = so.str();
-    std::ostringstream st;
-    m.statsGroup().dumpJson(st);
-    out.stats = st.str();
-    return out;
+    so << "# surfaces\n";
+    saveSurface(c.run(SweepSpec::remote(method, false, 1, 0), cfg), so);
+    return so.str() + statsSection(m);
 }
 
-TEST(DifferentialRemote, T3dDepositMatchesLegacy)
+TEST(DifferentialRemote, T3dDepositMatchesFixture)
 {
-    expectIdentical(runRemote(machine::SystemKind::CrayT3D,
-                              remote::TransferMethod::Deposit, false),
-                    runRemote(machine::SystemKind::CrayT3D,
-                              remote::TransferMethod::Deposit, true));
+    expectMatchesFixture("remote_t3d_deposit.txt",
+                         runRemote(machine::SystemKind::CrayT3D,
+                                   remote::TransferMethod::Deposit));
 }
 
-TEST(DifferentialRemote, T3eFetchMatchesLegacy)
+TEST(DifferentialRemote, T3eFetchMatchesFixture)
 {
-    expectIdentical(runRemote(machine::SystemKind::CrayT3E,
-                              remote::TransferMethod::Fetch, false),
-                    runRemote(machine::SystemKind::CrayT3E,
-                              remote::TransferMethod::Fetch, true));
+    expectMatchesFixture("remote_t3e_fetch.txt",
+                         runRemote(machine::SystemKind::CrayT3E,
+                                   remote::TransferMethod::Fetch));
 }
 
 /**
- * The functional prime (tag walk + state-only bus replay) must leave
- * exactly the warm state a fully timed priming pass leaves once
- * resetTiming() has discarded the latter's timing — so the measured
- * region of every kernel must come out identical under both.
- * KernelParams::timedPrime keeps the timed pass alive as the oracle.
+ * Kernel results over a small working-set x stride grid.  Primed
+ * points use the functional tag walk (MemoryHierarchy::primeBatch);
+ * when the fixtures were captured a fully timed priming pass produced
+ * the same results, so they also pin the prime to leave exactly the
+ * timed pass's warm state.
  */
-void
-expectSameResult(const kernels::KernelResult &timed,
-                 const kernels::KernelResult &functional)
-{
-    EXPECT_EQ(timed.elapsed, functional.elapsed);
-    EXPECT_EQ(timed.accesses, functional.accesses);
-    EXPECT_EQ(timed.bytes, functional.bytes);
-    EXPECT_DOUBLE_EQ(timed.mbs, functional.mbs);
-}
-
 class PrimeEquivalence
     : public ::testing::TestWithParam<machine::SystemKind>
 {
@@ -237,79 +331,76 @@ class PrimeEquivalence
     static constexpr std::uint64_t kStrides[] = {1, 3, 8};
 
     template <typename Run>
-    void
-    compareOverGrid(Run &&run)
+    static std::string
+    grid(const char *kernel, Run &&run)
     {
+        std::string out;
         for (const std::uint64_t ws : kWorkingSets) {
             for (const std::uint64_t stride : kStrides) {
                 kernels::KernelParams p;
                 p.wsBytes = ws;
                 p.stride = stride;
                 p.capBytes = 1_MiB;
-                p.timedPrime = true;
-                const kernels::KernelResult timed = run(p);
-                p.timedPrime = false;
-                const kernels::KernelResult functional = run(p);
-                SCOPED_TRACE("ws=" + std::to_string(ws) +
-                             " stride=" + std::to_string(stride));
-                expectSameResult(timed, functional);
+                out += std::string(kernel) + " ws=" +
+                       std::to_string(ws) +
+                       " stride=" + std::to_string(stride) + " " +
+                       resultLine(run(p)) + "\n";
             }
         }
+        return out;
+    }
+
+    std::string
+    fixture(const char *what) const
+    {
+        return std::string("prime_") + what + "_" + slug(GetParam()) +
+               ".txt";
     }
 };
 
 TEST_P(PrimeEquivalence, MachineLoadSweep)
 {
-    compareOverGrid([&](const kernels::KernelParams &p) {
-        machine::SystemConfig sys;
-        sys.kind = GetParam();
-        machine::Machine m(sys);
-        return kernels::loadSumOn(m, 0, p);
-    });
+    expectMatchesFixture(
+        fixture("loadSumOn"),
+        grid("loadSumOn", [&](const kernels::KernelParams &p) {
+            machine::SystemConfig sys;
+            sys.kind = GetParam();
+            machine::Machine m(sys);
+            return kernels::loadSumOn(m, 0, p);
+        }));
 }
 
 TEST_P(PrimeEquivalence, MachineLoadedSweep)
 {
-    compareOverGrid([&](const kernels::KernelParams &p) {
-        machine::SystemConfig sys;
-        sys.kind = GetParam();
-        machine::Machine m(sys);
-        return kernels::loadSumLoaded(m, p);
-    });
+    expectMatchesFixture(
+        fixture("loadSumLoaded"),
+        grid("loadSumLoaded", [&](const kernels::KernelParams &p) {
+            machine::SystemConfig sys;
+            sys.kind = GetParam();
+            machine::Machine m(sys);
+            return kernels::loadSumLoaded(m, p);
+        }));
 }
 
 TEST_P(PrimeEquivalence, NodeLoadAndStoreSweeps)
 {
-    // The node-level drivers (runSweep/runSweepBatched) on a
-    // standalone hierarchy, through both sim modes.
-    for (const bool batched : {false, true}) {
-        ScopedSimMode mode(batched);
-        compareOverGrid([&](const kernels::KernelParams &p) {
-            mem::MemoryHierarchy h(
-                machine::nodeConfig(GetParam(), "prime_eq"));
-            return kernels::loadSum(h, p);
-        });
-        compareOverGrid([&](const kernels::KernelParams &p) {
-            mem::MemoryHierarchy h(
-                machine::nodeConfig(GetParam(), "prime_eq"));
-            return kernels::storeConstant(h, p);
-        });
-    }
+    const mem::HierarchyConfig node =
+        machine::nodeConfig(GetParam(), "prime_eq");
+    expectMatchesFixture(
+        fixture("node"),
+        grid("loadSum",
+             [&](const kernels::KernelParams &p) {
+                 mem::MemoryHierarchy h(node);
+                 return kernels::loadSum(h, p);
+             }) +
+            grid("storeConstant", [&](const kernels::KernelParams &p) {
+                mem::MemoryHierarchy h(node);
+                return kernels::storeConstant(h, p);
+            }));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllMachines, PrimeEquivalence,
-    ::testing::Values(machine::SystemKind::Dec8400,
-                      machine::SystemKind::CrayT3D,
-                      machine::SystemKind::CrayT3E),
-    [](const ::testing::TestParamInfo<machine::SystemKind> &info) {
-        switch (info.param) {
-          case machine::SystemKind::Dec8400: return "Dec8400";
-          case machine::SystemKind::CrayT3D: return "CrayT3D";
-          case machine::SystemKind::CrayT3E: return "CrayT3E";
-        }
-        return "Unknown";
-    });
+INSTANTIATE_TEST_SUITE_P(AllMachines, PrimeEquivalence, kAllMachines,
+                         paramName);
 
 /**
  * The 8400-specific piece of the functional prime: priming a line
@@ -363,16 +454,189 @@ TEST(PrimeEquivalence8400, InterventionStateIsReplayed)
     EXPECT_EQ(timed.second, functional.second);
 }
 
-TEST(DifferentialEnv, LegacyEscapeHatchIsReadable)
+/*
+ * One small case per production caller of the per-access
+ * MemoryHierarchy::read()/write(): exact ticks plus the stats JSON.
+ */
+
+std::string
+ticks(const char *what, Tick t)
 {
-    // GASNUB_LEGACY_SIM only affects the process-start default; the
-    // runtime switch always reports the current mode.
-    const bool was = mem::batchedSimEnabled();
-    mem::setBatchedSim(false);
-    EXPECT_FALSE(mem::batchedSimEnabled());
-    mem::setBatchedSim(true);
-    EXPECT_TRUE(mem::batchedSimEnabled());
-    mem::setBatchedSim(was);
+    return std::string(what) + " " + std::to_string(t) + "\n";
+}
+
+TEST(CallerFixtures, SignalLatencyAndBarrier)
+{
+    machine::Machine m(machine::SystemKind::Dec8400, 4);
+    std::string out;
+    for (const Tick start : {Tick{0}, Tick{2'000'000}}) {
+        const machine::SignalResult r =
+            machine::signalLatency(m, 0, 1, 0x10000, start);
+        out += ticks("producerDone", r.producerDone) +
+               ticks("consumerSees", r.consumerSees) +
+               ticks("latency", r.latency);
+    }
+    out += ticks("barrierAll", machine::barrierAll(m, 5'000'000));
+    expectMatchesFixture("caller_sync_dec8400.txt",
+                         out + statsSection(m));
+}
+
+TEST(CallerFixtures, IndexedKernels)
+{
+    machine::Machine m(machine::SystemKind::CrayT3D, 4);
+    kernels::IndexedParams p;
+    p.wsBytes = 8_KiB;
+    std::string out;
+    for (const kernels::IndexPattern pat :
+         {kernels::IndexPattern::Random,
+          kernels::IndexPattern::MostlySequential}) {
+        p.pattern = pat;
+        out += std::string(kernels::indexPatternName(pat)) +
+               " loadSum " +
+               resultLine(kernels::indexedLoadSum(m, 0, p)) + "\n";
+        out += std::string(kernels::indexPatternName(pat)) + " copy " +
+               resultLine(kernels::indexedCopy(m, 0, p, 1ull << 30)) +
+               "\n";
+    }
+    expectMatchesFixture("caller_indexed_t3d.txt",
+                         out + statsSection(m));
+}
+
+TEST(CallerFixtures, BlockedTranspose)
+{
+    machine::Machine m(machine::SystemKind::CrayT3E, 4);
+    kernels::BlockedParams p;
+    p.n = 64;
+    p.tile = 16;
+    std::string out;
+    for (const kernels::Traversal t :
+         {kernels::Traversal::RowMajor, kernels::Traversal::ColumnMajor,
+          kernels::Traversal::Tiled}) {
+        p.traversal = t;
+        out += std::string(kernels::traversalName(t)) + " " +
+               resultLine(kernels::blockedTranspose(m, 0, p)) + "\n";
+    }
+    expectMatchesFixture("caller_blocked_t3e.txt",
+                         out + statsSection(m));
+}
+
+TEST(CallerFixtures, GasRuntimeLocalAccess)
+{
+    machine::Machine m(machine::SystemKind::Dec8400, 4);
+    gas::Runtime rt(m);
+    gas::GlobalArray a = rt.allocate(256);
+    std::string out;
+    // Direct loads and stores, including cross-node ones the 8400's
+    // shared memory allows.
+    for (std::uint64_t w = 0; w < 32; w += 3) {
+        out += ticks("load", rt.load(0, a.on(1, w)));
+        out += ticks("store", rt.store(2, a.on(0, w)));
+    }
+    // A same-node transfer runs as a local load/store copy loop.
+    gas::Strided spec;
+    spec.words = 64;
+    spec.srcStride = 4;
+    spec.dstStride = 2;
+    spec.elemWords = 2;
+    out += ticks("localCopy",
+                 rt.rput_strided(a.on(3, 0), a.on(3, 128), spec,
+                                 gas::Method::Auto)
+                     .complete);
+    out += ticks("waitAll", rt.waitAll());
+    expectMatchesFixture("caller_gas_dec8400.txt",
+                         out + statsSection(m));
+}
+
+TEST(CallerFixtures, CoherentPull)
+{
+    machine::Machine m(machine::SystemKind::Dec8400, 4);
+    m.resetAll();
+    m.produce(0, 0x100000, 512);
+    m.barrier();
+    m.resetTiming();
+    remote::TransferRequest req;
+    req.src = 0;
+    req.dst = 1;
+    req.srcAddr = 0x100000;
+    req.dstAddr = 0x900000;
+    req.words = 256;
+    req.srcStride = 2;
+    std::string out = ticks(
+        "pull", m.remote().transfer(
+                    req, remote::TransferMethod::CoherentPull, 0));
+    expectMatchesFixture("caller_smp_pull_dec8400.txt",
+                         out + statsSection(m));
+}
+
+TEST(CallerFixtures, T3dDepositSourceLoads)
+{
+    machine::Machine m(machine::SystemKind::CrayT3D, 4);
+    m.resetAll();
+    m.produce(0, 0x100000, 512);
+    m.barrier();
+    m.resetTiming();
+    remote::TransferRequest req;
+    req.src = 0;
+    req.dst = 2;
+    req.srcAddr = 0x100000;
+    req.dstAddr = 0x900000;
+    req.words = 256;
+    req.srcStride = 2;
+    req.dstStride = 3;
+    req.elemWords = 2;
+    std::string out = ticks(
+        "deposit",
+        m.remote().transfer(req, remote::TransferMethod::Deposit, 0));
+    expectMatchesFixture("caller_cray_engine_t3d.txt",
+                         out + statsSection(m));
+}
+
+TEST(CallerFixtures, Redistribution)
+{
+    machine::Machine m(machine::SystemKind::CrayT3E, 4);
+    Distribution from;
+    from.kind = DistKind::Block;
+    from.elements = 512;
+    from.procs = 4;
+    Distribution to = from;
+    to.kind = DistKind::Cyclic;
+    const RedistResult r =
+        executeRedistribution(m, planRedistribution(from, to));
+    const std::string out = ticks("elapsed", r.elapsed) +
+                            "bytesMoved " +
+                            std::to_string(r.bytesMoved) + "\n" +
+                            "transfers " +
+                            std::to_string(r.transfers) + "\n";
+    expectMatchesFixture("caller_redistribution_t3e.txt",
+                         out + statsSection(m));
+}
+
+TEST(CallerFixtures, Dec8400FftTranspose)
+{
+    machine::Machine m(machine::SystemKind::Dec8400, 4);
+    fft::Fft2dConfig cfg;
+    cfg.n = 32;
+    const fft::Fft2dResult r = fft::DistributedFft2d(m).run(cfg);
+    const std::string out = ticks("total", r.totalTicks) +
+                            ticks("compute", r.computeTicks) +
+                            ticks("comm", r.commTicks) +
+                            "remoteBytes " +
+                            std::to_string(r.remoteBytes) + "\n";
+    expectMatchesFixture("caller_fft2d_dec8400.txt",
+                         out + statsSection(m));
+}
+
+TEST(FixtureFile, MissingFixtureFailsWithRegenCommand)
+{
+    const std::string missing = std::string(GASNUB_TESTS_DATA_DIR) +
+                                "/differential/no_such_fixture.txt";
+    EXPECT_NONFATAL_FAILURE(expectMatchesFile(missing, "x\n", false),
+                            "GASNUB_REGEN_GOLDEN=1");
+    // A directory opens but cannot be read as a fixture.
+    EXPECT_NONFATAL_FAILURE(
+        expectMatchesFile(std::string(GASNUB_TESTS_DATA_DIR), "x\n",
+                          false),
+        "GASNUB_REGEN_GOLDEN=1");
 }
 
 } // namespace

@@ -41,6 +41,53 @@ expect_usage "loadgen without --queries" "$loadgen" --pack x
 expect_usage "loadgen unknown mix" "$loadgen" --pack x \
     --queries 10 --mix zipf
 
+# expect_bad_value <binary> <option> <value> [args...]: a malformed
+# numeric value exits 2 with a message naming the option and value.
+expect_bad_value() {
+    bin="$1"
+    opt="$2"
+    value="$3"
+    shift 3
+    name=$(basename "$bin")
+    "$bin" "$@" "$opt" "$value" >/dev/null 2>"$tmp/err"
+    code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "FAIL: $name $opt '$value': exit $code, expected 2"
+        fails=1
+    elif ! grep -qF "bad value '$value' for $opt" "$tmp/err"; then
+        echo "FAIL: $name $opt '$value': message does not name them"
+        fails=1
+    else
+        echo "ok: $name $opt '$value' rejected"
+    fi
+}
+
+for v in 4x 1e3 -1 "" 99999; do
+    expect_bad_value "$serve" --threads "$v" --pack x
+done
+for v in 0 1e3 -1 2k; do
+    expect_bad_value "$serve" --batch "$v" --pack x
+done
+for v in -1 1.5 10us 18446744073709551615; do
+    expect_bad_value "$serve" --slow-query-us "$v" --pack x
+done
+for v in -5 abc 10ms; do
+    expect_bad_value "$serve" --metrics-interval-ms "$v" --pack x
+done
+for v in 1e6 0 -1 12q; do
+    expect_bad_value "$loadgen" --queries "$v" --pack x
+done
+for v in 4x -2 " 3"; do
+    expect_bad_value "$loadgen" --threads "$v" --pack x --queries 10
+done
+for v in -5 0x10 18446744073709551615; do
+    expect_bad_value "$loadgen" --seed "$v" --pack x --queries 10
+done
+for v in -5 1s; do
+    expect_bad_value "$loadgen" --metrics-interval-ms "$v" --pack x \
+        --queries 10
+done
+
 # --help prints usage on stdout, exits 0, and points at the docs.
 for bin in "$pack" "$serve" "$loadgen"; do
     out=$("$bin" --help 2>"$tmp/err")

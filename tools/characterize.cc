@@ -47,6 +47,7 @@
 #include <chrono>
 #include <optional>
 
+#include "cli_util.hh"
 #include "core/characterizer.hh"
 #include "core/surface_io.hh"
 #include "core/sweep_runner.hh"
@@ -205,18 +206,6 @@ fail(const std::string &message)
     usage();
 }
 
-/** Parse a positive decimal integer option value. */
-int
-parseIntOpt(const std::string &opt, const std::string &val)
-{
-    char *end = nullptr;
-    const long v = std::strtol(val.c_str(), &end, 10);
-    if (end == val.c_str() || *end != '\0' || v < 1 || v > 1'000'000)
-        fail("bad value '" + val + "' for " + opt +
-             " (expected a positive integer)");
-    return static_cast<int>(v);
-}
-
 } // namespace
 
 int
@@ -290,9 +279,11 @@ main(int argc, char **argv)
         else if (opt == "--out")
             out = val;
         else if (opt == "--procs")
-            procs = parseIntOpt(opt, val);
+            procs = static_cast<int>(toolcli::parseIntOpt(
+                "characterize", opt, val, 1, 1'000'000));
         else if (opt == "--jobs")
-            jobs_arg = parseIntOpt(opt, val);
+            jobs_arg = static_cast<int>(toolcli::parseIntOpt(
+                "characterize", opt, val, 1, 1'000'000));
         else if (opt == "--trace-out")
             trace_out = val;
         else if (opt == "--trace-categories")

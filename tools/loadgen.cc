@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_util.hh"
 #include "core/planner.hh"
 #include "metrics_flush.hh"
 #include "serve/planner_index.hh"
@@ -251,11 +252,11 @@ main(int argc, char **argv)
         } else if (opt == "--pack")
             packs.push_back(val());
         else if (opt == "--queries")
-            queries = static_cast<std::uint64_t>(
-                std::atoll(val().c_str()));
+            queries = static_cast<std::uint64_t>(toolcli::parseIntOpt(
+                "loadgen", opt, val(), 1, 1'000'000'000'000));
         else if (opt == "--threads")
             threads = static_cast<std::size_t>(
-                std::atoll(val().c_str()));
+                toolcli::parseIntOpt("loadgen", opt, val(), 0, 4096));
         else if (opt == "--mix") {
             const std::string m = val();
             if (m == "uniform")
@@ -270,8 +271,8 @@ main(int argc, char **argv)
                 std::exit(2);
             }
         } else if (opt == "--seed")
-            seed = static_cast<std::uint64_t>(
-                std::atoll(val().c_str()));
+            seed = static_cast<std::uint64_t>(toolcli::parseIntOpt(
+                "loadgen", opt, val(), 0, INT64_MAX));
         else if (opt == "--json")
             json = true;
         else if (opt == "--profile")
@@ -279,7 +280,8 @@ main(int argc, char **argv)
         else if (opt == "--metrics-out")
             metrics_out = val();
         else if (opt == "--metrics-interval-ms")
-            metrics_interval_ms = std::atoi(val().c_str());
+            metrics_interval_ms = static_cast<int>(toolcli::parseIntOpt(
+                "loadgen", opt, val(), 0, 86'400'000));
         else if (opt == "--timeline")
             timeline = val();
         else

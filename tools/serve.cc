@@ -55,6 +55,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_util.hh"
 #include "core/planner.hh"
 #include "json_util.hh"
 #include "metrics_flush.hh"
@@ -466,17 +467,20 @@ main(int argc, char **argv)
         else if (opt == "--binary")
             binary = true;
         else if (opt == "--threads")
-            threads = std::atoi(val().c_str());
+            threads = static_cast<int>(
+                toolcli::parseIntOpt("serve", opt, val(), 0, 4096));
         else if (opt == "--batch")
             batch = static_cast<std::size_t>(
-                std::atoll(val().c_str()));
+                toolcli::parseIntOpt("serve", opt, val(), 1, 1 << 24));
         else if (opt == "--metrics-out")
             metrics_out = val();
         else if (opt == "--metrics-interval-ms")
-            metrics_interval_ms = std::atoi(val().c_str());
+            metrics_interval_ms = static_cast<int>(toolcli::parseIntOpt(
+                "serve", opt, val(), 0, 86'400'000));
         else if (opt == "--slow-query-us")
             slow_query_us = static_cast<std::uint64_t>(
-                std::atoll(val().c_str()));
+                toolcli::parseIntOpt("serve", opt, val(), 0,
+                                     86'400'000'000));
         else if (opt == "--trace-out")
             trace_out = val();
         else
