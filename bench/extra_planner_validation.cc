@@ -40,7 +40,8 @@ main(int, char **)
                               128_KiB, 512_KiB, 2_MiB, 8_MiB};
         coarse.strides = {1, 2, 4, 8, 16, 32, 64, 128};
         coarse.capBytes = 4_MiB;
-        const core::Surface s = c.localLoads(0, coarse);
+        const core::Surface s =
+            c.run(core::SweepSpec::localLoads(0), coarse);
 
         // Off-grid probes: geometric midpoints of the grid cells.
         struct Probe

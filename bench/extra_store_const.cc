@@ -20,9 +20,9 @@ main(int argc, char **argv)
           machine::SystemKind::CrayT3E}) {
         machine::Machine m(kind, 4);
         core::Characterizer c(m);
-        core::Surface s = c.localStores(
-            0, bench::surfaceGrid(bench::fullRun(argc, argv), 8_MiB,
-                                  4_MiB));
+        core::Surface s = c.run(
+            core::SweepSpec::localStores(0),
+            bench::surfaceGrid(bench::fullRun(argc, argv), 8_MiB, 4_MiB));
         s.print(std::cout);
     }
     std::printf("The T3D's coalescing write-back queue keeps strided "

@@ -67,10 +67,9 @@ main(int argc, char **argv)
     const auto method = m.nativeMethod();
     const bool stride_on_src =
         method != remote::TransferMethod::Deposit;
-    core::Surface s = c.remoteTransfer(method, stride_on_src, cfg,
-                                       0, kind ==
-                                       machine::SystemKind::CrayT3D
-                                           ? 2 : 1);
+    const NodeId dst = kind == machine::SystemKind::CrayT3D ? 2 : 1;
+    core::Surface s =
+        c.run(core::SweepSpec::remote(method, stride_on_src, 0, dst), cfg);
     std::printf("\n");
     s.print(std::cout);
 

@@ -40,12 +40,14 @@ main()
     planner.addOption(
         {"shmem_iget (strided gather)", remote::TransferMethod::Fetch,
          true,
-         c.remoteTransfer(remote::TransferMethod::Fetch, true, cfg)});
+         c.run(core::SweepSpec::remote(remote::TransferMethod::Fetch, true),
+               cfg)});
     planner.addOption(
         {"shmem_iput (strided scatter)",
          remote::TransferMethod::Deposit, false,
-         c.remoteTransfer(remote::TransferMethod::Deposit, false,
-                          cfg)});
+         c.run(core::SweepSpec::remote(remote::TransferMethod::Deposit,
+                                       false),
+               cfg)});
 
     planner.option(0).surface->print(std::cout);
     planner.option(1).surface->print(std::cout);
@@ -78,8 +80,9 @@ main()
     pcfg.workingSets = {1_MiB, 16_MiB};
     pcfg.strides = {1, 16};
     pcfg.capBytes = 12_MiB;
-    core::Surface pull = cd.remoteTransfer(
-        remote::TransferMethod::CoherentPull, true, pcfg);
+    core::Surface pull = cd.run(
+        core::SweepSpec::remote(remote::TransferMethod::CoherentPull, true),
+        pcfg);
     pull.print(std::cout);
 
     core::TransferPlanner dp;

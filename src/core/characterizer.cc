@@ -105,183 +105,124 @@ Characterizer::Characterizer(machine::Machine &m)
 {
 }
 
-Surface
-Characterizer::localLoads(NodeId node, const CharacterizeConfig &cfg)
+namespace {
+
+/** Profile zone and trace event names of one sweep kind. */
+struct KindNames
 {
-    std::vector<std::uint64_t> ws, strides;
-    resolveGrid(cfg, ws, strides);
-    Surface s(sweepName(_machine.kind(), SweepSpec::localLoads(node)),
-              ws, strides);
+    const char *zone;
+    const char *event;
+};
+
+KindNames
+kindNames(SweepSpec::Kind kind)
+{
+    switch (kind) {
+      case SweepSpec::Kind::LocalLoads:
+        return {"sweep.localLoads", "point.loads"};
+      case SweepSpec::Kind::LocalStores:
+        return {"sweep.localStores", "point.stores"};
+      case SweepSpec::Kind::LocalCopy:
+        return {"sweep.localCopy", "point.copy"};
+      case SweepSpec::Kind::Remote:
+        return {"sweep.remote", "point.remote"};
+    }
+    GASNUB_PANIC("bad SweepSpec::Kind");
+}
+
+/** Run the kernel of @p spec at one grid point on @p m. */
+kernels::KernelResult
+runKernel(machine::Machine &m, const SweepSpec &spec,
+          std::uint64_t ws_bytes, std::uint64_t stride,
+          std::uint64_t cap_bytes)
+{
+    kernels::KernelParams p;
+    p.wsBytes = ws_bytes;
+    p.stride = stride;
+    p.capBytes = cap_bytes;
+    switch (spec.kind) {
+      case SweepSpec::Kind::LocalLoads:
+        return kernels::loadSumOn(m, spec.node, p);
+      case SweepSpec::Kind::LocalStores:
+        return kernels::storeConstantOn(m, spec.node, p);
+      case SweepSpec::Kind::LocalCopy:
+        // Destination region directly after the source.
+        return kernels::copyOn(
+            m, spec.node, p, spec.variant,
+            kernels::effectiveWorkingSet(m.node(spec.node), p));
+      case SweepSpec::Kind::Remote: {
+        kernels::RemoteParams rp;
+        rp.src = spec.src;
+        rp.dst = spec.dst;
+        rp.wsBytes = ws_bytes;
+        rp.stride = stride;
+        rp.strideOnSource = spec.strideOnSource;
+        rp.method = spec.method;
+        rp.capBytes = cap_bytes;
+        rp.srcBase = 0;
+        rp.dstBase = 1ull << 33;
+        return kernels::remoteTransfer(m, rp);
+      }
+    }
+    GASNUB_PANIC("bad SweepSpec::Kind");
+}
+
+} // namespace
+
+SweepPoint
+Characterizer::measure(const SweepSpec &spec, std::uint64_t ws_bytes,
+                       std::uint64_t stride, std::uint64_t cap_bytes)
+{
+    const KindNames names = kindNames(spec.kind);
+    GASNUB_PROF_ZONE(names.zone);
+    GASNUB_PROF_ZONE("point");
     sim::TimeAccount *acct = _machine.timeAccount();
     if (acct)
-        s.enableAttribution(acct->names());
-    GASNUB_PROF_ZONE("sweep.localLoads");
-    for (std::uint64_t w : ws) {
-        for (std::uint64_t st : strides) {
-            GASNUB_PROF_ZONE("point");
-            kernels::KernelParams p;
-            p.wsBytes = w;
-            p.stride = st;
-            p.capBytes = cfg.capBytes;
-            if (acct)
-                acct->arm();
-            const kernels::KernelResult r =
-                kernels::loadSumOn(_machine, node, p);
-            countPoint(r.accesses);
-            s.set(w, st, r.mbs);
-            if (acct) {
-                const auto pa = acct->finishPoint(r.elapsed);
-                s.setAttribution(w, st, pa.elapsed, pa.attributed);
-            }
-            // Each grid point runs with simulated time reset to 0, so
-            // point events all start at t=0 (see docs/observability.md).
-            GASNUB_TRACE(trace::Category::Sim, _traceTrack,
-                         "point.loads", Tick(0), r.elapsed, "ws", w,
-                         "stride", st);
-        }
-    }
-    return s;
+        acct->arm();
+    SweepPoint pt;
+    pt.result = runKernel(_machine, spec, ws_bytes, stride, cap_bytes);
+    ++_points;
+    _accesses += pt.result.accesses;
+    if (acct)
+        pt.attribution = acct->finishPoint(pt.result.elapsed);
+    // Each grid point runs with simulated time reset to 0, so point
+    // events all start at t=0 (see docs/observability.md).
+    GASNUB_TRACE(trace::Category::Sim, _traceTrack, names.event, Tick(0),
+                 pt.result.elapsed, "ws", ws_bytes, "stride", stride);
+    return pt;
 }
 
 Surface
-Characterizer::localStores(NodeId node, const CharacterizeConfig &cfg)
+Characterizer::surface(const SweepSpec &spec,
+                       const std::vector<std::uint64_t> &ws,
+                       const std::vector<std::uint64_t> &strides)
 {
-    std::vector<std::uint64_t> ws, strides;
-    resolveGrid(cfg, ws, strides);
-    Surface s(sweepName(_machine.kind(), SweepSpec::localStores(node)),
-              ws, strides);
-    sim::TimeAccount *acct = _machine.timeAccount();
-    if (acct)
+    Surface s(sweepName(_machine.kind(), spec), ws, strides);
+    if (const sim::TimeAccount *acct = _machine.timeAccount())
         s.enableAttribution(acct->names());
-    GASNUB_PROF_ZONE("sweep.localStores");
-    for (std::uint64_t w : ws) {
-        for (std::uint64_t st : strides) {
-            GASNUB_PROF_ZONE("point");
-            kernels::KernelParams p;
-            p.wsBytes = w;
-            p.stride = st;
-            p.capBytes = cfg.capBytes;
-            if (acct)
-                acct->arm();
-            const kernels::KernelResult r =
-                kernels::storeConstantOn(_machine, node, p);
-            countPoint(r.accesses);
-            s.set(w, st, r.mbs);
-            if (acct) {
-                const auto pa = acct->finishPoint(r.elapsed);
-                s.setAttribution(w, st, pa.elapsed, pa.attributed);
-            }
-            GASNUB_TRACE(trace::Category::Sim, _traceTrack,
-                         "point.stores", Tick(0), r.elapsed, "ws", w,
-                         "stride", st);
-        }
-    }
-    return s;
-}
-
-Surface
-Characterizer::localCopy(NodeId node, kernels::CopyVariant variant,
-                         const CharacterizeConfig &cfg)
-{
-    std::vector<std::uint64_t> ws, strides;
-    resolveGrid(cfg, ws, strides);
-    Surface s(sweepName(_machine.kind(),
-                        SweepSpec::localCopy(variant, node)),
-              ws, strides);
-    sim::TimeAccount *acct = _machine.timeAccount();
-    if (acct)
-        s.enableAttribution(acct->names());
-    GASNUB_PROF_ZONE("sweep.localCopy");
-    for (std::uint64_t w : ws) {
-        for (std::uint64_t st : strides) {
-            GASNUB_PROF_ZONE("point");
-            kernels::KernelParams p;
-            p.wsBytes = w;
-            p.stride = st;
-            p.capBytes = cfg.capBytes;
-            // Destination region directly after the source.
-            const std::uint64_t eff =
-                kernels::effectiveWorkingSet(_machine.node(node), p);
-            if (acct)
-                acct->arm();
-            const kernels::KernelResult r =
-                kernels::copyOn(_machine, node, p, variant, eff);
-            countPoint(r.accesses);
-            s.set(w, st, r.mbs);
-            if (acct) {
-                const auto pa = acct->finishPoint(r.elapsed);
-                s.setAttribution(w, st, pa.elapsed, pa.attributed);
-            }
-            GASNUB_TRACE(trace::Category::Sim, _traceTrack,
-                         "point.copy", Tick(0), r.elapsed, "ws", w,
-                         "stride", st);
-        }
-    }
-    return s;
-}
-
-Surface
-Characterizer::remoteTransfer(remote::TransferMethod method,
-                              bool stride_on_source,
-                              const CharacterizeConfig &cfg,
-                              NodeId src, NodeId dst)
-{
-    std::vector<std::uint64_t> ws, strides;
-    resolveGrid(cfg, ws, strides);
-    Surface s(sweepName(_machine.kind(),
-                        SweepSpec::remote(method, stride_on_source,
-                                          src, dst)),
-              ws, strides);
-    sim::TimeAccount *acct = _machine.timeAccount();
-    if (acct)
-        s.enableAttribution(acct->names());
-    GASNUB_PROF_ZONE("sweep.remote");
-    for (std::uint64_t w : ws) {
-        for (std::uint64_t st : strides) {
-            GASNUB_PROF_ZONE("point");
-            kernels::RemoteParams p;
-            p.src = src;
-            p.dst = dst;
-            p.wsBytes = w;
-            p.stride = st;
-            p.strideOnSource = stride_on_source;
-            p.method = method;
-            p.capBytes = cfg.capBytes;
-            p.srcBase = 0;
-            p.dstBase = 1ull << 33;
-            if (acct)
-                acct->arm();
-            const kernels::KernelResult r =
-                kernels::remoteTransfer(_machine, p);
-            countPoint(r.accesses);
-            s.set(w, st, r.mbs);
-            if (acct) {
-                const auto pa = acct->finishPoint(r.elapsed);
-                s.setAttribution(w, st, pa.elapsed, pa.attributed);
-            }
-            GASNUB_TRACE(trace::Category::Sim, _traceTrack,
-                         "point.remote", Tick(0), r.elapsed, "ws", w,
-                         "stride", st);
-        }
-    }
     return s;
 }
 
 Surface
 Characterizer::run(const SweepSpec &spec, const CharacterizeConfig &cfg)
 {
-    switch (spec.kind) {
-      case SweepSpec::Kind::LocalLoads:
-        return localLoads(spec.node, cfg);
-      case SweepSpec::Kind::LocalStores:
-        return localStores(spec.node, cfg);
-      case SweepSpec::Kind::LocalCopy:
-        return localCopy(spec.node, spec.variant, cfg);
-      case SweepSpec::Kind::Remote:
-        return remoteTransfer(spec.method, spec.strideOnSource, cfg,
-                              spec.src, spec.dst);
-    }
-    GASNUB_PANIC("bad SweepSpec::Kind");
+    std::vector<std::uint64_t> ws, strides;
+    resolveGrid(cfg, ws, strides);
+    Surface s = surface(spec, ws, strides);
+    for (std::uint64_t w : ws)
+        for (std::uint64_t st : strides)
+            setPoint(s, w, st, measure(spec, w, st, cfg.capBytes));
+    return s;
+}
+
+void
+setPoint(Surface &s, std::uint64_t ws_bytes, std::uint64_t stride,
+         const SweepPoint &p)
+{
+    s.set(ws_bytes, stride, p.result.mbs);
+    if (s.hasAttribution())
+        s.setAttribution(ws_bytes, stride, p.attribution.elapsed,
+                         p.attribution.attributed);
 }
 
 } // namespace gasnub::core

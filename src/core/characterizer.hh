@@ -18,6 +18,7 @@
 #include "kernels/remote_kernels.hh"
 #include "machine/machine.hh"
 #include "remote/remote_ops.hh"
+#include "sim/time_account.hh"
 #include "sim/trace.hh"
 
 namespace gasnub::core {
@@ -92,7 +93,21 @@ std::string sweepName(machine::SystemKind kind, const SweepSpec &spec);
 inline constexpr const char *characterizerTrackName = "characterizer";
 
 /**
- * Benchmark driver producing surfaces for one machine.
+ * One measured grid point: the kernel result plus, when the machine
+ * keeps an attribution ledger, the point's per-resource attribution
+ * (empty otherwise).
+ */
+struct SweepPoint
+{
+    kernels::KernelResult result;
+    sim::TimeAccount::PointAttribution attribution;
+};
+
+/**
+ * Benchmark driver producing surfaces for one machine: Load-Sum
+ * (Figures 1, 3, 6), Store-Constant, Load/Store Copy (Figures 9-11)
+ * and the remote transfers (Figures 2, 4, 5, 7, 8 and the 65 MB slices
+ * of Figures 12-14).
  */
 class Characterizer
 {
@@ -100,39 +115,26 @@ class Characterizer
     /** @param m Machine under test (not owned). */
     explicit Characterizer(machine::Machine &m);
 
-    /**
-     * Local load bandwidth surface (Figures 1, 3, 6): the Load-Sum
-     * kernel on @p node with all other processors idle.
-     */
-    Surface localLoads(NodeId node, const CharacterizeConfig &cfg);
-
-    /** Local store bandwidth (the Store-Constant dual benchmark). */
-    Surface localStores(NodeId node, const CharacterizeConfig &cfg);
-
-    /**
-     * Local copy bandwidth (Figures 9-11): strided loads + contiguous
-     * stores or the dual, at one large working set per row.
-     */
-    Surface localCopy(NodeId node, kernels::CopyVariant variant,
-                      const CharacterizeConfig &cfg);
-
-    /**
-     * Remote transfer bandwidth surface (Figures 2, 4, 5, 7, 8, and
-     * the 65 MB slices of Figures 12-14).
-     *
-     * @param method          Transfer method (must be supported).
-     * @param stride_on_source true = strided remote loads / gather;
-     *                        false = strided remote stores / scatter.
-     * @param cfg             Grid parameters.
-     * @param src,dst         Producer and consumer nodes.
-     */
-    Surface remoteTransfer(remote::TransferMethod method,
-                           bool stride_on_source,
-                           const CharacterizeConfig &cfg,
-                           NodeId src = 1, NodeId dst = 0);
-
-    /** Run the sweep described by @p spec (dispatches to the above). */
+    /** Run the sweep described by @p spec over the grid of @p cfg. */
     Surface run(const SweepSpec &spec, const CharacterizeConfig &cfg);
+
+    /**
+     * Measure one grid point of @p spec: the only per-point
+     * measurement, shared by run() and SweepRunner's workers.  Runs
+     * the kernel under the `sweep.<kind>` / `point` profile zones,
+     * arms and finishes the attribution ledger, records the point's
+     * trace event and counts the point.
+     */
+    SweepPoint measure(const SweepSpec &spec, std::uint64_t ws_bytes,
+                       std::uint64_t stride, std::uint64_t cap_bytes);
+
+    /**
+     * The empty surface of @p spec over the given axes, with
+     * attribution enabled when the machine keeps a ledger.
+     */
+    Surface surface(const SweepSpec &spec,
+                    const std::vector<std::uint64_t> &ws,
+                    const std::vector<std::uint64_t> &strides);
 
     machine::Machine &machine() { return _machine; }
 
@@ -147,19 +149,15 @@ class Characterizer
     std::uint64_t accesses() const { return _accesses; }
 
   private:
-    /** Account one finished grid point to the throughput counters. */
-    void
-    countPoint(std::uint64_t accesses)
-    {
-        ++_points;
-        _accesses += accesses;
-    }
-
     machine::Machine &_machine;
     trace::TrackId _traceTrack;
     std::uint64_t _points = 0;
     std::uint64_t _accesses = 0;
 };
+
+/** Store measured point @p p at (@p ws_bytes, @p stride) of @p s. */
+void setPoint(Surface &s, std::uint64_t ws_bytes, std::uint64_t stride,
+              const SweepPoint &p);
 
 } // namespace gasnub::core
 

@@ -1,6 +1,5 @@
 #include "core/sweep_runner.hh"
 
-#include "core/sweep_memo.hh"
 #include "sim/logging.hh"
 #include "sim/profiler.hh"
 
@@ -15,8 +14,7 @@ struct SweepRunner::Worker
 };
 
 SweepRunner::SweepRunner(machine::SystemConfig cfg, int jobs)
-    : _config(std::move(cfg)),
-      _cfgHash(machine::systemConfigFingerprint(_config)), _pool(jobs)
+    : _config(std::move(cfg)), _pool(jobs)
 {
     // A serial run interns the characterizer's trace track at
     // Characterizer construction — before any lazily-created component
@@ -47,37 +45,13 @@ SweepRunner::run(const SweepSpec &spec, const CharacterizeConfig &cfg)
 
     struct PointResult
     {
-        double mbs = 0;
-        Tick elapsed = 0;
+        SweepPoint point;
         int worker = -1;
-        std::vector<Tick> attr;
         std::vector<trace::Event> events;
     };
     std::vector<PointResult> results(ws.size() * cols);
 
-    // Incremental sweeps: serve memoized points up front and simulate
-    // only the dirty remainder.  Tracing bypasses the memo — a hit
-    // re-simulates nothing, so it has no events to replay.
-    SweepMemo *const memo = mask == 0 ? _memo : nullptr;
-    std::vector<std::size_t> dirty;
-    dirty.reserve(results.size());
-    for (std::size_t j = 0; j < results.size(); ++j) {
-        if (memo) {
-            const SweepMemo::Entry *e =
-                memo->find(_cfgHash, spec, ws[j / cols],
-                           strides[j % cols], cfg.capBytes);
-            if (e) {
-                results[j].mbs = e->mbs;
-                results[j].elapsed = e->elapsed;
-                results[j].attr = e->attr;
-                continue;
-            }
-        }
-        dirty.push_back(j);
-    }
-
-    _pool.parallelFor(dirty.size(), [&](int w, std::size_t d) {
-        const std::size_t j = dirty[d];
+    _pool.parallelFor(results.size(), [&](int w, std::size_t j) {
         Worker &ctx = *_workers[w];
         GASNUB_PROF_ZONE("sweep.worker");
         // Route Tracer::instance() (machine construction registers
@@ -90,69 +64,26 @@ SweepRunner::run(const SweepSpec &spec, const CharacterizeConfig &cfg)
             ctx.chr = std::make_unique<Characterizer>(*ctx.machine);
         }
         ctx.tracer.clear();
-
-        const std::uint64_t wsBytes = ws[j / cols];
-        const std::uint64_t stride = strides[j % cols];
-        CharacterizeConfig point;
-        point.workingSets = {wsBytes};
-        point.strides = {stride};
-        point.maxWorkingSet = cfg.maxWorkingSet;
-        point.capBytes = cfg.capBytes;
-
-        const Surface one = ctx.chr->run(spec, point);
         PointResult &res = results[j];
-        res.mbs = one.at(wsBytes, stride);
+        res.point = ctx.chr->measure(spec, ws[j / cols],
+                                     strides[j % cols], cfg.capBytes);
         res.worker = w;
-        if (one.hasAttribution()) {
-            res.elapsed = one.elapsedAt(wsBytes, stride);
-            res.attr = one.attributionAt(wsBytes, stride);
-        }
         if (mask != 0)
             res.events = ctx.tracer.events();
     });
-
-    if (memo) {
-        for (const std::size_t j : dirty) {
-            SweepMemo::Entry e;
-            e.mbs = results[j].mbs;
-            e.elapsed = results[j].elapsed;
-            e.attr = results[j].attr;
-            memo->insert(_cfgHash, spec, ws[j / cols],
-                         strides[j % cols], cfg.capBytes,
-                         std::move(e));
-        }
-        if (_config.attribution && !dirty.empty() &&
-            memo->attrNames().empty())
-            memo->setAttrNames(_workers[results[dirty.front()].worker]
-                                   ->machine->timeAccount()
-                                   ->names());
-    }
 
     GASNUB_PROF_ZONE("sweep.merge");
     // Deterministic merge: fill the surface and replay trace events in
     // grid order, exactly the order a serial sweep produces them.
     // Track ids are worker-local, so remap by name; record() re-applies
-    // the global capacity bound.
-    Surface s(sweepName(_config.kind, spec), ws, strides);
-    if (_config.attribution) {
-        if (!dirty.empty()) {
-            // Every replica registers the identical resource list (see
-            // Machine's attribution block), so any worker's names
-            // apply.
-            s.enableAttribution(_workers[results[dirty.front()].worker]
-                                    ->machine->timeAccount()
-                                    ->names());
-        } else {
-            // Fully memoized sweep: no replica was ever built.
-            s.enableAttribution(memo->attrNames());
-        }
-    }
+    // the global capacity bound.  Every replica registers the identical
+    // attribution resource list (see Machine's attribution block), so
+    // any worker's characterizer shapes the surface.
+    Surface s = _workers[results.front().worker]->chr->surface(
+        spec, ws, strides);
     for (std::size_t j = 0; j < results.size(); ++j) {
         const PointResult &res = results[j];
-        s.set(ws[j / cols], strides[j % cols], res.mbs);
-        if (_config.attribution)
-            s.setAttribution(ws[j / cols], strides[j % cols],
-                             res.elapsed, res.attr);
+        setPoint(s, ws[j / cols], strides[j % cols], res.point);
         if (res.events.empty())
             continue;
         const trace::Tracer &wt = _workers[res.worker]->tracer;
@@ -163,35 +94,6 @@ SweepRunner::run(const SweepSpec &spec, const CharacterizeConfig &cfg)
         }
     }
     return s;
-}
-
-Surface
-SweepRunner::localLoads(NodeId node, const CharacterizeConfig &cfg)
-{
-    return run(SweepSpec::localLoads(node), cfg);
-}
-
-Surface
-SweepRunner::localStores(NodeId node, const CharacterizeConfig &cfg)
-{
-    return run(SweepSpec::localStores(node), cfg);
-}
-
-Surface
-SweepRunner::localCopy(NodeId node, kernels::CopyVariant variant,
-                       const CharacterizeConfig &cfg)
-{
-    return run(SweepSpec::localCopy(variant, node), cfg);
-}
-
-Surface
-SweepRunner::remoteTransfer(remote::TransferMethod method,
-                            bool stride_on_source,
-                            const CharacterizeConfig &cfg, NodeId src,
-                            NodeId dst)
-{
-    return run(SweepSpec::remote(method, stride_on_source, src, dst),
-               cfg);
 }
 
 void

@@ -28,8 +28,6 @@
 
 namespace gasnub::core {
 
-class SweepMemo;
-
 /**
  * Runs characterization sweeps with one simulator replica per worker
  * thread.
@@ -64,16 +62,6 @@ class SweepRunner
      */
     Surface run(const SweepSpec &spec, const CharacterizeConfig &cfg);
 
-    /** Convenience wrappers mirroring Characterizer. */
-    Surface localLoads(NodeId node, const CharacterizeConfig &cfg);
-    Surface localStores(NodeId node, const CharacterizeConfig &cfg);
-    Surface localCopy(NodeId node, kernels::CopyVariant variant,
-                      const CharacterizeConfig &cfg);
-    Surface remoteTransfer(remote::TransferMethod method,
-                           bool stride_on_source,
-                           const CharacterizeConfig &cfg,
-                           NodeId src = 1, NodeId dst = 0);
-
     /**
      * Fold every worker machine's stats into @p target (normally the
      * main machine's statsGroup()).  Call exactly once, after the last
@@ -95,32 +83,13 @@ class SweepRunner
     /** The pool, for per-worker utilization telemetry (--profile). */
     const sim::ThreadPool &pool() const { return _pool; }
 
-    /**
-     * Attach (or detach, with null) an incremental-sweep memo.  With a
-     * memo attached, run() serves previously simulated grid points
-     * from it and only simulates the dirty remainder; fresh points are
-     * inserted after the parallel section.  The memo is keyed on this
-     * runner's config fingerprint, so one memo may serve runners with
-     * different configs without cross-talk.  Sweeps executed with a
-     * non-zero trace mask bypass the memo (hits replay no events).
-     * Memo hits advance neither worker stats nor points()/accesses().
-     * The memo must outlive its use here; ownership stays with the
-     * caller.
-     */
-    void setMemo(SweepMemo *memo) { _memo = memo; }
-
-    /** The fingerprint memo entries of this runner are keyed on. */
-    std::uint64_t configFingerprint() const { return _cfgHash; }
-
   private:
     /** One worker's private simulator state (lazily built). */
     struct Worker;
 
     machine::SystemConfig _config;
-    std::uint64_t _cfgHash;
     std::vector<std::unique_ptr<Worker>> _workers;
     sim::ThreadPool _pool;
-    SweepMemo *_memo = nullptr;
 };
 
 } // namespace gasnub::core

@@ -1,7 +1,9 @@
 #include "kernels/kernels.hh"
 
 #include <algorithm>
+#include <vector>
 
+#include "kernels/remote_kernels.hh"
 #include "mem/access.hh"
 #include "sim/logging.hh"
 #include "sim/units.hh"
@@ -49,14 +51,18 @@ effectiveWorkingSet(const mem::MemoryHierarchy &mem,
 namespace {
 
 /**
- * Warm the caches with the sweep via the functional tag walk: leaves
- * exactly the state a timed priming pass + resetTiming() would (see
- * MemoryHierarchy::primeBatch) at a fraction of the cost.
+ * Warm @p mem with the cacheable working sets of primed kernels, via
+ * the functional tag walk: it leaves exactly the state a timed priming
+ * pass + resetTiming() would (see MemoryHierarchy::primeBatch) at a
+ * fraction of the cost.  On the 8400 the prime hook replays the bus
+ * directory updates, so machine-level coherence state is warmed too.
  */
 void
-primeFunctional(mem::MemoryHierarchy &mem,
-                const mem::StridedSweep &sweep)
+primeCacheable(mem::MemoryHierarchy &mem, const KernelParams &p,
+               std::uint64_t ws, const mem::StridedSweep &sweep)
 {
+    if (!p.prime || ws > 2 * totalCacheBytes(mem.config()))
+        return;
     mem::StridedSweep::Cursor cur(sweep);
     Addr buf[mem::AccessBatch::kCapacity];
     while (const std::size_t n =
@@ -65,24 +71,25 @@ primeFunctional(mem::MemoryHierarchy &mem,
 }
 
 /**
- * Shared driver: reset, prime cacheable working sets, then emit the
- * sweep's addresses in cursor blocks of @p block_words and hand each
- * to @p block (buf, count, base_index).
+ * Shared driver of every local kernel: reset @p scope, prime cacheable
+ * working sets, then emit the sweep's addresses into @p mem in cursor
+ * blocks of @p block_words and hand each to @p block (buf, count,
+ * base_index).  @p scope is the node's own hierarchy for the node
+ * entries, or the whole machine for the machine entries, so shared
+ * resources (the 8400 bus and memory) start in a defined state.
  */
-template <typename Block>
+template <typename Scope, typename Block>
 KernelResult
-runSweep(mem::MemoryHierarchy &mem, const KernelParams &p,
+runSweep(Scope &scope, mem::MemoryHierarchy &mem, const KernelParams &p,
          std::size_t block_words, Block &&block)
 {
     const std::uint64_t ws = effectiveWorkingSet(mem, p);
     const std::uint64_t words = ws / wordBytes;
     const mem::StridedSweep sweep(p.base, words, p.stride);
 
-    mem.resetAll();
-    const std::uint64_t caches = totalCacheBytes(mem.config());
-    if (p.prime && ws <= 2 * caches)
-        primeFunctional(mem, sweep);
-    mem.resetTiming();
+    scope.resetAll();
+    primeCacheable(mem, p, ws, sweep);
+    scope.resetTiming();
 
     mem::StridedSweep::Cursor cur(sweep);
     Addr buf[mem::AccessBatch::kCapacity];
@@ -101,33 +108,33 @@ runSweep(mem::MemoryHierarchy &mem, const KernelParams &p,
     return res;
 }
 
-} // namespace
-
+template <typename Scope>
 KernelResult
-loadSum(mem::MemoryHierarchy &mem, const KernelParams &p)
+loadSumIn(Scope &scope, mem::MemoryHierarchy &mem, const KernelParams &p)
 {
     return runSweep(
-        mem, p, mem::AccessBatch::kCapacity,
+        scope, mem, p, mem::AccessBatch::kCapacity,
         [&mem](const Addr *buf, std::size_t n, std::uint64_t) {
             mem.readBatch(buf, n);
         });
 }
 
+template <typename Scope>
 KernelResult
-storeConstant(mem::MemoryHierarchy &mem, const KernelParams &p)
+storeConstantIn(Scope &scope, mem::MemoryHierarchy &mem,
+                const KernelParams &p)
 {
-    // Stores do not benefit from a read-primed cache; prime anyway for
-    // symmetry (the paper's stores confirmed write-back behaviour).
     return runSweep(
-        mem, p, mem::AccessBatch::kCapacity,
+        scope, mem, p, mem::AccessBatch::kCapacity,
         [&mem](const Addr *buf, std::size_t n, std::uint64_t) {
             mem.writeBatch(buf, n);
         });
 }
 
+template <typename Scope>
 KernelResult
-copy(mem::MemoryHierarchy &mem, const KernelParams &p,
-     CopyVariant variant, Addr dst_base)
+copyIn(Scope &scope, mem::MemoryHierarchy &mem, const KernelParams &p,
+       CopyVariant variant, Addr dst_base)
 {
     const std::uint64_t ws = effectiveWorkingSet(mem, p);
     GASNUB_ASSERT(dst_base >= p.base + ws || p.base >= dst_base + ws,
@@ -147,7 +154,7 @@ copy(mem::MemoryHierarchy &mem, const KernelParams &p,
     KernelResult res;
     if (variant == CopyVariant::StridedLoads) {
         // i-th strided load pairs with the i-th contiguous store.
-        res = runSweep(mem, q, kPairWords,
+        res = runSweep(scope, mem, q, kPairWords,
                        [&mem, dst_base](const Addr *buf, std::size_t n,
                                         std::uint64_t base) {
                            mem::AccessBatch ab;
@@ -166,7 +173,7 @@ copy(mem::MemoryHierarchy &mem, const KernelParams &p,
         mem::StridedSweep::Cursor st(store_sweep);
         KernelParams lin = q;
         lin.stride = 1;
-        res = runSweep(mem, lin, kPairWords,
+        res = runSweep(scope, mem, lin, kPairWords,
                        [&mem, &st](const Addr *buf, std::size_t n,
                                    std::uint64_t) {
                            Addr sbuf[kPairWords];
@@ -182,6 +189,101 @@ copy(mem::MemoryHierarchy &mem, const KernelParams &p,
                        });
     }
     res.accesses *= 2; // a load and a store per element
+    return res;
+}
+
+/** Disjoint per-node region base for the loaded-machine kernel. */
+Addr
+nodeRegion(NodeId node)
+{
+    // Skewed so concurrent processors do not march over the shared
+    // DRAM banks in lockstep (physical pages are not phase-aligned).
+    return (static_cast<Addr>(node) << 34) +
+           static_cast<Addr>(node) * 320;
+}
+
+} // namespace
+
+KernelResult
+loadSum(mem::MemoryHierarchy &mem, const KernelParams &p)
+{
+    return loadSumIn(mem, mem, p);
+}
+
+KernelResult
+loadSumOn(machine::Machine &m, NodeId node, const KernelParams &p)
+{
+    return loadSumIn(m, m.node(node), p);
+}
+
+/*
+ * Store priming rule: Store-Constant surfaces are measured unprimed.
+ * The machine entry — the one behind the characterizer's store
+ * surfaces — ignores KernelParams::prime, while the node entry primes
+ * cacheable working sets like every other kernel.  Priming does help
+ * stores (T3E, 2 KiB, stride 1: 1000 MB/s primed, 438 MB/s cold), so
+ * the entries differ on purpose (see EXPERIMENTS.md).
+ */
+
+KernelResult
+storeConstant(mem::MemoryHierarchy &mem, const KernelParams &p)
+{
+    return storeConstantIn(mem, mem, p);
+}
+
+KernelResult
+storeConstantOn(machine::Machine &m, NodeId node, const KernelParams &p)
+{
+    KernelParams cold = p;
+    cold.prime = false;
+    return storeConstantIn(m, m.node(node), cold);
+}
+
+KernelResult
+copy(mem::MemoryHierarchy &mem, const KernelParams &p,
+     CopyVariant variant, Addr dst_base)
+{
+    return copyIn(mem, mem, p, variant, dst_base);
+}
+
+KernelResult
+copyOn(machine::Machine &m, NodeId node, const KernelParams &p,
+       CopyVariant variant, Addr dst_base)
+{
+    return copyIn(m, m.node(node), p, variant, dst_base);
+}
+
+KernelResult
+loadSumLoaded(machine::Machine &m, const KernelParams &p)
+{
+    m.resetAll();
+    const int n = m.numNodes();
+    const std::uint64_t ws = effectiveWorkingSet(m.node(0), p);
+    const std::uint64_t words = ws / wordBytes;
+
+    std::vector<mem::StridedSweep> sweeps;
+    for (NodeId id = 0; id < n; ++id)
+        sweeps.emplace_back(nodeRegion(id) + p.base, words, p.stride);
+
+    // Prime cacheable working sets, as the idle measurement does.
+    for (NodeId id = 0; id < n; ++id)
+        primeCacheable(m.node(id), p, ws, sweeps[id]);
+    m.resetTiming();
+    // Round-robin across processors so shared resources see requests
+    // in roughly global time order.
+    for (std::uint64_t i = 0; i < words; ++i)
+        for (NodeId id = 0; id < n; ++id)
+            m.node(id).read(sweeps[id][i]);
+
+    Tick slowest = 0;
+    for (NodeId id = 0; id < n; ++id)
+        slowest = std::max(slowest, m.node(id).drain());
+
+    KernelResult res;
+    res.accesses = words * n;
+    res.bytes = ws; // per processor
+    res.elapsed = slowest;
+    res.mbs = bandwidthMBs(ws, std::max<Tick>(slowest, 1));
     return res;
 }
 

@@ -13,6 +13,12 @@
  * starts "with a primed cache for exactly that working set" when the
  * working set can be cached.  Bandwidth is useful bytes over simulated
  * time, in MByte/s.
+ *
+ * Every kernel has one body (kernels.cc) behind two entries: the node
+ * entries declared here, which reset only the given hierarchy, and the
+ * machine entries in remote_kernels.hh, which reset the whole machine.
+ * The entries differ only in that reset scope — and in one stated
+ * rule: machine Store-Constant runs unprimed.
  */
 
 #ifndef GASNUB_KERNELS_KERNELS_HH

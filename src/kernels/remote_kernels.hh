@@ -2,9 +2,11 @@
  * @file
  * Machine-level micro-benchmarks: the strided remote transfer
  * sweeps behind Figures 2, 4, 5, 7, 8 (working-set surfaces) and
- * 12-14 (65 MB copy-transfer slices), plus machine-wide variants of
- * the local kernels (shared-resource-aware resets, loaded-machine
- * runs).
+ * 12-14 (65 MB copy-transfer slices), plus machine entries of the
+ * local kernels and the loaded-machine Load-Sum.  A machine entry
+ * runs the same body (kernels.cc) as its node entry in kernels.hh;
+ * the two differ only in reset scope — the whole machine here, so
+ * shared resources start each run in a defined state.
  *
  * Protocol, following the paper: the producer node writes the working
  * set ("to ensure race-free behavior, reading takes place after the
@@ -51,9 +53,11 @@ KernelResult remoteTransfer(machine::Machine &m,
                             const RemoteParams &p);
 
 /**
- * Machine-level local kernels: like the single-hierarchy versions but
- * with machine-wide reset, so shared resources (the 8400 bus and
- * memory) are in a defined state.  Other nodes stay idle.
+ * Machine entries of the local kernels: the node entries' bodies run
+ * on @p node with a machine-wide reset, so shared resources (the 8400
+ * bus and memory) are in a defined state.  Other nodes stay idle.
+ * storeConstantOn ignores KernelParams::prime: Store-Constant surfaces
+ * are measured unprimed.
  */
 KernelResult loadSumOn(machine::Machine &m, NodeId node,
                        const KernelParams &p);

@@ -1,7 +1,5 @@
 #include "machine/configs.hh"
 
-#include <bit>
-
 #include "machine/machine.hh"
 #include "sim/logging.hh"
 #include "sim/units.hh"
@@ -233,119 +231,6 @@ std::unique_ptr<Machine>
 makeMachine(const SystemConfig &cfg)
 {
     return std::make_unique<Machine>(cfg);
-}
-
-namespace {
-
-/** Incremental FNV-1a over typed, length-prefixed fields. */
-class Fnv
-{
-  public:
-    void bytes(const void *p, std::size_t n)
-    {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            _h ^= b[i];
-            _h *= 0x100000001b3ULL;
-        }
-    }
-    void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-    void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-    void str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-    std::uint64_t value() const { return _h; }
-
-  private:
-    std::uint64_t _h = 0xcbf29ce484222325ULL;
-};
-
-void
-hashHierarchy(Fnv &f, const mem::HierarchyConfig &h)
-{
-    f.str(h.name);
-    f.str(h.cpu.name);
-    f.f64(h.cpu.clockMhz);
-    f.f64(h.cpu.loadIssueCycles);
-    f.f64(h.cpu.storeIssueCycles);
-    f.u64(h.cpu.readWindow);
-    f.u64(h.cpu.writeWindow);
-    f.u64(h.levels.size());
-    for (const mem::LevelConfig &l : h.levels) {
-        f.str(l.cache.name);
-        f.u64(l.cache.sizeBytes);
-        f.u64(l.cache.lineBytes);
-        f.u64(l.cache.assoc);
-        f.u64(static_cast<std::uint64_t>(l.cache.writePolicy));
-        f.u64(static_cast<std::uint64_t>(l.cache.allocPolicy));
-        f.f64(l.timing.hitNs);
-        f.f64(l.timing.hitOccupancyNs);
-        f.f64(l.timing.fillOccupancyNs);
-    }
-    f.str(h.dram.name);
-    f.u64(h.dram.banks);
-    f.u64(h.dram.interleaveBytes);
-    f.u64(h.dram.rowBytes);
-    f.f64(h.dram.rowHitNs);
-    f.f64(h.dram.rowMissNs);
-    f.f64(h.dram.bankBusyNs);
-    f.f64(h.dram.writeBusyNs);
-    f.f64(h.dram.busMBs);
-    f.u64(h.dram.splitTransactionChannel ? 1 : 0);
-    f.f64(h.dramFrontNs);
-    f.f64(h.dramBackNs);
-    f.u64(h.windowFromLevel);
-    f.str(h.stream.name);
-    f.u64(h.stream.enabled ? 1 : 0);
-    f.u64(h.stream.streams);
-    f.u64(h.stream.threshold);
-    f.u64(h.stream.filterEntries);
-    f.f64(h.streamLineNs);
-    f.u64(h.streamDepth);
-    f.u64(h.blockingOffchipReads ? 1 : 0);
-    f.u64(h.wbq ? 1 : 0);
-    if (h.wbq) {
-        f.str(h.wbq->name);
-        f.u64(h.wbq->depth);
-        f.u64(h.wbq->chunkBytes);
-    }
-}
-
-} // namespace
-
-std::uint64_t
-systemConfigFingerprint(const SystemConfig &cfg)
-{
-    Fnv f;
-    f.u64(static_cast<std::uint64_t>(cfg.kind));
-    f.u64(static_cast<std::uint64_t>(cfg.numNodes));
-    f.u64(cfg.node ? 1 : 0);
-    if (cfg.node)
-        hashHierarchy(f, *cfg.node);
-    f.u64(cfg.faults.seed());
-    f.u64(cfg.faults.specs().size());
-    for (const sim::FaultSpec &s : cfg.faults.specs()) {
-        f.u64(static_cast<std::uint64_t>(s.kind));
-        f.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(s.node)));
-        f.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(s.router)));
-        f.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(s.dir)));
-        f.u64(static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(s.bank)));
-        f.f64(s.factor);
-        f.f64(s.prob);
-        f.f64(s.extraNs);
-        f.f64(s.periodNs);
-        f.f64(s.windowNs);
-        f.f64(s.startNs);
-        f.f64(s.untilNs);
-    }
-    f.u64(cfg.attribution ? 1 : 0);
-    return f.value();
 }
 
 } // namespace gasnub::machine

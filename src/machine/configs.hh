@@ -109,18 +109,6 @@ struct SystemConfig
  */
 std::unique_ptr<Machine> makeMachine(const SystemConfig &cfg);
 
-/**
- * Order-sensitive FNV-1a digest of every field that influences a
- * Machine built from @p cfg: kind, node count, the full node memory
- * system (geometry, timing, stream/WBQ parameters), the fault plan
- * (seed and every spec field), and the attribution switch.  Two
- * configs with equal fingerprints build behaviourally identical
- * machines, so the incremental-sweep memo keys on this value.
- * Doubles are hashed by bit pattern — any calibration nudge, however
- * small, changes the fingerprint.
- */
-std::uint64_t systemConfigFingerprint(const SystemConfig &cfg);
-
 } // namespace gasnub::machine
 
 #endif // GASNUB_MACHINE_CONFIGS_HH

@@ -67,7 +67,8 @@ TEST_P(AllMachinesAttr, SharesSumExactlyToElapsed)
     machine::Machine m(cfgFor(GetParam(), true));
     ASSERT_NE(m.timeAccount(), nullptr);
     core::Characterizer c(m);
-    const core::Surface s = c.localLoads(0, smallGrid());
+    const core::Surface s =
+        c.run(core::SweepSpec::localLoads(0), smallGrid());
     ASSERT_TRUE(s.hasAttribution());
     for (std::uint64_t w : s.workingSets()) {
         for (std::uint64_t st : s.strides()) {
@@ -90,8 +91,10 @@ TEST_P(AllMachinesAttr, AttributionChangesNoTiming)
     machine::Machine off(cfgFor(GetParam(), false));
     EXPECT_EQ(off.timeAccount(), nullptr);
     core::Characterizer con(on), coff(off);
-    const core::Surface a = con.localLoads(0, smallGrid());
-    const core::Surface b = coff.localLoads(0, smallGrid());
+    const core::Surface a =
+        con.run(core::SweepSpec::localLoads(0), smallGrid());
+    const core::Surface b =
+        coff.run(core::SweepSpec::localLoads(0), smallGrid());
     for (std::uint64_t w : a.workingSets())
         for (std::uint64_t st : a.strides())
             EXPECT_EQ(a.at(w, st), b.at(w, st))
@@ -112,11 +115,12 @@ TEST_P(AllMachinesAttr, ParallelSweepIsByteIdentical)
 
     machine::Machine serial(sys);
     core::Characterizer c(serial);
-    const core::Surface ss = c.localLoads(0, cfg);
+    const core::Surface ss = c.run(core::SweepSpec::localLoads(0), cfg);
 
     machine::Machine parallel(sys);
     core::SweepRunner runner(sys, 4);
-    const core::Surface sp = runner.localLoads(0, cfg);
+    const core::Surface sp =
+        runner.run(core::SweepSpec::localLoads(0), cfg);
     runner.mergeStatsInto(parallel.statsGroup());
 
     std::ostringstream a, b;
@@ -158,8 +162,10 @@ TEST(AttributionRegimes, Dec8400PullSaturatesSharedBus)
     cfg.workingSets = {1_MiB};
     cfg.strides = {1};
     cfg.capBytes = 256_KiB;
-    const core::Surface s = c.remoteTransfer(
-        remote::TransferMethod::CoherentPull, true, cfg, 1, 0);
+    const core::Surface s = c.run(
+        core::SweepSpec::remote(remote::TransferMethod::CoherentPull, true,
+                                1, 0),
+        cfg);
     EXPECT_EQ(dominantAt(s, 1_MiB, 1).rfind("bus.", 0), 0u)
         << "dominant: " << dominantAt(s, 1_MiB, 1);
 }
@@ -175,8 +181,9 @@ TEST(AttributionRegimes, T3dFetchBoundByInterconnect)
     cfg.workingSets = {256_KiB};
     cfg.strides = {1};
     cfg.capBytes = 128_KiB;
-    const core::Surface s = c.remoteTransfer(
-        remote::TransferMethod::Fetch, true, cfg, 0, 2);
+    const core::Surface s = c.run(
+        core::SweepSpec::remote(remote::TransferMethod::Fetch, true, 0, 2),
+        cfg);
     EXPECT_EQ(dominantAt(s, 256_KiB, 1).rfind("noc.", 0), 0u)
         << "dominant: " << dominantAt(s, 256_KiB, 1);
 }
@@ -192,7 +199,7 @@ TEST(AttributionRegimes, T3eLargeStrideLoadsAreDramBound)
     cfg.workingSets = {2_MiB};
     cfg.strides = {96, 128};
     cfg.capBytes = 256_KiB;
-    const core::Surface s = c.localLoads(0, cfg);
+    const core::Surface s = c.run(core::SweepSpec::localLoads(0), cfg);
     for (std::uint64_t st : s.strides())
         EXPECT_EQ(dominantAt(s, 2_MiB, st).rfind("dram.", 0), 0u)
             << "stride " << st

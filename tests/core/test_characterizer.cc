@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/characterizer.hh"
 #include "core/planner.hh"
+#include "core/surface_io.hh"
+#include "sim/trace.hh"
 #include "sim/units.hh"
 
 namespace {
@@ -42,7 +47,7 @@ TEST(Characterizer, LocalLoadSurfaceIsCompleteAndPlateaued)
 {
     machine::Machine m(machine::SystemKind::CrayT3E, 4);
     Characterizer c(m);
-    Surface s = c.localLoads(0, tinyGrid());
+    Surface s = c.run(SweepSpec::localLoads(0), tinyGrid());
     EXPECT_TRUE(s.complete());
     // Cache plateau above DRAM plateau, contiguous above strided.
     EXPECT_GT(s.at(4_KiB, 8), s.at(2_MiB, 8));
@@ -53,7 +58,7 @@ TEST(Characterizer, LocalStoreSurfaceComplete)
 {
     machine::Machine m(machine::SystemKind::CrayT3D, 4);
     Characterizer c(m);
-    Surface s = c.localStores(0, tinyGrid());
+    Surface s = c.run(SweepSpec::localStores(0), tinyGrid());
     EXPECT_TRUE(s.complete());
     EXPECT_GT(s.at(2_MiB, 1), 0);
 }
@@ -66,10 +71,10 @@ TEST(Characterizer, CopySurfacesReflectVariantAsymmetry)
     cfg.workingSets = {2_MiB};
     cfg.strides = {1, 16};
     cfg.capBytes = 2_MiB;
-    Surface sload =
-        c.localCopy(0, kernels::CopyVariant::StridedLoads, cfg);
-    Surface sstore =
-        c.localCopy(0, kernels::CopyVariant::StridedStores, cfg);
+    Surface sload = c.run(
+        SweepSpec::localCopy(kernels::CopyVariant::StridedLoads), cfg);
+    Surface sstore = c.run(
+        SweepSpec::localCopy(kernels::CopyVariant::StridedStores), cfg);
     // T3D: strided stores (WBQ) beat strided loads (Figure 10).
     EXPECT_GT(sstore.at(2_MiB, 16), sload.at(2_MiB, 16));
     // Contiguous copies agree (same access pattern).
@@ -85,11 +90,101 @@ TEST(Characterizer, RemoteSurfaceUsesTheRequestedMethod)
     cfg.workingSets = {256_KiB};
     cfg.strides = {1, 2, 3};
     cfg.capBytes = 256_KiB;
-    Surface dep = c.remoteTransfer(remote::TransferMethod::Deposit,
-                                   false, cfg);
+    Surface dep = c.run(
+        SweepSpec::remote(remote::TransferMethod::Deposit, false), cfg);
     EXPECT_TRUE(dep.complete());
     // Figure 8 ripple: odd stride beats even stride.
     EXPECT_GT(dep.at(256_KiB, 3), 1.4 * dep.at(256_KiB, 2));
+}
+
+TEST(Characterizer, RunIsOneGridLoopOverMeasure)
+{
+    // run() is surface() plus measure()/setPoint() at every grid
+    // point: a hand-written loop over them gives the same surface,
+    // attribution rows included, and the same counters, for every
+    // kind of sweep.
+    CharacterizeConfig cfg;
+    cfg.workingSets = {2_KiB, 32_KiB, 1_MiB};
+    cfg.strides = {1, 3, 32};
+    cfg.capBytes = 256_KiB;
+    const std::vector<SweepSpec> specs = {
+        SweepSpec::localLoads(1), SweepSpec::localStores(0),
+        SweepSpec::localCopy(kernels::CopyVariant::StridedLoads, 0),
+        SweepSpec::localCopy(kernels::CopyVariant::StridedStores, 2),
+        SweepSpec::remote(remote::TransferMethod::Fetch, true, 1, 0),
+        SweepSpec::remote(remote::TransferMethod::Deposit, false, 0, 3)};
+    machine::SystemConfig sys;
+    sys.kind = machine::SystemKind::CrayT3D;
+    sys.attribution = true;
+    machine::Machine a(sys);
+    machine::Machine b(sys);
+    Characterizer by_run(a);
+    Characterizer by_point(b);
+    for (const SweepSpec &spec : specs) {
+        const Surface want = by_run.run(spec, cfg);
+        Surface got =
+            by_point.surface(spec, cfg.workingSets, cfg.strides);
+        EXPECT_EQ(got.name(), sweepName(sys.kind, spec));
+        EXPECT_TRUE(got.hasAttribution());
+        EXPECT_FALSE(got.complete());
+        for (std::uint64_t w : cfg.workingSets)
+            for (std::uint64_t st : cfg.strides)
+                setPoint(got, w, st,
+                         by_point.measure(spec, w, st, cfg.capBytes));
+        std::ostringstream want_text, got_text;
+        saveSurface(want, want_text);
+        saveSurface(got, got_text);
+        EXPECT_EQ(got_text.str(), want_text.str()) << got.name();
+    }
+    EXPECT_EQ(by_point.points(), specs.size() * 9);
+    EXPECT_EQ(by_point.points(), by_run.points());
+    EXPECT_EQ(by_point.accesses(), by_run.accesses());
+}
+
+TEST(Characterizer, MeasureCountsOnePointAndItsAccesses)
+{
+    machine::Machine m(machine::SystemKind::CrayT3E, 4);
+    Characterizer c(m);
+    const SweepPoint loads =
+        c.measure(SweepSpec::localLoads(0), 64_KiB, 4, 0);
+    EXPECT_EQ(loads.result.accesses, 64_KiB / 8);
+    EXPECT_GT(loads.result.mbs, 0);
+    // No ledger on this machine: no attribution.
+    EXPECT_TRUE(loads.attribution.attributed.empty());
+    EXPECT_EQ(c.points(), 1u);
+    EXPECT_EQ(c.accesses(), loads.result.accesses);
+    const SweepPoint copy = c.measure(
+        SweepSpec::localCopy(kernels::CopyVariant::StridedStores, 0),
+        64_KiB, 4, 0);
+    EXPECT_EQ(copy.result.accesses, 2 * (64_KiB / 8));
+    EXPECT_EQ(c.points(), 2u);
+    EXPECT_EQ(c.accesses(),
+              loads.result.accesses + copy.result.accesses);
+}
+
+TEST(Characterizer, MeasureRecordsOnePointEventAtTimeZero)
+{
+    trace::Tracer tracer;
+    trace::ScopedThreadTracer scoped(
+        tracer, static_cast<std::uint32_t>(trace::Category::Sim));
+    machine::Machine m(machine::SystemKind::CrayT3E, 4);
+    Characterizer c(m);
+    const SweepPoint p =
+        c.measure(SweepSpec::localStores(0), 8_KiB, 2, 0);
+    std::size_t points = 0;
+    for (const trace::Event &e : tracer.events()) {
+        if (tracer.trackName(e.track) != characterizerTrackName)
+            continue;
+        ++points;
+        EXPECT_STREQ(e.name, "point.stores");
+        EXPECT_EQ(e.start, 0u);
+        EXPECT_EQ(e.dur, p.result.elapsed);
+        EXPECT_STREQ(e.key0, "ws");
+        EXPECT_EQ(e.val0, 8_KiB);
+        EXPECT_STREQ(e.key1, "stride");
+        EXPECT_EQ(e.val1, 2u);
+    }
+    EXPECT_EQ(points, 1u);
 }
 
 TEST(Characterizer, SurfacesFeedThePlannerEndToEnd)
@@ -105,12 +200,13 @@ TEST(Characterizer, SurfacesFeedThePlannerEndToEnd)
     TransferPlanner planner;
     planner.addOption(
         {"iget (strided loads)", remote::TransferMethod::Fetch, true,
-         c.remoteTransfer(remote::TransferMethod::Fetch, true, cfg)});
+         c.run(SweepSpec::remote(remote::TransferMethod::Fetch, true),
+               cfg)});
     planner.addOption(
         {"iput (strided stores)", remote::TransferMethod::Deposit,
          false,
-         c.remoteTransfer(remote::TransferMethod::Deposit, false,
-                          cfg)});
+         c.run(SweepSpec::remote(remote::TransferMethod::Deposit, false),
+               cfg)});
 
     // "Fetches are more advantageous for even strides" (Section 5.6).
     TransferQuery q;

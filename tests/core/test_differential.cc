@@ -9,7 +9,10 @@
  * one-call-per-access implementation of every kernel and a fully timed
  * priming pass still existed and produced the same bytes, so they lock
  * the batched kernels, the functional prime and the per-access
- * MemoryHierarchy::read()/write() callers to that reference.
+ * MemoryHierarchy::read()/write() callers to that reference.  The
+ * T3D fetch, 8400 pull and node copy fixtures were captured before the
+ * characterizer's per-point drivers and the node/machine kernel entries
+ * were merged, so they pin those merges as well.
  *
  * A failure names the fixture and its first differing line.  After an
  * intentional model change, regenerate with
@@ -26,6 +29,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -281,9 +285,14 @@ TEST_P(Differential, FaultyParallelMatchesFixture)
 INSTANTIATE_TEST_SUITE_P(AllMachines, Differential, kAllMachines,
                          paramName);
 
-/** A remote sweep: Machine::produce() plus the native engine. */
+/**
+ * Remote sweeps: Machine::produce() plus the native engine, one
+ * surface per entry of @p stride_on_source (strided loads at the
+ * source, or strided stores at the destination).
+ */
 std::string
-runRemote(machine::SystemKind kind, remote::TransferMethod method)
+runRemote(machine::SystemKind kind, remote::TransferMethod method,
+          std::initializer_list<bool> stride_on_source = {false})
 {
     trace::Tracer tracer;
     trace::ScopedThreadTracer scoped(tracer, 0);
@@ -297,7 +306,9 @@ runRemote(machine::SystemKind kind, remote::TransferMethod method)
     cfg.capBytes = 64_KiB;
     std::ostringstream so;
     so << "# surfaces\n";
-    saveSurface(c.run(SweepSpec::remote(method, false, 1, 0), cfg), so);
+    for (const bool on_source : stride_on_source)
+        saveSurface(c.run(SweepSpec::remote(method, on_source, 1, 0), cfg),
+                    so);
     return so.str() + statsSection(m);
 }
 
@@ -313,6 +324,22 @@ TEST(DifferentialRemote, T3eFetchMatchesFixture)
     expectMatchesFixture("remote_t3e_fetch.txt",
                          runRemote(machine::SystemKind::CrayT3E,
                                    remote::TransferMethod::Fetch));
+}
+
+TEST(DifferentialRemote, T3dFetchMatchesFixture)
+{
+    expectMatchesFixture("remote_t3d_fetch.txt",
+                         runRemote(machine::SystemKind::CrayT3D,
+                                   remote::TransferMethod::Fetch,
+                                   {true, false}));
+}
+
+TEST(DifferentialRemote, Dec8400PullMatchesFixture)
+{
+    expectMatchesFixture(
+        "remote_dec8400_pull.txt",
+        runRemote(machine::SystemKind::Dec8400,
+                  remote::TransferMethod::CoherentPull, {true, false}));
 }
 
 /**
@@ -397,6 +424,24 @@ TEST_P(PrimeEquivalence, NodeLoadAndStoreSweeps)
                 mem::MemoryHierarchy h(node);
                 return kernels::storeConstant(h, p);
             }));
+}
+
+TEST_P(PrimeEquivalence, NodeCopySweeps)
+{
+    const mem::HierarchyConfig node =
+        machine::nodeConfig(GetParam(), "prime_eq");
+    const auto copyGrid = [&](const char *name,
+                              kernels::CopyVariant variant) {
+        return grid(name, [&](const kernels::KernelParams &p) {
+            mem::MemoryHierarchy h(node);
+            return kernels::copy(h, p, variant, 1ull << 30);
+        });
+    };
+    expectMatchesFixture(
+        fixture("nodeCopy"),
+        copyGrid("copyStridedLoads", kernels::CopyVariant::StridedLoads) +
+            copyGrid("copyStridedStores",
+                     kernels::CopyVariant::StridedStores));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMachines, PrimeEquivalence, kAllMachines,

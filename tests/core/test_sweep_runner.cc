@@ -224,18 +224,49 @@ TEST(SweepRunner, ThroughputCountersMatchSerial)
     EXPECT_EQ(runner.accesses(), serial.accesses());
 }
 
-TEST(SweepRunner, ConvenienceWrappersMatchRun)
+TEST(SweepRunner, EverySpecKindMatchesCharacterizerRun)
 {
+    // Workers and the serial loop share Characterizer::measure(); the
+    // merged surface (attribution rows included) and the throughput
+    // counters must agree for every kind of sweep, on a grid the
+    // Differential fixtures do not cover.
+    CharacterizeConfig cfg;
+    cfg.workingSets = {1_KiB, 16_KiB, 512_KiB};
+    cfg.strides = {2, 5, 24};
+    cfg.capBytes = 256_KiB;
+    const std::vector<SweepSpec> specs = {
+        SweepSpec::localLoads(0), SweepSpec::localStores(0),
+        SweepSpec::localCopy(kernels::CopyVariant::StridedLoads, 0),
+        SweepSpec::localCopy(kernels::CopyVariant::StridedStores, 0),
+        SweepSpec::remote(remote::TransferMethod::Fetch, true, 1, 0),
+        SweepSpec::remote(remote::TransferMethod::Deposit, false, 0, 2)};
     machine::SystemConfig sys;
     sys.kind = machine::SystemKind::CrayT3E;
-    SweepRunner a(sys, 4);
-    SweepRunner b(sys, 4);
-    EXPECT_EQ(a.workers(), 4);
-    const CharacterizeConfig cfg = tinyGrid();
-    std::ostringstream sa, sb;
-    saveSurface(a.localLoads(0, cfg), sa);
-    saveSurface(b.run(SweepSpec::localLoads(0), cfg), sb);
-    EXPECT_EQ(sa.str(), sb.str());
+    sys.attribution = true;
+
+    trace::Tracer tracer;
+    trace::ScopedThreadTracer scoped(tracer, 0);
+    machine::Machine m(sys);
+    Characterizer serial(m);
+    SweepRunner one(sys, 1);
+    SweepRunner four(sys, 4);
+    EXPECT_EQ(four.workers(), 4);
+    for (const SweepSpec &spec : specs) {
+        const std::string name = sweepName(sys.kind, spec);
+        std::ostringstream want;
+        const Surface s = serial.run(spec, cfg);
+        ASSERT_TRUE(s.hasAttribution()) << name;
+        saveSurface(s, want);
+        for (SweepRunner *runner : {&one, &four}) {
+            std::ostringstream got;
+            saveSurface(runner->run(spec, cfg), got);
+            EXPECT_EQ(got.str(), want.str())
+                << name << " at jobs " << runner->workers();
+            EXPECT_EQ(runner->points(), serial.points()) << name;
+            EXPECT_EQ(runner->accesses(), serial.accesses()) << name;
+        }
+    }
+    EXPECT_EQ(serial.points(), specs.size() * 9);
 }
 
 } // namespace

@@ -144,6 +144,84 @@ TEST(MachineKernels, LoadedMachineSlowerThanIdle)
     EXPECT_GT(loaded, 0.4 * idle);
 }
 
+TEST(MachineKernels, StoreConstantOnIsMeasuredCold)
+{
+    // The store rule: the machine entry (behind the store surfaces)
+    // runs unprimed whatever KernelParams::prime says; the node entry
+    // primes, which a cache-resident set benefits from.
+    machine::Machine m(machine::SystemKind::CrayT3E, 4);
+    mem::MemoryHierarchy solo(machine::crayT3eNode("node0"));
+    KernelParams primed;
+    primed.wsBytes = 2_KiB;
+    primed.stride = 1;
+    primed.prime = true;
+    KernelParams cold = primed;
+    cold.prime = false;
+    const KernelResult on = storeConstantOn(m, 0, primed);
+    EXPECT_EQ(on.elapsed, storeConstantOn(m, 0, cold).elapsed);
+    EXPECT_EQ(on.elapsed, storeConstant(solo, cold).elapsed);
+    EXPECT_GT(storeConstant(solo, primed).mbs, 1.5 * on.mbs);
+}
+
+TEST(MachineKernels, CopyOnMatchesStandaloneHierarchyForCrays)
+{
+    // copy and copyOn share one body; on a private-memory node only
+    // the reset scope differs, so both variants must agree.
+    machine::Machine m(machine::SystemKind::CrayT3D, 4);
+    mem::MemoryHierarchy solo(machine::crayT3dNode("node0"));
+    KernelParams p;
+    p.wsBytes = 128_KiB;
+    p.stride = 8;
+    for (auto variant :
+         {CopyVariant::StridedLoads, CopyVariant::StridedStores}) {
+        const KernelResult on = copyOn(m, 0, p, variant, 1ull << 30);
+        const KernelResult standalone =
+            copy(solo, p, variant, 1ull << 30);
+        EXPECT_EQ(on.accesses, standalone.accesses);
+        EXPECT_EQ(on.bytes, standalone.bytes);
+        EXPECT_NEAR(on.mbs, standalone.mbs, 0.01 * standalone.mbs);
+    }
+}
+
+TEST(MachineKernels, EntriesCountWordsLikeNodeEntries)
+{
+    // Machine entries report the words moved, as the node entries do:
+    // one access per word, two per copied word.
+    machine::Machine m(machine::SystemKind::Dec8400, 4);
+    mem::MemoryHierarchy solo(machine::dec8400Node("node0"));
+    KernelParams p;
+    p.wsBytes = 24_KiB;
+    p.stride = 3;
+    const std::uint64_t words = 24_KiB / 8;
+    for (const KernelResult &r :
+         {loadSumOn(m, 1, p), storeConstantOn(m, 1, p),
+          loadSum(solo, p), storeConstant(solo, p)}) {
+        EXPECT_EQ(r.bytes, 24_KiB);
+        EXPECT_EQ(r.accesses, words);
+        EXPECT_GT(r.elapsed, 0u);
+    }
+    const KernelResult c =
+        copyOn(m, 1, p, CopyVariant::StridedStores, 1ull << 30);
+    EXPECT_EQ(c.bytes, 24_KiB);
+    EXPECT_EQ(c.accesses, 2 * words);
+}
+
+TEST(MachineKernels, LoadedMachinePrimesCacheableSets)
+{
+    // loadSumLoaded primes every node's cacheable working set like the
+    // idle kernel does, and counts every processor's accesses.
+    machine::Machine m(machine::SystemKind::CrayT3E, 4);
+    KernelParams p;
+    p.wsBytes = 4_KiB;
+    p.stride = 1;
+    const KernelResult primed = loadSumLoaded(m, p);
+    p.prime = false;
+    const KernelResult cold = loadSumLoaded(m, p);
+    EXPECT_GT(primed.mbs, cold.mbs);
+    EXPECT_EQ(primed.bytes, 4_KiB);
+    EXPECT_EQ(primed.accesses, 4 * (4_KiB / 8));
+}
+
 TEST(RemoteKernels, TransfersAllBytesAndReportsBandwidth)
 {
     machine::Machine m(machine::SystemKind::CrayT3E, 4);

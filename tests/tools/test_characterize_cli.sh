@@ -1,12 +1,19 @@
 #!/bin/sh
 # CLI contract tests for the characterize tool: malformed command
 # lines exit with code 2 and an error on stderr, valid ones exit 0;
-# plus the report tool's JSON output over a hand-written ledger.
-# Usage: test_characterize_cli.sh /path/to/characterize /path/to/report
+# plus the report tool's JSON output over a hand-written ledger and
+# the numeric flags of the calibration and chaos tools.
+# Usage: test_characterize_cli.sh /path/to/characterize /path/to/report \
+#            /path/to/calibrate_fft /path/to/calibrate_local \
+#            /path/to/calibrate_remote /path/to/chaos
 set -u
 
 bin="$1"
 report="$2"
+calibrate_fft="$3"
+calibrate_local="$4"
+calibrate_remote="$5"
+chaos="$6"
 fails=0
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
@@ -46,6 +53,50 @@ if ! "$bin" t3e loads --procs=abc 2>&1 >/dev/null |
 else
     echo "ok: --procs=abc names the bad value"
 fi
+
+# expect_bad_value <binary> <option> <value> [args...]: a malformed
+# numeric value exits 2 with a message naming the option and value.
+expect_bad_value() {
+    tool="$1"
+    opt="$2"
+    value="$3"
+    shift 3
+    name=$(basename "$tool")
+    "$tool" "$@" "$opt" "$value" >/dev/null 2>"$err"
+    code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "FAIL: $name $opt '$value': exit $code, expected 2"
+        fails=1
+    elif ! grep -qF "bad value '$value' for $opt" "$err"; then
+        echo "FAIL: $name $opt '$value': message does not name them"
+        fails=1
+    else
+        echo "ok: $name $opt '$value' rejected"
+    fi
+}
+
+for tool in "$calibrate_fft" "$calibrate_local" "$calibrate_remote"; do
+    for v in 4x 1e3 -1 "" 99999 " 2"; do
+        expect_bad_value "$tool" --jobs "$v"
+    done
+    for v in abc -3 4097; do
+        "$tool" "--jobs=$v" >/dev/null 2>"$err"
+        code=$?
+        if [ "$code" -ne 2 ] ||
+                ! grep -qF "bad value '$v' for --jobs" "$err"; then
+            echo "FAIL: $(basename "$tool") --jobs=$v: exit $code"
+            fails=1
+        else
+            echo "ok: $(basename "$tool") --jobs=$v rejected"
+        fi
+    done
+done
+for v in 4 1e3 -64 64x 99999999; do
+    expect_bad_value "$chaos" --n "$v"
+done
+for v in 0 -1 abc 10s 1e999 inf nan "" " 5"; do
+    expect_bad_value "$chaos" --watchdog "$v"
+done
 
 # --help (anywhere on the command line) prints the usage and the
 # planner pipeline walkthrough to stdout and exits 0.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <vector>
+#include "cli_util.hh"
 #include "fft/fft2d_dist.hh"
 #include "sim/pool.hh"
 #include "sim/trace.hh"
@@ -18,14 +19,17 @@ static const std::array<std::uint64_t, 6> kSizes =
 int main(int argc, char** argv) {
     int jobs = 0;
     for (int i = 1; i < argc; ++i) {
+        const char* val = nullptr;
         if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
+            val = argv[++i];
         } else if (!std::strncmp(argv[i], "--jobs=", 7)) {
-            jobs = std::atoi(argv[i] + 7);
+            val = argv[i] + 7;
         } else {
             std::fprintf(stderr, "usage: calibrate_fft [--jobs N]\n");
             return 2;
         }
+        jobs = static_cast<int>(
+            toolcli::parseIntOpt("calibrate_fft", "--jobs", val, 0, 4096));
     }
     jobs = sim::defaultJobs(jobs);
 

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <vector>
+#include "cli_util.hh"
 #include "core/sweep_runner.hh"
 #include "kernels/kernels.hh"
 #include "kernels/remote_kernels.hh"
@@ -100,7 +101,7 @@ static void surfaceMachine(const char* label, machine::SystemKind kind,
     core::CharacterizeConfig cfg;
     cfg.workingSets = wss;
     cfg.strides = strides;
-    core::Surface s = runner.localLoads(0, cfg);
+    core::Surface s = runner.run(core::SweepSpec::localLoads(0), cfg);
     std::printf("== %s (machine path) ==\n%10s", label, "ws\\stride");
     for (auto st : strides)
         std::printf("%8llu", (unsigned long long)st);
@@ -114,14 +115,17 @@ static void surfaceMachine(const char* label, machine::SystemKind kind,
 
 int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
+        const char* val = nullptr;
         if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            g_jobs = std::atoi(argv[++i]);
+            val = argv[++i];
         } else if (!std::strncmp(argv[i], "--jobs=", 7)) {
-            g_jobs = std::atoi(argv[i] + 7);
+            val = argv[i] + 7;
         } else {
             std::fprintf(stderr, "usage: calibrate_local [--jobs N]\n");
             return 2;
         }
+        g_jobs = static_cast<int>(
+            toolcli::parseIntOpt("calibrate_local", "--jobs", val, 0, 4096));
     }
     g_jobs = sim::defaultJobs(g_jobs);
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <vector>
+#include "cli_util.hh"
 #include "core/sweep_runner.hh"
 #include "sim/pool.hh"
 #include "sim/units.hh"
@@ -20,8 +21,8 @@ static void row(core::SweepRunner& runner, const char* label,
     cfg.workingSets = {ws};
     cfg.strides = strides;
     // src 0 / dst 2: distinct NICs on the paired-PE T3D.
-    core::Surface s = runner.remoteTransfer(meth, strideOnSrc, cfg,
-                                            0, 2);
+    core::Surface s = runner.run(
+        core::SweepSpec::remote(meth, strideOnSrc, 0, 2), cfg);
     std::printf("%-28s", label);
     for (auto st : strides) std::printf("%7.0f", s.at(ws, st));
     std::printf("\n");
@@ -30,14 +31,17 @@ static void row(core::SweepRunner& runner, const char* label,
 int main(int argc, char** argv) {
     int jobs = 0;
     for (int i = 1; i < argc; ++i) {
+        const char* val = nullptr;
         if (!std::strcmp(argv[i], "--jobs") && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
+            val = argv[++i];
         } else if (!std::strncmp(argv[i], "--jobs=", 7)) {
-            jobs = std::atoi(argv[i] + 7);
+            val = argv[i] + 7;
         } else {
             std::fprintf(stderr, "usage: calibrate_remote [--jobs N]\n");
             return 2;
         }
+        jobs = static_cast<int>(
+            toolcli::parseIntOpt("calibrate_remote", "--jobs", val, 0, 4096));
     }
     jobs = sim::defaultJobs(jobs);
 

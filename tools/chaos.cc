@@ -24,6 +24,8 @@
  *         [--watchdog SECONDS] [--stats-json FILE] [--list]
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_util.hh"
 #include "gas/fft2d.hh"
 #include "gas/runtime.hh"
 #include "machine/machine.hh"
@@ -54,7 +57,7 @@ usage()
         "--list names them)\n"
         "  --faults SPEC  additional custom scenario from a fault "
         "spec or @file\n"
-        "  --n N          FFT size (default 64)\n"
+        "  --n N          FFT size, 8 to 65536 (default 64)\n"
         "  --watchdog S   wall-clock budget per run in seconds "
         "(default 120)\n"
         "  --stats-json FILE  write the stats tree (including the\n"
@@ -62,6 +65,27 @@ usage()
         "                 scenario run to FILE; feed it to tools/report\n"
         "  --list         print the scenario library and exit\n");
     std::exit(2);
+}
+
+/**
+ * The --watchdog budget: the whole of @p val must parse as a positive
+ * finite number of seconds, else exit 2 naming the value.
+ */
+double
+parseWatchdog(const std::string &val)
+{
+    double v = 0;
+    const char *last = val.data() + val.size();
+    const auto [end, ec] = std::from_chars(val.data(), last, v);
+    if (val.empty() || ec != std::errc() || end != last ||
+        !std::isfinite(v) || v <= 0) {
+        std::fprintf(stderr,
+                     "chaos: bad value '%s' for --watchdog (expected a "
+                     "positive number of seconds)\n",
+                     val.c_str());
+        std::exit(2);
+    }
+    return v;
 }
 
 /** One run's observable fingerprint. */
@@ -177,16 +201,15 @@ main(int argc, char **argv)
         else if (opt == "--faults")
             faults_arg = val;
         else if (opt == "--n")
-            n = std::strtoull(val.c_str(), nullptr, 10);
+            n = static_cast<std::uint64_t>(toolcli::parseIntOpt(
+                "chaos", opt, val, 8, std::int64_t{1} << 16));
         else if (opt == "--watchdog")
-            watchdog_s = std::strtod(val.c_str(), nullptr);
+            watchdog_s = parseWatchdog(val);
         else if (opt == "--stats-json")
             stats_json = val;
         else
             usage();
     }
-    if (n < 8 || watchdog_s <= 0)
-        usage();
 
     std::vector<machine::SystemKind> kinds;
     if (machine_arg == "all" || machine_arg == "dec8400")
