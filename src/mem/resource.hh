@@ -18,7 +18,6 @@
 #define GASNUB_MEM_RESOURCE_HH
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -29,6 +28,14 @@ namespace gasnub::mem {
 /**
  * A unit that can serve one request at a time, with optional
  * gap-backfill for concurrent flows.
+ *
+ * The backfill calendar keeps the live idle gaps in time order (gaps
+ * are disjoint, so their ends increase), in blocks of about
+ * kBlockGaps gaps.  Each block carries an upper bound on its longest
+ * gap, so a first-fit search binary-searches the block tails, then
+ * skips every block too short to hold the request; a claim inserts or
+ * erases inside one block; dropping the oldest gap bumps the first
+ * block's head.
  */
 class Resource
 {
@@ -37,6 +44,11 @@ class Resource
      * Enable backfill: keep up to @p max_gaps recent idle intervals
      * and allow later acquire() calls with earlier timestamps to use
      * them. Deterministic; single-flow callers are unaffected.
+     *
+     * The cap is enforced only when a gap is appended: each append
+     * that leaves more than @p max_gaps live gaps drops exactly one,
+     * the oldest.  Claims that split a gap may leave the count above
+     * the cap until later appends trim it.
      */
     void
     enableBackfill(std::size_t max_gaps = 16384)
@@ -48,81 +60,26 @@ class Resource
      * Reserve the resource.
      * @param earliest Earliest tick the request may start.
      * @param occupancy How long the resource stays busy.
-     * @return the tick at which service actually starts.
+     * @return the tick at which service actually starts: the start of
+     *         the first (oldest) gap that fits, or else the calendar
+     *         tail.
      */
     Tick
     acquire(Tick earliest, Tick occupancy)
     {
-        // Backfill fast path: only scan when a fit is possible.  Gap
-        // end times are nondecreasing by construction (new gaps are
-        // appended after the previous busy tail; splits stay in
-        // place), so gaps that end too early are skipped with a
-        // binary search.
-        if (_maxGaps != 0 && _head != _gaps.size() &&
-            earliest + occupancy <= _maxGapEnd &&
-            occupancy <= _maxGapLen) {
-            bool fit = false;
-            Tick start = 0;
-            std::size_t lo = _head;
-            std::size_t hi = _gaps.size();
-            const Tick need_end = earliest + occupancy;
-            while (lo < hi) {
-                const std::size_t mid = (lo + hi) / 2;
-                if (_gaps[mid].end < need_end)
-                    lo = mid + 1;
-                else
-                    hi = mid;
-            }
-            for (std::size_t i = lo; i < _gaps.size(); ++i) {
-                Gap &g = _gaps[i];
-                start = earliest > g.start ? earliest : g.start;
-                if (start + occupancy > g.end)
-                    continue;
-                // Claim [start, start+occupancy) out of the gap.
-                const Tick tail_start = start + occupancy;
-                const Tick tail_end = g.end;
-                if (start > g.start) {
-                    g.end = start;
-                    if (tail_end > tail_start) {
-                        _gaps.insert(_gaps.begin() +
-                                         static_cast<long>(i) + 1,
-                                     Gap{tail_start, tail_end});
-                    }
-                } else if (tail_end > tail_start) {
-                    g.start = tail_start;
-                } else {
-                    _gaps.erase(_gaps.begin() + static_cast<long>(i));
-                }
-                fit = true;
-                break;
-            }
-            if (fit)
+        // The newest gap ends last, so a request that cannot end by
+        // then fits no gap: single-flow streams, which never start
+        // before the busy tail, skip the search on one comparison.
+        if (earliest + occupancy <= _tailEnd && _live != 0) {
+            Tick start;
+            if (claimFirstFit(earliest, occupancy, start))
                 return start;
-            // A full scan failed; retighten the guards so repeated
-            // doomed scans stay cheap.
-            recomputeGapBounds();
         }
 
         const Tick start = earliest > _busyUntil ? earliest
                                                  : _busyUntil;
-        if (_maxGaps != 0 && start > _busyUntil && _busyUntil > 0) {
-            // Single-flow streams append one gap per request and never
-            // claim any; dropping the oldest is a head-index bump, and
-            // the dead prefix is compacted away once it matches the
-            // live window, keeping the append path amortized O(1).
-            _gaps.push_back(Gap{_busyUntil, start});
-            if (start > _maxGapEnd)
-                _maxGapEnd = start;
-            if (start - _busyUntil > _maxGapLen)
-                _maxGapLen = start - _busyUntil;
-            if (_gaps.size() - _head > _maxGaps)
-                ++_head;
-            if (_head >= _maxGaps) {
-                _gaps.erase(_gaps.begin(),
-                            _gaps.begin() + static_cast<long>(_head));
-                _head = 0;
-            }
-        }
+        if (_maxGaps != 0 && start > _busyUntil && _busyUntil > 0)
+            append(Gap{_busyUntil, start});
         _busyUntil = start + occupancy;
         return start;
     }
@@ -131,45 +88,89 @@ class Resource
     Tick freeAt() const { return _busyUntil; }
 
     /** Forget all reservations (between experiments). */
-    void
-    reset()
-    {
-        _busyUntil = 0;
-        _gaps.clear();
-        _head = 0;
-        _maxGapEnd = 0;
-        _maxGapLen = 0;
-    }
+    void reset();
 
   private:
+    /** Gaps appended to one block before the next block starts. */
+    static constexpr std::size_t kBlockGaps = 64;
+
     struct Gap
     {
         Tick start;
         Tick end;
     };
 
-    void
-    recomputeGapBounds()
+    struct Block
     {
-        _maxGapEnd = 0;
-        _maxGapLen = 0;
-        for (std::size_t i = _head; i < _gaps.size(); ++i) {
-            const Gap &g = _gaps[i];
-            if (g.end > _maxGapEnd)
-                _maxGapEnd = g.end;
-            if (g.end - g.start > _maxGapLen)
-                _maxGapLen = g.end - g.start;
+        /** Live gaps are gaps[head, size), in time order. */
+        std::vector<Gap> gaps;
+        std::size_t head = 0;
+        /** End of the block's newest gap (a copy of gaps.back().end). */
+        Tick tailEnd = 0;
+        /** At least the length of the block's longest live gap. */
+        Tick maxLen = 0;
+
+        std::size_t live() const { return gaps.size() - head; }
+    };
+
+    /**
+     * Single-flow streams append one gap per request and claim none,
+     * so this path stays allocation-free: a full block's successor
+     * reuses a retired block's storage.
+     */
+    void
+    append(Gap g)
+    {
+        if (_live == 0 || _blocks.back().gaps.size() >= kBlockGaps)
+            pushBlock();
+        Block &b = _blocks.back();
+        b.gaps.push_back(g);
+        b.tailEnd = g.end;
+        if (g.end - g.start > b.maxLen)
+            b.maxLen = g.end - g.start;
+        _tailEnd = g.end;
+        if (++_live > _maxGaps) {
+            Block &oldest = _blocks[_first];
+            ++oldest.head;
+            --_live;
+            if (oldest.head == oldest.gaps.size() ||
+                oldest.head == 2 * kBlockGaps)
+                trimFirst();
         }
     }
 
+    /**
+     * Claim [start, start + occupancy) from the first gap that can
+     * hold it.  @return false (and change nothing) if none can.
+     */
+    bool claimFirstFit(Tick earliest, Tick occupancy, Tick &start);
+    /** Claim the request out of gap @p i of block @p b. */
+    void claim(std::size_t b, std::size_t i, Tick start, Tick occupancy);
+    /** Split block @p b, grown past two blocks' worth, in halves. */
+    void splitBlock(std::size_t b);
+    /** Remove block @p b, whose last gap was just erased. */
+    void eraseBlock(std::size_t b);
+    /**
+     * Retire the first block once its head passed its last gap, or
+     * drop its dead prefix once claims kept it alive that long.
+     */
+    void trimFirst();
+    /** Append an empty block, recycling retired storage. */
+    void pushBlock();
+    /** An empty block, recycling retired storage. */
+    Block takeBlock();
+    /** Keep @p gaps' storage for a later block. */
+    void recycle(std::vector<Gap> &gaps);
+
     Tick _busyUntil = 0;
-    Tick _maxGapEnd = 0;
-    Tick _maxGapLen = 0;
+    /** End of the newest live gap (0 when there is none). */
+    Tick _tailEnd = 0;
     std::size_t _maxGaps = 0;
-    // Live gaps are _gaps[_head, size): a vector ring whose head bump
-    // replaces deque::pop_front on the once-per-request append path.
-    std::size_t _head = 0;
-    std::vector<Gap> _gaps;
+    std::size_t _live = 0;
+    /** Live blocks are _blocks[_first, size), none of them empty. */
+    std::vector<Block> _blocks;
+    std::size_t _first = 0;
+    std::vector<std::vector<Gap>> _spare;
 };
 
 /**

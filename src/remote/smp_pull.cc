@@ -1,5 +1,7 @@
 #include "remote/smp_pull.hh"
 
+#include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -42,11 +44,17 @@ SmpPull::transfer(const TransferRequest &req, TransferMethod method,
     // sources each line from the owner's board or from shared DRAM.
     mem::MemoryHierarchy *dst = _nodes[req.dst];
     dst->stallUntil(start);
-    Tick last = start;
-    for (std::uint64_t i = 0; i < req.words; ++i) {
-        last = dst->read(req.srcAddr + i * req.srcStride * wordBytes);
+    Addr buf[mem::AccessBatch::kCapacity];
+    for (std::uint64_t i = 0; i < req.words;) {
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(req.words - i,
+                                    mem::AccessBatch::kCapacity));
+        for (std::size_t k = 0; k < n; ++k, ++i)
+            buf[k] = req.srcAddr + i * req.srcStride * wordBytes;
+        dst->readBatch(buf, n);
     }
-    const Tick end = std::max(last, dst->drain());
+    // drain() is at least every read's completion tick.
+    const Tick end = dst->drain();
     _bandwidth.addBytes(end, req.words * wordBytes);
     GASNUB_TRACE(trace::Category::Remote, _traceTrack, "pull", start,
                  end, "words", req.words, "dst",

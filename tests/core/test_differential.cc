@@ -12,7 +12,10 @@
  * MemoryHierarchy::read()/write() callers to that reference.  The
  * T3D fetch, 8400 pull and node copy fixtures were captured before the
  * characterizer's per-point drivers and the node/machine kernel entries
- * were merged, so they pin those merges as well.
+ * were merged, so they pin those merges as well.  The backfill
+ * calendar traces and the T3E deposit fixture were captured while
+ * mem::Resource still kept its gaps in one vector, so they pin the
+ * blocked gap list to that calendar's exact ticks.
  *
  * A failure names the fixture and its first differing line.  After an
  * intentional model change, regenerate with
@@ -49,6 +52,8 @@
 #include "machine/configs.hh"
 #include "machine/machine.hh"
 #include "machine/sync.hh"
+#include "mem/resource.hh"
+#include "sim/rng.hh"
 #include "sim/trace.hh"
 #include "sim/units.hh"
 
@@ -292,7 +297,8 @@ INSTANTIATE_TEST_SUITE_P(AllMachines, Differential, kAllMachines,
  */
 std::string
 runRemote(machine::SystemKind kind, remote::TransferMethod method,
-          std::initializer_list<bool> stride_on_source = {false})
+          std::initializer_list<bool> stride_on_source = {false},
+          std::vector<std::uint64_t> strides = {1, 2})
 {
     trace::Tracer tracer;
     trace::ScopedThreadTracer scoped(tracer, 0);
@@ -302,7 +308,7 @@ runRemote(machine::SystemKind kind, remote::TransferMethod method,
     Characterizer c(m);
     CharacterizeConfig cfg;
     cfg.workingSets = {16_KiB, 64_KiB};
-    cfg.strides = {1, 2};
+    cfg.strides = std::move(strides);
     cfg.capBytes = 64_KiB;
     std::ostringstream so;
     so << "# surfaces\n";
@@ -326,6 +332,17 @@ TEST(DifferentialRemote, T3eFetchMatchesFixture)
                                    remote::TransferMethod::Fetch));
 }
 
+// The E-register deposit is the T3E's heaviest torus and NIC
+// backfill user: a stride of 3 offsets the transfers so each one
+// claims gaps the others left.
+TEST(DifferentialRemote, T3eDepositMatchesFixture)
+{
+    expectMatchesFixture("remote_t3e_deposit.txt",
+                         runRemote(machine::SystemKind::CrayT3E,
+                                   remote::TransferMethod::Deposit,
+                                   {true, false}, {1, 3}));
+}
+
 TEST(DifferentialRemote, T3dFetchMatchesFixture)
 {
     expectMatchesFixture("remote_t3d_fetch.txt",
@@ -340,6 +357,94 @@ TEST(DifferentialRemote, Dec8400PullMatchesFixture)
         "remote_dec8400_pull.txt",
         runRemote(machine::SystemKind::Dec8400,
                   remote::TransferMethod::CoherentPull, {true, false}));
+}
+
+/**
+ * A seeded multi-flow acquire() trace on a backfill calendar.  Flows
+ * with their own clocks call in random order; flow 0 leads, appending
+ * gaps, while the others trail and claim them.  One call in sixteen
+ * is a probe at a uniformly random earlier tick with an occupancy of
+ * up to 63; flow calls take occupancies of 0 to 3.
+ */
+struct CalendarTrace
+{
+    const char *name;
+    std::uint64_t seed;
+    std::size_t cap;
+    int flows;
+    std::uint64_t lead;  ///< flow 0's share of the flow calls, in 16ths
+    Tick leadSpacing;    ///< flow 0 asks for 1..this after its last end
+    Tick lagSpacing;     ///< the same for the trailing flows
+    int calls;
+    int resetAt;         ///< the call before which to reset(), if any
+};
+
+/** Every acquire()'s start tick of @p t, then the final freeAt(). */
+std::string
+replay(const CalendarTrace &t)
+{
+    sim::Rng rng(t.seed);
+    mem::Resource r;
+    r.enableBackfill(t.cap);
+    std::vector<Tick> clock(static_cast<std::size_t>(t.flows), 0);
+    std::ostringstream os;
+    os << "# " << t.name << " cap=" << t.cap << "\n";
+    for (int i = 0; i < t.calls; ++i) {
+        if (i == t.resetAt) {
+            r.reset();
+            clock.assign(clock.size(), 0);
+            os << (i % 16 != 0 ? "\n" : "") << "reset\n";
+        }
+        Tick start;
+        if (rng.below(16) == 0) {
+            const Tick earliest = rng.below(r.freeAt() + 1);
+            start = r.acquire(earliest, rng.below(64));
+        } else {
+            const bool lead = rng.below(16) < t.lead;
+            const std::size_t f =
+                lead ? 0
+                     : 1 + static_cast<std::size_t>(rng.below(
+                               static_cast<std::uint64_t>(t.flows - 1)));
+            const Tick occupancy = rng.below(4);
+            start = r.acquire(
+                clock[f] + 1 +
+                    rng.below(lead ? t.leadSpacing : t.lagSpacing),
+                occupancy);
+            clock[f] = start + occupancy;
+        }
+        os << start << ((i + 1) % 16 == 0 ? "\n" : " ");
+    }
+    os << "\nfreeAt " << r.freeAt() << "\n";
+    return os.str();
+}
+
+/**
+ * Start ticks of seeded traces on backfill calendars, pinning
+ * first-fit gap selection, every claim case (shrink, split, erase)
+ * and the cap rule (each append past the cap drops exactly one oldest
+ * gap, however far splits pushed the count) to exact ticks.  Short
+ * gaps and caps of 2 and 64 drop gaps constantly; the default cap
+ * holds more than 16384 gaps; long lead gaps carved by trailing flows
+ * split gaps densely, so a cap-64 calendar claims inside its oldest
+ * gaps and a deep one splits gaps hundreds of times.
+ */
+TEST(DifferentialCalendar, SeededTracesMatchFixture)
+{
+    constexpr int kNoReset = -1;
+    std::string out;
+    for (const CalendarTrace &t : {
+             CalendarTrace{"cap2", 1, 2, 2, 12, 2, 2, 512, kNoReset},
+             CalendarTrace{"cap64", 2, 64, 3, 12, 2, 2, 4096, kNoReset},
+             CalendarTrace{"cap64-reset", 3, 64, 4, 12, 2, 2, 4096, 2000},
+             CalendarTrace{"default", 4, 16384, 3, 15, 2, 2, 24000,
+                           kNoReset},
+             CalendarTrace{"carve-cap64", 5, 64, 2, 8, 32, 2, 4000,
+                           kNoReset},
+             CalendarTrace{"carve-deep", 7, 4096, 2, 6, 64, 1, 4000,
+                           kNoReset},
+         })
+        out += replay(t);
+    expectMatchesFixture("resource_calendar.txt", out);
 }
 
 /**

@@ -73,6 +73,36 @@ TEST(Resource, BackfillPreservesSingleFlowBehaviour)
     }
 }
 
+TEST(Resource, BackfillCapDropsOldestGap)
+{
+    Resource r;
+    r.enableBackfill(2);
+    r.acquire(0, 10);
+    r.acquire(20, 10); // gap [10, 20)
+    r.acquire(40, 10); // gap [30, 40)
+    r.acquire(60, 10); // gap [50, 60): the third gap drops [10, 20)
+    EXPECT_EQ(r.acquire(10, 10), 30u); // the oldest gap is gone
+    EXPECT_EQ(r.acquire(50, 10), 50u); // the newest is still there
+}
+
+TEST(Resource, BackfillSplitPastCapWaitsForNextAppend)
+{
+    Resource r;
+    r.enableBackfill(2);
+    r.acquire(0, 10);
+    r.acquire(20, 10); // gap [10, 20)
+    r.acquire(40, 10); // gap [30, 40): two gaps, at the cap
+    // Splitting [10, 20) leaves three gaps, one past the cap.
+    EXPECT_EQ(r.acquire(14, 2), 14u);
+    // An occupancy-0 request at a gap's start claims nothing, so it
+    // probes which gap is the first live one at or after a tick.
+    EXPECT_EQ(r.acquire(10, 0), 10u); // claims never drop gaps
+    r.acquire(60, 10); // gap [50, 60): four gaps, drop exactly one
+    EXPECT_EQ(r.acquire(10, 0), 16u); // [10, 14) dropped, [16, 20) kept
+    r.acquire(80, 10); // gap [70, 80): again exactly one dropped
+    EXPECT_EQ(r.acquire(10, 0), 30u); // [16, 20) dropped, [30, 40) kept
+}
+
 TEST(Resource, ResetClearsEverything)
 {
     Resource r;
