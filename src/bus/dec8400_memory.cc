@@ -1,6 +1,7 @@
 #include "bus/dec8400_memory.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 #include "sim/units.hh"
@@ -17,66 +18,38 @@ nsToTicks(double ns)
 
 } // namespace
 
-Dec8400Memory::LineState &
-Dec8400Memory::LineDir::operator[](Addr line)
-{
-    // Grow at 75% occupancy so probe chains stay short.
-    if ((_used + 1) * 4 > _slots.size() * 3)
-        grow();
-    std::size_t i = indexOf(line);
-    const std::size_t mask = _slots.size() - 1;
-    while (_slots[i].used && _slots[i].line != line)
-        i = (i + 1) & mask;
-    Slot &s = _slots[i];
-    if (!s.used) {
-        s.used = true;
-        s.line = line;
-        s.state = LineState{};
-        ++_used;
-    }
-    return s.state;
-}
-
 void
 Dec8400Memory::LineDir::clear()
 {
-    for (Slot &s : _slots)
-        s.used = false;
-    _used = 0;
+    if (++_epoch != 0)
+        return;
+    // The 32-bit epoch wrapped: zero every stamp so no entry written
+    // 2^32 clears ago aliases the new epoch.
+    for (Page &p : _pages)
+        for (Addr i = 0; i < kPageLines; ++i)
+            p.entries[i].epoch = 0;
+    _epoch = 1;
 }
 
-void
-Dec8400Memory::LineDir::reset(std::size_t slots)
+Dec8400Memory::LineDir::Entry *
+Dec8400Memory::LineDir::page(Addr key)
 {
-    _slots.assign(slots, Slot{});
-    _used = 0;
-    _shift = 64;
-    while ((std::size_t{1} << (64 - _shift)) < slots)
-        --_shift;
-}
-
-void
-Dec8400Memory::LineDir::grow()
-{
-    std::vector<Slot> old = std::move(_slots);
-    reset(old.size() * 2);
-    const std::size_t mask = _slots.size() - 1;
-    for (const Slot &s : old) {
-        if (!s.used)
-            continue;
-        std::size_t i = indexOf(s.line);
-        while (_slots[i].used)
-            i = (i + 1) & mask;
-        _slots[i] = s;
-    }
-    for (const Slot &s : old)
-        _used += s.used ? 1 : 0;
+    const auto it = std::lower_bound(
+        _pages.begin(), _pages.end(), key,
+        [](const Page &p, Addr k) { return p.key < k; });
+    if (it != _pages.end() && it->key == key)
+        return it->entries.get();
+    return _pages
+        .insert(it, Page{key, std::make_unique<Entry[]>(kPageLines)})
+        ->entries.get();
 }
 
 Dec8400Memory::Dec8400Memory(const BusConfig &bus_config,
                              const mem::DramConfig &dram_config,
                              stats::Group *parent)
     : _config(bus_config),
+      _lineShift(static_cast<unsigned>(
+          std::countr_zero(bus_config.lineBytes))),
       _arbTicks(nsToTicks(bus_config.arbNs)),
       _snoopTicks(nsToTicks(bus_config.snoopNs)),
       _interventionTicks(nsToTicks(bus_config.interventionNs)),
@@ -97,6 +70,9 @@ Dec8400Memory::Dec8400Memory(const BusConfig &bus_config,
                  "bytes over the system bus per time bucket"),
       _traceTrack(trace::Tracer::instance().track(bus_config.name))
 {
+    GASNUB_ASSERT(std::has_single_bit(bus_config.lineBytes),
+                  "bus line size ", bus_config.lineBytes,
+                  " is not a power of two");
     GASNUB_ASSERT(dram_config.splitTransactionChannel,
                   "the 8400 bus expects a split-transaction DRAM");
     _addressBus.enableBackfill();
@@ -109,7 +85,8 @@ void
 Dec8400Memory::attach(NodeId id, mem::MemoryHierarchy *h)
 {
     GASNUB_ASSERT(h != nullptr, "null hierarchy");
-    GASNUB_ASSERT(id >= 0, "bad node id");
+    GASNUB_ASSERT(id >= 0 && id < 32, "node id ", id,
+                  " outside the 32-node sharer mask");
     if (static_cast<std::size_t>(id) >= _nodes.size())
         _nodes.resize(id + 1, nullptr);
     GASNUB_ASSERT(_nodes[id] == nullptr, "node ", id,
@@ -132,7 +109,7 @@ Dec8400Memory::primeFill(NodeId requester, Addr addr)
     // would discard the former and a priming pass is not part of the
     // measured experiment.
     const Addr line = lineOf(addr);
-    LineState &st = _dir[line];
+    LineState &st = _dir[addr >> _lineShift];
     const std::uint32_t me = 1u << requester;
 
     if (st.dirtyOwner != invalidNode && st.dirtyOwner != requester) {
@@ -158,7 +135,7 @@ Dec8400Memory::access(NodeId requester, Addr addr,
                       std::uint32_t bytes)
 {
     const Addr line = lineOf(addr);
-    LineState &st = _dir[line];
+    LineState &st = _dir[addr >> _lineShift];
     const std::uint32_t me = 1u << requester;
 
     if (intent == mem::FetchIntent::Upgrade) {

@@ -17,6 +17,7 @@
 #define GASNUB_BUS_DEC8400_MEMORY_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ struct BusConfig
      * after the dirty copy was written back).
      */
     double sharedLineNs = 75;
-    std::uint32_t lineBytes = 64; ///< coherence granularity
+    std::uint32_t lineBytes = 64; ///< coherence granularity (power of 2)
 };
 
 /**
@@ -70,7 +71,8 @@ class Dec8400Memory
 
     /**
      * Attach processor @p id; installs the DRAM hook on @p h.
-     * @param id Node id (0-based, dense).
+     * @param id Node id (0-based, dense, below 32: sharer sets are
+     *           32-bit masks).
      * @param h  The processor's memory hierarchy; must outlive this.
      */
     void attach(NodeId id, mem::MemoryHierarchy *h);
@@ -133,49 +135,65 @@ class Dec8400Memory
     };
 
     /**
-     * Flat open-addressing line directory: power-of-two table with
-     * linear probing and Fibonacci hashing.  Only find-or-insert and
-     * clear are needed, so the probe loop beats the former
-     * std::unordered_map's node allocations and pointer chases on the
-     * per-line bus fast path.  Fully deterministic: layout depends
-     * only on the insertion set, never on pointer values.
+     * Direct-indexed, paged line directory.  A line's index (address
+     * >> log2(lineBytes)) selects a fixed page of kPageLines entries,
+     * allocated on first touch, and a slot within it; pages are found
+     * through a vector sorted by page key behind a one-entry last-page
+     * cache, so a sweep walks consecutive entries of one page with no
+     * search or hashing.  Pages never move, so a LineState & stays
+     * valid across later lookups.  Each entry carries the epoch it was
+     * last written in: clear() bumps the epoch, and an entry from an
+     * older epoch reads as a default LineState.  Layout depends only
+     * on which pages were touched, never on pointer values.
      */
     class LineDir
     {
       public:
-        LineDir() { reset(kInitialSlots); }
+        /** Find the entry for line index @p line, defaulting if absent. */
+        LineState &
+        operator[](Addr line)
+        {
+            const Addr key = line >> kPageShift;
+            if (key != _lastKey) {
+                _lastPage = page(key);
+                _lastKey = key;
+            }
+            Entry &e = _lastPage[line & (kPageLines - 1)];
+            if (e.epoch != _epoch) {
+                e.state = LineState{};
+                e.epoch = _epoch;
+            }
+            return e.state;
+        }
 
-        /** Find the entry for @p line, default-inserting if absent. */
-        LineState &operator[](Addr line);
-
-        /** Forget all coherence state (capacity is retained). */
+        /** Forget all coherence state in O(1) (pages are retained). */
         void clear();
 
       private:
-        struct Slot
+        struct Entry
         {
-            Addr line = 0;
             LineState state;
-            bool used = false;
+            /** Epoch @c state belongs to; 0 never matches _epoch. */
+            std::uint32_t epoch = 0;
         };
 
-        static constexpr std::size_t kInitialSlots = 1024;
+        static constexpr unsigned kPageShift = 12;
+        static constexpr Addr kPageLines = Addr{1} << kPageShift;
 
-        std::size_t indexOf(Addr line) const
+        struct Page
         {
-            // Line addresses are aligned, so their low bits carry no
-            // entropy; Fibonacci hashing pushes the mix into the high
-            // bits and the shift selects them.
-            return static_cast<std::size_t>(
-                (line * 0x9e3779b97f4a7c15ULL) >> _shift);
-        }
+            Addr key;
+            std::unique_ptr<Entry[]> entries;
+        };
 
-        void reset(std::size_t slots);
-        void grow();
+        /** The entries of page @p key, allocating the page if new. */
+        Entry *page(Addr key);
 
-        std::vector<Slot> _slots;
-        std::size_t _used = 0;
-        unsigned _shift = 64; ///< 64 - log2(_slots.size())
+        std::vector<Page> _pages; ///< sorted by key
+        /** No line index reaches this key, so the first lookup misses. */
+        Addr _lastKey = ~Addr{0};
+        Entry *_lastPage = nullptr;
+        std::uint32_t _epoch = 1;
     };
 
     Addr lineOf(Addr addr) const
@@ -184,6 +202,7 @@ class Dec8400Memory
     }
 
     BusConfig _config;
+    unsigned _lineShift; ///< log2(lineBytes)
     Tick _arbTicks;
     Tick _snoopTicks;
     Tick _interventionTicks;

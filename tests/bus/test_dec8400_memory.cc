@@ -17,11 +17,11 @@ using namespace gasnub::bus;
 
 struct TwoNodeSmp
 {
-    TwoNodeSmp()
+    explicit TwoNodeSmp(const BusConfig &bus = machine::dec8400BusConfig())
         : cfg0(machine::dec8400Node("n0")),
           cfg1(machine::dec8400Node("n1")),
           n0(cfg0), n1(cfg1),
-          shared(machine::dec8400BusConfig(), sharedDram())
+          shared(bus, sharedDram())
     {
         shared.attach(0, &n0);
         shared.attach(1, &n1);
@@ -137,6 +137,140 @@ TEST(Dec8400Memory, ResetAllForgetsDirectory)
     // directory forgot ownership — a consumer read goes to memory.
     smp.n0.read(0x6000);
     EXPECT_EQ(smp.shared.interventions(), iv);
+}
+
+/** Bytes of address one directory page covers at 64-byte lines. */
+constexpr Addr kDirPage = 4096 * 64;
+
+/** Whether any cache level of @p h holds @p addr's line. */
+bool
+cached(mem::MemoryHierarchy &h, Addr addr)
+{
+    for (std::size_t l = 0; l < h.numLevels(); ++l)
+        if (h.level(l).contains(addr))
+            return true;
+    return false;
+}
+
+TEST(Dec8400Memory, OwnershipAcrossDirectoryPageBoundary)
+{
+    for (const Addr boundary :
+         {kDirPage, 5 * kDirPage, (Addr{1} << 33) + kDirPage}) {
+        TwoNodeSmp smp;
+        const Addr last = boundary - 64; // last entry of one page
+        const Addr first = boundary;     // first entry of the next
+        // Only the line before the boundary is dirty at node 1.
+        smp.n1.write(last);
+        smp.n0.read(first);
+        EXPECT_EQ(smp.shared.interventions(), 0u) << boundary;
+        smp.n0.read(last);
+        EXPECT_EQ(smp.shared.interventions(), 1u) << boundary;
+        // Node 0 takes the line after the boundary; node 1's read of it
+        // is served by node 0, and node 1's clean copy of the line
+        // before the boundary is untouched.
+        smp.n0.write(first);
+        smp.n1.read(first);
+        EXPECT_EQ(smp.shared.interventions(), 2u) << boundary;
+        EXPECT_TRUE(cached(smp.n1, last)) << boundary;
+        // Node 1 rewrites the line before the boundary: only node 0's
+        // copy of that line is invalidated.
+        const auto inv = smp.shared.invalidations();
+        smp.n1.write(last);
+        EXPECT_EQ(smp.shared.invalidations(), inv + 1) << boundary;
+        EXPECT_FALSE(cached(smp.n0, last)) << boundary;
+        EXPECT_TRUE(cached(smp.n0, first)) << boundary;
+    }
+}
+
+TEST(Dec8400Memory, LinesTwoToThe33ApartNeverAlias)
+{
+    TwoNodeSmp smp;
+    const Addr low = 0x1000;
+    const Addr high = low + (Addr{1} << 33);
+    smp.n1.write(low);
+    // The copy destination's line shares every cache set with the
+    // source's, but not its directory entry.
+    smp.n0.read(high);
+    EXPECT_EQ(smp.shared.interventions(), 0u);
+    smp.n0.read(low);
+    EXPECT_EQ(smp.shared.interventions(), 1u);
+    smp.n0.write(high);
+    smp.n1.read(high);
+    EXPECT_EQ(smp.shared.interventions(), 2u);
+}
+
+TEST(Dec8400Memory, ResetAllForgetsEveryPage)
+{
+    TwoNodeSmp smp;
+    const Addr lines[] = {0x1000, 3 * kDirPage + 0x40,
+                          (Addr{1} << 33) + 0x80, Addr{1} << 34};
+    for (const Addr a : lines)
+        smp.n1.write(a);
+    smp.shared.resetAll();
+    // Every page's ownership is gone, not only the last page used.
+    for (const Addr a : lines)
+        smp.n0.read(a);
+    EXPECT_EQ(smp.shared.interventions(), 0u);
+    // State recorded after the reset is tracked again.
+    smp.n1.write(lines[1] + 64);
+    smp.n0.read(lines[1] + 64);
+    EXPECT_EQ(smp.shared.interventions(), 1u);
+}
+
+TEST(Dec8400Memory, CoherenceFollowsBusLineSize)
+{
+    BusConfig wide = machine::dec8400BusConfig();
+    wide.lineBytes = 128;
+    TwoNodeSmp smp(wide);
+    smp.n1.write(0x1000);
+    // Same 128-byte bus line, different 64-byte cache line: still
+    // owned by node 1.
+    smp.n0.read(0x1040);
+    EXPECT_EQ(smp.shared.interventions(), 1u);
+    // The next bus line was never written.
+    smp.n1.write(0x1000);
+    smp.n0.read(0x1080);
+    EXPECT_EQ(smp.shared.interventions(), 1u);
+
+    // At 64-byte bus lines the neighbouring cache line is separate.
+    TwoNodeSmp narrow;
+    narrow.n1.write(0x1000);
+    narrow.n0.read(0x1040);
+    EXPECT_EQ(narrow.shared.interventions(), 0u);
+}
+
+TEST(Dec8400Memory, NodeThirtyOneUsesTheTopSharerBit)
+{
+    mem::HierarchyConfig cfg = machine::dec8400Node("n31");
+    mem::MemoryHierarchy n31(cfg);
+    TwoNodeSmp smp;
+    smp.shared.attach(31, &n31);
+    n31.write(0x8000);
+    smp.n0.read(0x8000);
+    EXPECT_EQ(smp.shared.interventions(), 1u);
+    smp.n0.write(0x8000);
+    EXPECT_FALSE(cached(n31, 0x8000));
+}
+
+TEST(Dec8400MemoryDeathTest, LineBytesMustBeAPowerOfTwo)
+{
+    BusConfig bad = machine::dec8400BusConfig();
+    bad.lineBytes = 96;
+    EXPECT_DEATH(Dec8400Memory(bad, TwoNodeSmp::sharedDram()),
+                 "bus line size 96 is not a power of two");
+    bad.lineBytes = 0;
+    EXPECT_DEATH(Dec8400Memory(bad, TwoNodeSmp::sharedDram()),
+                 "is not a power of two");
+}
+
+TEST(Dec8400MemoryDeathTest, AttachRejectsNodesPastTheSharerMask)
+{
+    TwoNodeSmp smp;
+    mem::HierarchyConfig cfg = machine::dec8400Node("n32");
+    mem::MemoryHierarchy n32(cfg);
+    EXPECT_DEATH(smp.shared.attach(32, &n32),
+                 "node id 32 outside the 32-node sharer mask");
+    EXPECT_DEATH(smp.shared.attach(-1, &n32), "outside the 32-node");
 }
 
 TEST(Dec8400Memory, MachineFactoryWiresHooks)

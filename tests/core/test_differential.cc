@@ -15,7 +15,9 @@
  * were merged, so they pin those merges as well.  The backfill
  * calendar traces and the T3E deposit fixture were captured while
  * mem::Resource still kept its gaps in one vector, so they pin the
- * blocked gap list to that calendar's exact ticks.
+ * blocked gap list to that calendar's exact ticks.  The 8400 coherence
+ * trace was captured while the bus kept its directory in a hashed
+ * table, so it pins the paged directory to that table's answers.
  *
  * A failure names the fixture and its first differing line.  After an
  * intentional model change, regenerate with
@@ -39,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "bus/dec8400_memory.hh"
 #include "core/characterizer.hh"
 #include "core/redistribution.hh"
 #include "core/surface_io.hh"
@@ -54,6 +57,7 @@
 #include "machine/sync.hh"
 #include "mem/resource.hh"
 #include "sim/rng.hh"
+#include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/units.hh"
 
@@ -445,6 +449,72 @@ TEST(DifferentialCalendar, SeededTracesMatchFixture)
          })
         out += replay(t);
     expectMatchesFixture("resource_calendar.txt", out);
+}
+
+/**
+ * A seeded 4-node 8400 trace of interleaved reads and writes over a
+ * small pool of lines, pinning every coherence-directory answer
+ * (ownership, sharers, last writer) to exact completion ticks and bus
+ * counts.  The pool straddles several 256 KiB boundaries (4096 lines
+ * of 64 bytes) near address 0, the copy destination (1 << 33) and the
+ * loaded-machine node regions (id << 34); those bases alias in every
+ * cache set, so conflict misses force writebacks.  A directory-only
+ * resetAll() (caches stay warm, so dirty lines outlive their ownership
+ * records) and a machine-wide resetTiming() land mid-trace.
+ */
+TEST(DifferentialDirectory, SeededCoherenceTraceMatchesFixture)
+{
+    constexpr int kNodes = 4;
+    constexpr int kCalls = 6000;
+    constexpr int kResetAllAt = 2000;
+    constexpr int kResetTimingAt = 4000;
+    constexpr Addr kPage = 256_KiB;
+
+    std::vector<Addr> pool;
+    std::vector<Addr> bases = {0, Addr{1} << 33};
+    for (Addr id = 1; id < kNodes; ++id)
+        bases.push_back(id << 34);
+    for (const Addr base : bases)
+        for (const Addr page : {Addr{1}, Addr{2}, Addr{7}})
+            for (int d = -3; d < 3; ++d)
+                pool.push_back(base + page * kPage +
+                               static_cast<Addr>(d * 64));
+
+    machine::Machine m(machine::SystemKind::Dec8400, kNodes);
+    bus::Dec8400Memory &bus = *m.sharedMemory();
+    sim::Rng rng(18);
+    std::ostringstream os;
+    os << "# dec8400 coherence trace, " << pool.size() << " lines\n";
+    for (int i = 0; i < kCalls; ++i) {
+        if (i == kResetAllAt) {
+            bus.resetAll();
+            os << "resetAll\n";
+        } else if (i == kResetTimingAt) {
+            m.resetTiming();
+            os << "resetTiming\n";
+        }
+        const auto n = static_cast<NodeId>(rng.below(kNodes));
+        const Addr a = pool[rng.below(pool.size())] + 8 * rng.below(8);
+        const bool store = rng.below(3) == 0;
+        const Tick done = store ? m.node(n).write(a) : m.node(n).read(a);
+        os << (store ? "w" : "r") << n << " " << done
+           << ((i + 1) % 8 == 0 ? "\n" : " ");
+    }
+    os << "drain";
+    for (NodeId n = 0; n < kNodes; ++n)
+        os << " " << m.node(n).drain();
+    os << "\n";
+    for (const char *stat : {"transactions", "interventions",
+                             "invalidations", "memoryReads",
+                             "memoryWrites"}) {
+        const std::string name = bus.config().name + "." + stat;
+        const auto *s = dynamic_cast<const stats::Scalar *>(
+            bus.statsGroup().find(name));
+        ASSERT_NE(s, nullptr) << name;
+        os << name << " "
+           << static_cast<std::uint64_t>(s->value()) << "\n";
+    }
+    expectMatchesFixture("coherence_dec8400.txt", os.str());
 }
 
 /**
