@@ -19,8 +19,10 @@
 #include <sys/wait.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/surface_io.hh"
@@ -198,7 +200,93 @@ TEST(JsonFuzz, NestingWithinTheBoundParses)
     EXPECT_EQ(parseJson(deep).kind, JsonValue::Kind::Array);
 }
 
+TEST(JsonFuzz, NumbersFollowRfc8259AndRoundLikeStrtod)
+{
+    for (const char *good :
+         {"0", "-0", "12", "-3.25", "1e3", "1E+3", "2.5e-3", "0.1",
+          "123456789012345678901234567890", "4.9e-324", "1e400",
+          "-1e400", "1e-400", "2.2250738585072011e-308"}) {
+        const JsonValue v =
+            parseJson(std::string("{\"x\": ") + good + "}");
+        const double want = std::strtod(good, nullptr);
+        EXPECT_EQ(std::memcmp(&v.find("x")->number, &want, sizeof want),
+                  0)
+            << good;
+    }
+}
+
+TEST(JsonFuzz, MembersWalksOneObjectWithoutATree)
+{
+    const std::string text =
+        "{\"a\": 1, \"k\\u0065y\": \"v\\u0061l\", \"n\": {\"d\": [1, "
+        "{\"x\": \"y\\n\"}]}, \"a\": true, \"l\": [], \"z\": null}";
+    std::vector<std::string> seen;
+    JsonParser p(text, "test");
+    p.members([&](std::string_view key, const tooljson::JsonFieldView &v) {
+        std::string s(key);
+        switch (v.kind) {
+          case JsonValue::Kind::Number:
+            s += "=" + std::to_string(v.number);
+            break;
+          case JsonValue::Kind::String:
+            s += "=\"" + std::string(v.string) + "\"";
+            break;
+          case JsonValue::Kind::Bool:
+            s += v.boolean ? "=true" : "=false";
+            break;
+          case JsonValue::Kind::Null: s += "=null"; break;
+          case JsonValue::Kind::Array: s += "=[]"; break;
+          case JsonValue::Kind::Object: s += "={}"; break;
+        }
+        seen.push_back(s);
+    });
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        "a=1.000000", "key=\"val\"", "n={}", "a=true",
+                        "l=[]", "z=null"}));
+
+    // A non-object has no members, as find() on its tree finds none.
+    const std::string array = "[1, {\"a\": 2}]";
+    JsonParser q(array, "test");
+    int calls = 0;
+    q.members([&](std::string_view, const tooljson::JsonFieldView &) {
+        ++calls;
+    });
+    EXPECT_EQ(calls, 0);
+}
+
 using JsonDeath = ::testing::Test;
+
+TEST(JsonDeath, MalformedNumbersAreFatalAtTheirFirstByte)
+{
+    // Each of these once read as the value of its longest strtod
+    // prefix ("1-2" as 1, "-" as 0).
+    for (const char *bad : {"1-2", "-", "+7", "1.2.3", "01", "-01", "1.",
+                            ".5", "-.5", "1e", "1e+", "--1", "1.e3",
+                            "2e3.5", "1ee2"}) {
+        EXPECT_EXIT(
+            {
+                parseJson(std::string("{\"x\": ") + bad + "}");
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(2),
+            "test: JSON error at byte 6: bad number")
+            << "input " << bad;
+    }
+}
+
+TEST(JsonDeath, MisspelledLiteralsAreFatal)
+{
+    // Literals were once skipped by length, unread.
+    for (const char *bad : {"{\"x\": trux}", "{\"x\": nulL}", "[fAlse]"}) {
+        EXPECT_EXIT(
+            {
+                parseJson(bad);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(2), "bad literal")
+            << "input " << bad;
+    }
+}
 
 TEST(JsonDeath, TruncationIsFatal)
 {

@@ -1,0 +1,257 @@
+/**
+ * @file
+ * serve's JSON wire codec (tools/serve_json.hh) against the code it
+ * replaced: answer lines must match the old snprintf("%.17g") format
+ * byte for byte, and decodeQuery() must read every well-formed line
+ * as the old parse() tree + find() lookup did.
+ */
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "core/planner_io.hh"
+#include "json_util.hh"
+#include "serve/planner_index.hh"
+#include "serve_json.hh"
+#include "sim/rng.hh"
+
+namespace {
+
+using namespace gasnub;
+namespace fs = std::filesystem;
+
+/** The answer line as serve printed it before the codec. */
+std::string
+snprintfAnswer(const std::string &machine, const serve::PlanAnswer &a)
+{
+    char buf[512];
+    const int n = std::snprintf(
+        buf, sizeof(buf),
+        "{\"machine\": \"%s\", \"option\": \"%.*s\", "
+        "\"method\": \"%s\", \"strideOnSource\": %s, "
+        "\"mbs\": %.17g, \"seconds\": %.17g}\n",
+        machine.c_str(), static_cast<int>(a.label.size()),
+        a.label.data(), remote::methodName(a.method),
+        a.strideOnSource ? "true" : "false", a.predictedMBs,
+        a.predictedSeconds);
+    return std::string(buf, static_cast<std::size_t>(n));
+}
+
+std::string
+codecAnswer(const std::string &machine, const serve::PlanAnswer &a)
+{
+    std::vector<char> buf(servejson::kAnswerFixedBytes + machine.size() +
+                          a.label.size());
+    char *end = servejson::encodeAnswer(buf.data(), machine, a);
+    return std::string(buf.data(), end);
+}
+
+/** tests/tools/test_serve_cli.sh's demo pack, built in process. */
+serve::PlannerIndex
+demoIndex()
+{
+    const fs::path dir = fs::path(::testing::TempDir()) / "serve_json_demo";
+    fs::create_directories(dir);
+    std::ofstream(dir / "pull.surface") << "gasnub-surface 1\n"
+                                           "name demo pull\n"
+                                           "workingsets 2 1024 1048576\n"
+                                           "strides 3 1 8 64\n"
+                                           "data\n"
+                                           "120.5 80.25 60.125\n"
+                                           "110.5 70.25 50.125\n"
+                                           "end\n";
+    std::ofstream(dir / "fetch-sload.surface")
+        << "gasnub-surface 1\n"
+           "name demo fetch\n"
+           "workingsets 2 1024 1048576\n"
+           "strides 3 1 8 64\n"
+           "data\n"
+           "300.5 150.25 90.125\n"
+           "280.5 140.25 80.125\n"
+           "end\n";
+    serve::MachinePack pack;
+    pack.machine = "demo";
+    pack.options = core::loadPlanOptionsDir(dir.string());
+    std::vector<serve::MachinePack> packs;
+    packs.push_back(std::move(pack));
+    return serve::PlannerIndex(std::move(packs));
+}
+
+/** Every query the CLI test sends the demo pack. */
+std::vector<core::TransferQuery>
+demoQueries()
+{
+    std::vector<core::TransferQuery> qs = {
+        {1048576, 1048576, 8}, {2048, 1024, 1}, {4096, 0, 2}, {8, 8, 1}};
+    for (std::uint64_t ws : {512, 1024, 3000, 65536, 1048576, 4194304})
+        for (std::uint64_t st : {1, 2, 8, 20, 64, 100})
+            qs.push_back({ws * 2, ws, st});
+    return qs;
+}
+
+TEST(ServeJsonEncode, MatchesSnprintfOnEveryDemoAnswer)
+{
+    const serve::PlannerIndex index = demoIndex();
+    for (const core::TransferQuery &q : demoQueries()) {
+        const serve::PlanAnswer a = index.plan(0, q);
+        EXPECT_EQ(codecAnswer("demo", a), snprintfAnswer("demo", a))
+            << "bytes " << q.bytes << " ws " << q.wsBytes << " stride "
+            << q.stride;
+    }
+}
+
+TEST(ServeJsonEncode, MatchesSnprintfOnEdgeAndRandomDoubles)
+{
+    std::vector<double> values = {
+        0.0,
+        -0.0,
+        DBL_MAX,
+        -DBL_MAX,
+        DBL_MIN,
+        DBL_TRUE_MIN,
+        -DBL_TRUE_MIN,
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+        std::bit_cast<double>(std::uint64_t{0x7ff0000000000001}),
+        1.0,
+        154.2,
+        0.0068,
+        1e-4,
+        9.9999999999999991e-5,
+        1e16,
+        1e17,
+        123456789012345678.0,
+        0.1 + 0.2,
+    };
+    sim::Rng rng(19);
+    for (int i = 0; i < 100000; ++i) {
+        const std::uint64_t bits = rng.next();
+        values.push_back(std::bit_cast<double>(bits));
+        // Subnormals: a zero exponent field.
+        values.push_back(
+            std::bit_cast<double>(bits & 0x800fffffffffffffULL));
+        // Magnitudes a planner answer can take.
+        values.push_back(std::ldexp(rng.real(), static_cast<int>(
+                                                    rng.below(80)) -
+                                                    40));
+    }
+    const remote::TransferMethod methods[] = {
+        remote::TransferMethod::CoherentPull,
+        remote::TransferMethod::Fetch, remote::TransferMethod::Deposit};
+    std::size_t diffs = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        serve::PlanAnswer a;
+        a.method = methods[i % 3];
+        a.strideOnSource = i % 2 == 0;
+        a.label = i % 2 ? "fetch-sload" : "deposit-sstore";
+        a.predictedMBs = values[i];
+        a.predictedSeconds = values[values.size() - 1 - i];
+        const std::string want = snprintfAnswer("t3e", a);
+        const std::string got = codecAnswer("t3e", a);
+        if (got != want && ++diffs <= 5)
+            ADD_FAILURE() << "codec: " << got << "printf: " << want;
+    }
+    EXPECT_EQ(diffs, 0u);
+}
+
+/** The query as the old decode read it: a parse() tree and find(). */
+servejson::QueryLine
+treeDecode(const std::string &line, const serve::PlannerIndex &index)
+{
+    tooljson::JsonParser parser(line, "tree");
+    const tooljson::JsonValue v = parser.parse();
+    servejson::QueryLine q;
+    if (v.find("cmd")) {
+        q.metrics = true;
+        return q;
+    }
+    q.machine =
+        static_cast<std::size_t>(index.machineId(v.find("machine")->string));
+    q.query.bytes = static_cast<std::uint64_t>(v.find("bytes")->number);
+    q.query.wsBytes = static_cast<std::uint64_t>(v.find("ws")->number);
+    q.query.stride = static_cast<std::uint64_t>(v.find("stride")->number);
+    return q;
+}
+
+TEST(ServeJsonDecode, ReadsEverySpellingAsTheTreeDid)
+{
+    const serve::PlannerIndex index = demoIndex();
+    const std::vector<std::string> lines = {
+        R"({"machine": "demo", "bytes": 1048576, "ws": 1048576, "stride": 8})",
+        R"({"stride":8,"ws":1048576,"bytes":1048576,"machine":"demo"})",
+        " \t{ \"machine\" : \"demo\" , \"bytes\" : 2048 ,"
+        " \"ws\" : 1024 , \"stride\" : 1 } \r",
+        R"({"machine": "demo", "tag": {"a": [1, {"b": null}], "c": "x"},)"
+        R"( "bytes": 2048, "list": [true, false, -0.5e-3], "ws": 1024,)"
+        R"( "stride": 1})",
+        R"({"machine": "d\u0065mo", "by\u0074es": 2048, "ws": 1024,)"
+        R"( "stride": 1})",
+        R"({"machine": "demo", "bytes": 1e3, "ws": 4096.0, "stride": 0})",
+        R"({"machine": "demo", "bytes": 7, "bytes": 9, "ws": 1,)"
+        R"( "stride": 2, "machine": "nope"})",
+        R"({"machine": "demo", "bytes": 7, "bytes": "x", "ws": -0, "stride": 2})",
+        R"({"cmd": "metrics"})",
+        R"({"bytes": 1, "cmd": "metrics", "cmd": 5})",
+    };
+    for (const std::string &line : lines) {
+        const servejson::QueryLine want = treeDecode(line, index);
+        const servejson::QueryLine got =
+            servejson::decodeQuery(line, 1, index);
+        EXPECT_EQ(got.metrics, want.metrics) << line;
+        EXPECT_EQ(got.machine, want.machine) << line;
+        EXPECT_EQ(got.query.bytes, want.query.bytes) << line;
+        EXPECT_EQ(got.query.wsBytes, want.query.wsBytes) << line;
+        EXPECT_EQ(got.query.stride, want.query.stride) << line;
+    }
+}
+
+using ServeJsonDeath = ::testing::Test;
+
+TEST(ServeJsonDeath, ErrorsNameTheLine)
+{
+    const serve::PlannerIndex index = demoIndex();
+    struct Case
+    {
+        const char *line;
+        int code;
+        const char *message;
+    };
+    const Case cases[] = {
+        {R"({"machine": "demo", "bytes": 1-2, "ws": 1, "stride": 1})", 2,
+         "serve: query line 12: JSON error at byte 29: bad number"},
+        {R"({"machine": "demo", "bytes": 2, "ws": 1, "stride": 1)", 2,
+         "serve: query line 12: JSON error at byte 52: unexpected end"},
+        {R"({"machine": "dem0", "bytes": 2, "ws": 1, "stride": 1})", 1,
+         "serve: query line 12: unknown machine 'dem0'"},
+        {R"({"machine": 5, "bytes": 2, "ws": 1, "stride": 1})", 1,
+         "serve: query line 12: missing or bad 'machine'"},
+        {R"({"machine": "demo", "ws": 1, "stride": 1})", 1,
+         "serve: query line 12: missing or bad 'bytes'"},
+        {R"({"machine": "demo", "bytes": 2, "ws": 1.5, "stride": 1})", 1,
+         "serve: query line 12: 'ws' is 1.5, not an integer"},
+        {R"({"cmd": "stats"})", 1,
+         "serve: query line 12: unknown control command"},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EXIT(
+            {
+                servejson::decodeQuery(c.line, 12, index);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(c.code), c.message)
+            << c.line;
+    }
+}
+
+} // namespace

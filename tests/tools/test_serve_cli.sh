@@ -262,6 +262,126 @@ else
     echo "ok: unknown machine is a clear error"
 fi
 
+# A JSON number is RFC 8259's grammar as a whole token: the old
+# reader took the longest strtod prefix ("1-2" as 1, "-" as 0) and
+# answered a different query.  Exit 2 names the line and the byte.
+expect_bad_number() {
+    printf '%s\n%s\n' \
+        '{"machine": "demo", "bytes": 4096, "ws": 0, "stride": 2}' \
+        "{\"machine\": \"demo\", \"bytes\": $1, \"ws\": 8, \"stride\": 1}" |
+        "$serve" --pack "$tmp/demo.pack" >/dev/null 2>"$tmp/err"
+    code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "FAIL: JSON number '$1': exit $code, expected 2"
+        fails=1
+    elif ! grep -q "query line 2: JSON error at byte 29: bad number" \
+            "$tmp/err"; then
+        echo "FAIL: JSON number '$1': diagnostic does not name line 2," \
+             "byte 29 and a bad number"
+        cat "$tmp/err"
+        fails=1
+    else
+        echo "ok: JSON number '$1' is rejected"
+    fi
+}
+for v in 1-2 - +7 1.2.3 01 .5 1e; do
+    expect_bad_number "$v"
+done
+
+# The same queries spelled any other valid way get the canonical
+# answers, byte for byte.
+"$serve" --pack "$tmp/demo.pack" < "$tmp/queries" > "$tmp/canonical" \
+    2>/dev/null
+expect_canonical() {
+    if ! "$serve" --pack "$tmp/demo.pack" > "$tmp/spelled" \
+            2>"$tmp/err"; then
+        echo "FAIL: $1: serve failed"
+        cat "$tmp/err"
+        fails=1
+    elif ! cmp -s "$tmp/canonical" "$tmp/spelled"; then
+        echo "FAIL: $1: answers differ from the canonical spelling"
+        fails=1
+    else
+        echo "ok: $1"
+    fi
+}
+q1='{"machine": "demo", "bytes": 1048576, "ws": 1048576, "stride": 8}'
+q3='{"machine": "demo", "bytes": 2048, "ws": 1024, "stride": 1}'
+{
+    printf '%s\n' "$q1"
+    printf '%s' '{"machine": "demo", "bytes": 1048'
+    sleep 0.3
+    printf '%s\n%s\n' '576, "ws": 1048576, "stride": 8}' "$q3"
+} | expect_canonical "a query split across two pipe writes"
+printf '%s\n%s\n%s' "$q1" "$q1" "$q3" |
+    expect_canonical "a final line with no newline"
+printf '%s\r\n%s\r\n\r\n%s\r\n' "$q1" "$q1" "$q3" |
+    expect_canonical "CRLF line endings"
+printf '%s\n' \
+    '{"stride": 8, "ws": 1048576, "bytes": 1048576, "machine": "demo"}' \
+    '  {"ws":1048576,"machine":"demo",  "stride":8,"bytes":1048576 }  ' \
+    '{"bytes": 2048, "stride": 1, "machine": "demo", "ws": 1024}' |
+    expect_canonical "reordered keys and extra whitespace"
+printf '%s\n' \
+    '{"machine": "demo", "tag": {"a": [1, {"b": null}]}, "bytes": 1048576, "ws": 1048576, "stride": 8}' \
+    '{"machine": "demo", "bytes": 1048576, "ws": 1048576, "stride": 8, "hist": [[1, 2], {"x": "y"}, true]}' \
+    '{"machine": "demo", "bytes": 2048, "ws": 1024, "stride": 1, "note": "x\"y"}' |
+    expect_canonical "unknown keys holding nested arrays and objects"
+printf '%s\n' \
+    '{"machine": "d\u0065mo", "bytes": 1048576, "ws": 1048576, "stride": 8}' \
+    '{"m\u0061chine": "demo", "bytes": 1048576, "ws": 1048576, "stride": 8}' \
+    '{"machine": "\u0064\u0065\u006d\u006f", "by\u0074es": 2048, "ws": 1024, "stride": 1}' |
+    expect_canonical "escaped machine names and keys"
+printf '%s\n' \
+    '{"machine": "demo", "bytes": 1048576, "bytes": 7, "ws": 1048576, "stride": 8}' \
+    '{"machine": "demo", "machine": "sp2", "bytes": 1048576, "ws": 1048576, "stride": 8}' \
+    '{"stride": 1, "machine": "demo", "bytes": 2048, "ws": 1024, "stride": 64}' |
+    expect_canonical "a duplicate key keeps its first value"
+
+# An answer line is written whole however long the machine name and
+# option label are (a fixed 256-byte buffer once cut such lines short
+# and dropped their newline).
+long=$(printf 'm%.0s' $(seq 150))
+"$pack" --machine "$long" --surfaces "$tmp/surfaces" \
+    --out "$tmp/long.pack" 2>/dev/null
+printf '{"machine": "%s", "bytes": 8, "ws": 8, "stride": 1}\n' \
+    "$long" "$long" |
+    "$serve" --pack "$tmp/long.pack" > "$tmp/long.out" 2>/dev/null
+if [ "$(grep -c '"seconds": [0-9.e+-]*}$' "$tmp/long.out")" -ne 2 ]; then
+    echo "FAIL: answers for a 150-byte machine name are not whole lines"
+    fails=1
+else
+    echo "ok: long machine names get whole answer lines"
+fi
+
+# serve answers a batch flushed by {"cmd": "metrics"} while its input
+# stays open: the reader never waits past the current line, so a
+# closed-loop client (one that waits for the answers before sending
+# more) cannot deadlock it.
+mkfifo "$tmp/live.fifo"
+"$serve" --pack "$tmp/demo.pack" < "$tmp/live.fifo" > "$tmp/live.out" \
+    2>/dev/null &
+live_pid=$!
+exec 3> "$tmp/live.fifo"
+printf '%s\n%s\n' "$q1" '{"cmd": "metrics"}' >&3
+i=0
+while [ "$i" -lt 100 ] && [ "$(wc -l < "$tmp/live.out")" -lt 2 ]; do
+    sleep 0.1
+    i=$((i + 1))
+done
+live_lines=$(wc -l < "$tmp/live.out")
+exec 3>&-
+wait "$live_pid"
+if [ "$live_lines" -lt 2 ]; then
+    echo "FAIL: serve held a flushed answer until its input closed"
+    fails=1
+elif [ "$(head -1 "$tmp/live.out")" != "$(head -1 "$tmp/canonical")" ]; then
+    echo "FAIL: the live answer differs from the canonical one"
+    fails=1
+else
+    echo "ok: serve answers while its input stays open"
+fi
+
 # Telemetry differential: answers must be byte-identical with the
 # full telemetry stack on (metrics file, trace spans, slow-query log)
 # versus everything off.  A plan query takes well under a

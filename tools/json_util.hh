@@ -1,21 +1,29 @@
 /**
  * @file
- * Minimal JSON reader shared by the analysis tools (report, bench).
+ * Minimal JSON reader shared by the tools: report, bench and serve's
+ * query lines.
  *
  * Covers exactly what this repo's writers emit — stats
  * Group::dumpJson trees, BENCH_<pr>.json protocol files, profiler
  * exports: objects, arrays, strings, numbers, bools and null, with
- * sim/json.hh's control-byte escapes.  Parse errors are fatal
- * (exit 2) with the caller-supplied context in the message.
+ * sim/json.hh's control-byte escapes.  Numbers follow RFC 8259's
+ * grammar exactly and convert with std::from_chars; literals are
+ * spelled out in full.  parse() builds a JsonValue tree; members()
+ * walks one object's members with the same lexer and builds nothing.
+ * Parse errors are fatal (exit 2) with the caller-supplied context
+ * in the message.
  */
 
 #ifndef GASNUB_TOOLS_JSON_UTIL_HH
 #define GASNUB_TOOLS_JSON_UTIL_HH
 
-#include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -40,29 +48,94 @@ struct JsonValue
     }
 };
 
+/**
+ * One member value as JsonParser::members() sees it: no tree and no
+ * owned strings.  A nested array or object carries only its kind.
+ */
+struct JsonFieldView
+{
+    JsonValue::Kind kind = JsonValue::Kind::Null;
+    bool boolean = false;
+    double number = 0;
+    std::string_view string; ///< Kind::String only
+};
+
 class JsonParser
 {
   public:
-    /** @param context Error prefix, e.g. "report: stats.json". */
-    JsonParser(const std::string &text, const std::string &context)
-        : _s(text), _ctx(context)
+    /**
+     * @param text Parsed in place; must outlive the parser.
+     * @param context Error prefix, e.g. "report: stats.json".
+     */
+    JsonParser(std::string_view text, std::string context)
+        : _s(text), _ctx(std::move(context))
     {
     }
+
+    /**
+     * A parser whose error prefix "<stem> line <line>" is formatted
+     * only if the text turns out to be bad, so a good line costs no
+     * string building.
+     */
+    JsonParser(std::string_view text, const char *stem,
+               std::uint64_t line)
+        : _s(text), _stem(stem), _line(line)
+    {
+    }
+
+    /** A temporary would dangle: the parser keeps a view of it. */
+    JsonParser(std::string &&, std::string) = delete;
 
     JsonValue parse()
     {
-        const JsonValue v = value();
-        skipWs();
-        if (_i != _s.size())
-            fail("trailing garbage");
+        JsonValue v;
+        value(&v);
+        finish();
         return v;
     }
 
-  private:
-    [[noreturn]] void fail(const std::string &what)
+    /**
+     * Walk one object's members without building a tree: @p visit
+     * (std::string_view key, const JsonFieldView &value) runs once per
+     * member, in input order, duplicates included.  The grammar,
+     * escapes, depth bound and errors are parse()'s.  Keys and string
+     * values are views into the text, or into a scratch buffer (valid
+     * until the next member) when they hold escapes.  A nested array
+     * or object is checked and skipped.  A top-level value that is not
+     * an object is checked and has no members, just as find() on a
+     * parse()d non-object finds nothing.
+     */
+    template <class Visit>
+    void members(Visit &&visit)
     {
-        std::cerr << _ctx << ": JSON error at byte " << _i << ": "
-                  << what << "\n";
+        if (peek() != '{') {
+            value(nullptr);
+            finish();
+            return;
+        }
+        ++_depth;
+        eachMember(_keyScratch, [&](std::string_view key) {
+            JsonFieldView v;
+            if (!scalar(v)) {
+                v.kind = _s[_i] == '{' ? JsonValue::Kind::Object
+                                       : JsonValue::Kind::Array;
+                value(nullptr);
+            }
+            visit(key, v);
+        });
+        --_depth;
+        finish();
+    }
+
+  private:
+    [[noreturn]] void fail(std::string_view what)
+    {
+        if (_stem)
+            std::cerr << _stem << " line " << _line;
+        else
+            std::cerr << _ctx;
+        std::cerr << ": JSON error at byte " << _i << ": " << what
+                  << "\n";
         std::exit(2);
     }
 
@@ -89,52 +162,86 @@ class JsonParser
         ++_i;
     }
 
-    JsonValue value()
+    void finish()
+    {
+        skipWs();
+        if (_i != _s.size())
+            fail("trailing garbage");
+    }
+
+    /** Lex the scalar at peek() into @p v; false, consuming nothing,
+     *  at an array or object. */
+    bool scalar(JsonFieldView &v)
     {
         switch (peek()) {
-          case '{': {
-            // Recursive descent: bound the nesting so adversarial
-            // input ("[[[[...") cannot blow the stack.
-            if (++_depth > kMaxDepth)
-                fail("nesting too deep");
-            const JsonValue v = object();
-            --_depth;
-            return v;
-          }
-          case '[': {
-            if (++_depth > kMaxDepth)
-                fail("nesting too deep");
-            const JsonValue v = array();
-            --_depth;
-            return v;
-          }
-          case '"': {
-            JsonValue v;
+          case '{':
+          case '[':
+            return false;
+          case '"':
             v.kind = JsonValue::Kind::String;
-            v.string = string();
-            return v;
-          }
+            v.string = string(_scratch);
+            return true;
           case 't':
-          case 'f': {
-            JsonValue v;
+            literal("true");
             v.kind = JsonValue::Kind::Bool;
-            v.boolean = _s[_i] == 't';
-            _i += v.boolean ? 4 : 5;
-            return v;
-          }
-          case 'n': {
-            _i += 4;
-            return JsonValue{};
-          }
+            v.boolean = true;
+            return true;
+          case 'f':
+            literal("false");
+            v.kind = JsonValue::Kind::Bool;
+            return true;
+          case 'n':
+            literal("null");
+            return true;
           default:
-            return number();
+            v.kind = JsonValue::Kind::Number;
+            v.number = number();
+            return true;
         }
     }
 
-    std::string string()
+    /** One value, built into *out, or only checked when out is null. */
+    void value(JsonValue *out)
+    {
+        JsonFieldView v;
+        if (scalar(v)) {
+            if (out) {
+                out->kind = v.kind;
+                out->boolean = v.boolean;
+                out->number = v.number;
+                out->string.assign(v.string);
+            }
+            return;
+        }
+        // Recursive descent: bound the nesting so adversarial input
+        // ("[[[[...") cannot blow the stack.
+        if (++_depth > kMaxDepth)
+            fail("nesting too deep");
+        if (_s[_i] == '{')
+            object(out);
+        else
+            array(out);
+        --_depth;
+    }
+
+    void literal(std::string_view word)
+    {
+        if (_s.substr(_i, word.size()) != word)
+            fail("bad literal");
+        _i += word.size();
+    }
+
+    /** A string token: a view into the text when it has no escapes,
+     *  else decoded into @p scratch. */
+    std::string_view string(std::string &scratch)
     {
         expect('"');
-        std::string out;
+        const std::size_t start = _i;
+        while (_i < _s.size() && _s[_i] != '"' && _s[_i] != '\\')
+            ++_i;
+        if (_i < _s.size() && _s[_i] == '"')
+            return _s.substr(start, _i++ - start);
+        scratch.assign(_s.substr(start, _i - start));
         while (_i < _s.size() && _s[_i] != '"') {
             char c = _s[_i++];
             if (c == '\\') {
@@ -174,76 +281,149 @@ class JsonParser
                   default: c = e; break;
                 }
             }
-            out.push_back(c);
+            scratch.push_back(c);
         }
         expect('"');
-        return out;
+        return scratch;
     }
 
-    JsonValue number()
+    /**
+     * Strict RFC 8259 number grammar:
+     *   -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?
+     */
+    static bool
+    isNumberToken(std::string_view t)
+    {
+        std::size_t i = 0;
+        auto digits = [&] {
+            const std::size_t from = i;
+            while (i < t.size() && t[i] >= '0' && t[i] <= '9')
+                ++i;
+            return i > from;
+        };
+        if (i < t.size() && t[i] == '-')
+            ++i;
+        if (i < t.size() && t[i] == '0')
+            ++i;
+        else if (!digits())
+            return false;
+        if (i < t.size() && t[i] == '.') {
+            ++i;
+            if (!digits())
+                return false;
+        }
+        if (i < t.size() && (t[i] == 'e' || t[i] == 'E')) {
+            ++i;
+            if (i < t.size() && (t[i] == '+' || t[i] == '-'))
+                ++i;
+            if (!digits())
+                return false;
+        }
+        return i == t.size();
+    }
+
+    /**
+     * A number: the run of number bytes must match isNumberToken() as a
+     * whole ("1-2", "-", "+7", "01" and "1.2.3" are errors at their
+     * first byte, never a prefix's value).
+     */
+    double number()
     {
         const std::size_t start = _i;
         while (_i < _s.size() &&
-               (std::isdigit(static_cast<unsigned char>(_s[_i])) ||
-                _s[_i] == '-' || _s[_i] == '+' || _s[_i] == '.' ||
-                _s[_i] == 'e' || _s[_i] == 'E'))
+               ((_s[_i] >= '0' && _s[_i] <= '9') || _s[_i] == '-' ||
+                _s[_i] == '+' || _s[_i] == '.' || _s[_i] == 'e' ||
+                _s[_i] == 'E'))
             ++_i;
         if (_i == start)
             fail("expected a value");
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        v.number = std::strtod(_s.substr(start, _i - start).c_str(),
-                               nullptr);
-        return v;
+        const std::string_view token = _s.substr(start, _i - start);
+        if (!isNumberToken(token)) {
+            _i = start;
+            fail("bad number");
+        }
+        double d = 0;
+        const auto r = std::from_chars(
+            token.data(), token.data() + token.size(), d);
+        // Past double's range from_chars stores nothing; strtod
+        // gives the rounded value (+-inf, a subnormal or +-0).
+        if (r.ec != std::errc())
+            d = std::strtod(std::string(token).c_str(), nullptr);
+        return d;
     }
 
-    JsonValue array()
+    void array(JsonValue *out)
     {
         expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
+        if (out)
+            out->kind = JsonValue::Kind::Array;
         if (peek() == ']') {
             ++_i;
-            return v;
+            return;
         }
         for (;;) {
-            v.array.push_back(value());
+            if (out) {
+                out->array.emplace_back();
+                value(&out->array.back());
+            } else {
+                value(nullptr);
+            }
             if (peek() == ',') {
                 ++_i;
                 continue;
             }
             expect(']');
-            return v;
+            return;
         }
     }
 
-    JsonValue object()
+    /** The object at peek(): @p member (key) runs once per member,
+     *  with the member's value next in the text, and must consume it.
+     *  Keys with escapes decode into @p key_scratch. */
+    template <class Member>
+    void eachMember(std::string &key_scratch, Member &&member)
     {
         expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
         if (peek() == '}') {
             ++_i;
-            return v;
+            return;
         }
         for (;;) {
-            std::string key = string();
+            const std::string_view key = string(key_scratch);
             expect(':');
-            v.object.emplace_back(std::move(key), value());
+            member(key);
             if (peek() == ',') {
                 ++_i;
                 continue;
             }
             expect('}');
-            return v;
+            return;
         }
+    }
+
+    void object(JsonValue *out)
+    {
+        if (out)
+            out->kind = JsonValue::Kind::Object;
+        eachMember(_scratch, [&](std::string_view key) {
+            if (!out) {
+                value(nullptr);
+                return;
+            }
+            out->object.emplace_back(std::string(key), JsonValue{});
+            value(&out->object.back().second);
+        });
     }
 
     /** Far deeper than any writer in this repo emits. */
     static constexpr int kMaxDepth = 128;
 
-    const std::string &_s;
+    std::string_view _s;
     std::string _ctx;
+    const char *_stem = nullptr; ///< lazy "<stem> line <line>" prefix
+    std::uint64_t _line = 0;
+    std::string _scratch;    ///< escaped strings
+    std::string _keyScratch; ///< escaped members() keys
     std::size_t _i = 0;
     int _depth = 0;
 };

@@ -32,8 +32,19 @@
  * Binary framing (--binary) — fixed 32-byte records both ways, host
  * little-endian; see docs/planner_service.md for the exact layout.
  * Malformed queries are fatal with a record/line diagnostic (exit 1
- * via GASNUB_FATAL, exit 2 for JSON syntax), never silent garbage; a
- * JSON number must be an integer below 2^53.
+ * via GASNUB_FATAL, exit 2 for JSON syntax), never silent garbage.
+ *
+ * The JSON codec (serve_json.hh) builds no tree, and allocates
+ * nothing for a line whose strings hold no escapes.  Keys may come
+ * in any order, with any whitespace and any unknown keys; a
+ * duplicate key keeps its first value.  A number is an RFC 8259
+ * number token as a whole
+ * (-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), and a query
+ * field must be an integer below 2^53.  Lines may end in LF or
+ * CRLF.  The reader never waits for more than the current line, so
+ * a client may wait for its answers before sending more.  Answers
+ * print each double as "%.17g" would, via std::to_chars, straight
+ * into stdout's buffer.
  *
  * Live telemetry (--metrics-out / --slow-query-us / --trace-out)
  * feeds the process-wide metrics::Registry: request/batch counters,
@@ -44,9 +55,7 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -57,16 +66,14 @@
 
 #include "cli_util.hh"
 #include "core/planner.hh"
-#include "json_util.hh"
 #include "metrics_flush.hh"
 #include "serve/planner_index.hh"
+#include "serve_json.hh"
 #include "sim/logging.hh"
 #include "sim/metrics.hh"
 #include "sim/trace.hh"
 
 using namespace gasnub;
-using tooljson::JsonParser;
-using tooljson::JsonValue;
 
 namespace {
 
@@ -150,28 +157,6 @@ methodCode(remote::TransferMethod m)
         return 2;
     }
     GASNUB_PANIC("bad transfer method");
-}
-
-std::uint64_t
-numberField(const JsonValue &v, const char *key,
-            std::uint64_t line_no)
-{
-    // A double holds every integer below 2^53 exactly; from 2^53 on
-    // it cannot tell n from n + 1.  A fraction, or a value that
-    // large, would otherwise be cast into a different query (or
-    // overflow the cast).
-    constexpr double kExactLimit = 9007199254740992.0; // 2^53
-    const JsonValue *f = v.find(key);
-    if (!f || f->kind != JsonValue::Kind::Number || f->number < 0)
-        GASNUB_FATAL("serve: query line ", line_no,
-                     ": missing or bad '", key,
-                     "' (want a non-negative number)");
-    if (!(f->number < kExactLimit) ||
-        f->number != std::floor(f->number))
-        GASNUB_FATAL("serve: query line ", line_no, ": '", key,
-                     "' is ", f->number,
-                     ", not an integer below 2^53");
-    return static_cast<std::uint64_t>(f->number);
 }
 
 /**
@@ -278,55 +263,45 @@ int
 runJson(const serve::PlannerIndex &index, int threads,
         std::size_t batch, Telemetry &telem)
 {
+    // Unsynced cin reads what the pipe holds, never waiting past the
+    // current line (the client may be waiting for its answer).
+    std::ios::sync_with_stdio(false);
+    // Answers go out through stdout's own buffer, sized so a batch
+    // takes a few writes.
+    std::setvbuf(stdout, nullptr, _IOFBF, 1 << 16);
     std::vector<Request> requests(batch);
     std::vector<serve::PlanAnswer> answers;
+    std::vector<char> out(servejson::maxAnswerBytes(index));
     std::string line;
     std::uint64_t line_no = 0;
     std::size_t n = 0;
     std::uint64_t served = 0;
-    std::ostringstream out;
 
     auto flush = [&] {
         if (n == 0)
             return;
         planBatch(index, requests, n, threads, answers, telem,
                   served);
-        out.str("");
         for (std::size_t i = 0; i < n; ++i) {
             const serve::PlanAnswer &a = answers[i];
-            char buf[256];
-            std::snprintf(
-                buf, sizeof(buf),
-                "{\"machine\": \"%s\", \"option\": \"%.*s\", "
-                "\"method\": \"%s\", \"strideOnSource\": %s, "
-                "\"mbs\": %.17g, \"seconds\": %.17g}\n",
-                index.machineName(a.machine).c_str(),
-                static_cast<int>(a.label.size()), a.label.data(),
-                remote::methodName(a.method),
-                a.strideOnSource ? "true" : "false", a.predictedMBs,
-                a.predictedSeconds);
-            out << buf;
+            const char *end = servejson::encodeAnswer(
+                out.data(), index.machineName(a.machine), a);
+            std::fwrite(out.data(), 1,
+                        static_cast<std::size_t>(end - out.data()),
+                        stdout);
         }
-        std::fputs(out.str().c_str(), stdout);
         served += n;
         n = 0;
     };
 
     while (std::getline(std::cin, line)) {
         ++line_no;
-        if (line.empty())
+        // A CRLF stream's blank line is a lone '\r'.
+        if (line.empty() || line == "\r")
             continue;
-        JsonParser parser(line,
-                          "serve: query line " +
-                              std::to_string(line_no));
-        const JsonValue v = parser.parse();
-        const JsonValue *cmd = v.find("cmd");
-        if (cmd) {
-            if (cmd->kind != JsonValue::Kind::String ||
-                cmd->string != "metrics")
-                GASNUB_FATAL("serve: query line ", line_no,
-                             ": unknown control command; the only "
-                             "one is {\"cmd\": \"metrics\"}");
+        const servejson::QueryLine q =
+            servejson::decodeQuery(line, line_no, index);
+        if (q.metrics) {
             // Answer everything queued first so the dump reflects
             // every query that precedes it on the stream.
             flush();
@@ -338,23 +313,8 @@ runJson(const serve::PlannerIndex &index, int threads,
             std::fflush(stdout);
             continue;
         }
-        const JsonValue *machine = v.find("machine");
-        if (!machine ||
-            machine->kind != JsonValue::Kind::String)
-            GASNUB_FATAL("serve: query line ", line_no,
-                         ": missing or bad 'machine' (want a "
-                         "string)");
-        const int id = index.machineId(machine->string);
-        if (id < 0)
-            GASNUB_FATAL("serve: query line ", line_no,
-                         ": unknown machine '", machine->string,
-                         "'; the loaded packs serve ",
-                         index.numMachines(), " machine(s)");
-        Request &r = requests[n];
-        r.machine = static_cast<std::size_t>(id);
-        r.query.bytes = numberField(v, "bytes", line_no);
-        r.query.wsBytes = numberField(v, "ws", line_no);
-        r.query.stride = numberField(v, "stride", line_no);
+        requests[n].machine = q.machine;
+        requests[n].query = q.query;
         if (++n == batch)
             flush();
     }
