@@ -1,6 +1,9 @@
 #include "mem/cache.hh"
 
 #include <bit>
+#include <cstdlib>
+#include <new>
+#include <vector>
 
 namespace gasnub::mem {
 
@@ -14,12 +17,22 @@ isPow2(std::uint64_t v)
 
 } // namespace
 
+void
+Cache::FreeLines::operator()(Line *p) const
+{
+    std::free(p);
+}
+
 Cache::Cache(const CacheConfig &config, stats::Group *parent)
-    : _config(config),
-      _lineMask(config.lineBytes - 1),
+    : _lineMask(config.lineBytes - 1),
       _lineShift(static_cast<unsigned>(
           std::countr_zero(std::uint64_t(config.lineBytes)))),
-      _numSets(config.sizeBytes / (config.lineBytes * config.assoc)),
+      _assoc(config.assoc),
+      _setMask(config.sizeBytes / (config.lineBytes * config.assoc) - 1),
+      _writeBack(config.writePolicy == WritePolicy::WriteBack),
+      _writeAllocate(config.allocPolicy ==
+                     AllocPolicy::ReadWriteAllocate),
+      _config(config),
       _stats(config.name),
       _hits(&_stats, config.name + ".hits", "accesses that hit"),
       _misses(&_stats, config.name + ".misses", "accesses that missed"),
@@ -36,113 +49,24 @@ Cache::Cache(const CacheConfig &config, stats::Group *parent)
 {
     GASNUB_ASSERT(isPow2(config.lineBytes), "line size must be pow2: ",
                   config.name);
+    // Bit 0 of a line address holds the dirty bit.
+    GASNUB_ASSERT(config.lineBytes >= 2, "line size must be >= 2: ",
+                  config.name);
     GASNUB_ASSERT(config.assoc >= 1, "associativity must be >= 1");
     GASNUB_ASSERT(config.sizeBytes %
                       (config.lineBytes * config.assoc) == 0,
                   "size not divisible by way size: ", config.name);
-    GASNUB_ASSERT(isPow2(_numSets), "number of sets must be pow2: ",
+    const std::uint64_t sets = _setMask + 1;
+    GASNUB_ASSERT(isPow2(sets), "number of sets must be pow2: ",
                   config.name);
-    _lines.resize(_numSets * config.assoc);
+    // calloc, not a value-initialised array: the OS hands out zero
+    // pages, so the sets a run never touches cost no resident memory.
+    _lines.reset(static_cast<Line *>(
+        std::calloc(sets * config.assoc, sizeof(Line))));
+    if (!_lines)
+        throw std::bad_alloc();
     if (parent)
         parent->addChild(&_stats);
-}
-
-CacheResult
-Cache::access(Addr addr, AccessType type)
-{
-    CacheResult res;
-    const Addr line = lineAddr(addr);
-    const std::size_t set = setIndex(addr);
-    Line *ways = &_lines[set * _config.assoc];
-
-    // Direct-mapped fast path: the only way is both the probe and the
-    // victim, so the generic probe + victim scan collapses to one
-    // line touch.  Two of the modelled structures (the 21064/21164 L1
-    // and the 8400's 4 MB board cache) are direct mapped, and this
-    // runs per access per probed level.
-    if (_config.assoc == 1) {
-        Line &l = ways[0];
-        if (live(l) && l.tag == line) {
-            res.hit = true;
-            res.wasDirty = l.dirty;
-            l.lru = ++_lruClock;
-            if (type == AccessType::Write &&
-                _config.writePolicy == WritePolicy::WriteBack) {
-                l.dirty = true;
-            }
-            ++_hits;
-            return res;
-        }
-        ++_misses;
-        const bool allocate =
-            type == AccessType::Read ||
-            _config.allocPolicy == AllocPolicy::ReadWriteAllocate;
-        if (!allocate)
-            return res;
-        if (live(l) && l.dirty) {
-            res.evictedDirty = true;
-            res.victimAddr = l.tag;
-            ++_writebacks;
-        }
-        l.tag = line;
-        l.epoch = _epoch;
-        l.dirty = type == AccessType::Write &&
-                  _config.writePolicy == WritePolicy::WriteBack;
-        l.lru = ++_lruClock;
-        res.allocated = true;
-        return res;
-    }
-
-    // Probe all ways.
-    for (std::uint32_t w = 0; w < _config.assoc; ++w) {
-        Line &l = ways[w];
-        if (live(l) && l.tag == line) {
-            res.hit = true;
-            res.wasDirty = l.dirty;
-            l.lru = ++_lruClock;
-            if (type == AccessType::Write &&
-                _config.writePolicy == WritePolicy::WriteBack) {
-                l.dirty = true;
-            }
-            ++_hits;
-            return res;
-        }
-    }
-
-    ++_misses;
-
-    // Decide whether to allocate.
-    const bool allocate =
-        type == AccessType::Read ||
-        _config.allocPolicy == AllocPolicy::ReadWriteAllocate;
-    if (!allocate)
-        return res;
-
-    // Choose a victim: dead way first, else LRU.
-    Line *victim = &ways[0];
-    for (std::uint32_t w = 0; w < _config.assoc; ++w) {
-        Line &l = ways[w];
-        if (!live(l)) {
-            victim = &l;
-            break;
-        }
-        if (l.lru < victim->lru)
-            victim = &l;
-    }
-
-    if (live(*victim) && victim->dirty) {
-        res.evictedDirty = true;
-        res.victimAddr = victim->tag;
-        ++_writebacks;
-    }
-
-    victim->tag = line;
-    victim->epoch = _epoch;
-    victim->dirty = type == AccessType::Write &&
-                    _config.writePolicy == WritePolicy::WriteBack;
-    victim->lru = ++_lruClock;
-    res.allocated = true;
-    return res;
 }
 
 CacheResult
@@ -150,51 +74,34 @@ Cache::install(Addr line_addr)
 {
     CacheResult res;
     const Addr line = lineAddr(line_addr);
-    const std::size_t set = setIndex(line);
-    Line *ways = &_lines[set * _config.assoc];
+    Line *ways = setWays(line);
 
     // Already present: just mark dirty.
-    for (std::uint32_t w = 0; w < _config.assoc; ++w) {
+    for (std::uint32_t w = 0; w < _assoc; ++w) {
         Line &l = ways[w];
-        if (live(l) && l.tag == line) {
-            l.dirty = true;
-            l.lru = ++_lruClock;
+        if (holds(l, line)) {
+            l.tag |= kDirtyBit;
+            if (_assoc > 1)
+                l.lru = nextLru();
             res.hit = true;
             return res;
         }
     }
 
-    Line *victim = &ways[0];
-    for (std::uint32_t w = 0; w < _config.assoc; ++w) {
-        Line &l = ways[w];
-        if (!live(l)) {
-            victim = &l;
-            break;
-        }
-        if (l.lru < victim->lru)
-            victim = &l;
-    }
-    if (live(*victim) && victim->dirty) {
-        res.evictedDirty = true;
-        res.victimAddr = victim->tag;
-        ++_writebacks;
-    }
-    victim->tag = line;
-    victim->epoch = _epoch;
-    victim->dirty = true;
-    victim->lru = ++_lruClock;
-    res.allocated = true;
+    Line &v = victim(ways);
+    fill(v, line | kDirtyBit, res);
+    if (_assoc > 1)
+        v.lru = nextLru();
     return res;
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    const Addr line = addr & ~_lineMask;
-    const std::size_t set = setIndex(addr);
-    const Line *ways = &_lines[set * _config.assoc];
-    for (std::uint32_t w = 0; w < _config.assoc; ++w)
-        if (live(ways[w]) && ways[w].tag == line)
+    const Addr line = lineAddr(addr);
+    const Line *ways = setWays(addr);
+    for (std::uint32_t w = 0; w < _assoc; ++w)
+        if (holds(ways[w], line))
             return true;
     return false;
 }
@@ -202,14 +109,13 @@ Cache::contains(Addr addr) const
 void
 Cache::invalidate(Addr addr)
 {
-    const Addr line = addr & ~_lineMask;
-    const std::size_t set = setIndex(addr);
-    Line *ways = &_lines[set * _config.assoc];
-    for (std::uint32_t w = 0; w < _config.assoc; ++w) {
+    const Addr line = lineAddr(addr);
+    Line *ways = setWays(addr);
+    for (std::uint32_t w = 0; w < _assoc; ++w) {
         Line &l = ways[w];
-        if (live(l) && l.tag == line) {
+        if (holds(l, line)) {
             l.epoch = 0;
-            l.dirty = false;
+            l.tag = line;
             ++_invalidations;
             return;
         }
@@ -227,19 +133,55 @@ Cache::invalidateAll()
     // Bumping the epoch retires every line in O(1); the 8400's 4 MB
     // board cache made the old full-array clear the single biggest
     // per-grid-point cost in a characterization sweep.
-    ++_epoch;
+    if (++_epoch == 0) [[unlikely]]
+        restartEpochs();
+}
+
+void
+Cache::restartEpochs()
+{
+    // No line stamped 2^32 bumps ago may alias the new epoch.  Only
+    // nonzero stamps are written, so sets never touched stay unbacked.
+    const std::uint64_t n = (_setMask + 1) * _assoc;
+    for (std::uint64_t i = 0; i < n; ++i)
+        if (_lines[i].epoch != 0)
+            _lines[i].epoch = 0;
+    _epoch = 1;
+}
+
+void
+Cache::renumberLru()
+{
+    // Victim selection compares stamps only among one set's live
+    // lines, so their rank within the set is all that must survive.
+    std::vector<std::uint32_t> ranks(_assoc);
+    for (std::uint64_t s = 0; s <= _setMask; ++s) {
+        Line *ways = &_lines[s * _assoc];
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            std::uint32_t rank = 0;
+            if (live(ways[w])) {
+                ++rank;
+                for (std::uint32_t v = 0; v < _assoc; ++v)
+                    rank += live(ways[v]) && ways[v].lru < ways[w].lru;
+            }
+            ranks[w] = rank;
+        }
+        for (std::uint32_t w = 0; w < _assoc; ++w)
+            if (ways[w].lru != ranks[w])
+                ways[w].lru = ranks[w];
+    }
+    _lruClock = _assoc;
 }
 
 bool
 Cache::clean(Addr addr)
 {
-    const Addr line = addr & ~_lineMask;
-    const std::size_t set = setIndex(addr);
-    Line *ways = &_lines[set * _config.assoc];
-    for (std::uint32_t w = 0; w < _config.assoc; ++w) {
+    const Addr line = lineAddr(addr);
+    Line *ways = setWays(addr);
+    for (std::uint32_t w = 0; w < _assoc; ++w) {
         Line &l = ways[w];
-        if (live(l) && l.tag == line && l.dirty) {
-            l.dirty = false;
+        if (holds(l, line) && (l.tag & kDirtyBit)) {
+            l.tag = line;
             return true;
         }
     }

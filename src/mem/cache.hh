@@ -15,8 +15,8 @@
 #define GASNUB_MEM_CACHE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "mem/access.hh"
 #include "sim/stats.hh"
@@ -61,6 +61,10 @@ struct CacheResult
  * Functional cache model.
  *
  * All addresses are physical byte addresses; lines are aligned.
+ *
+ * The tag array is numSets x assoc 16-byte Lines, row major, taken
+ * zeroed from the OS (calloc): a set nothing has touched costs no
+ * resident memory, and an all-zero Line is dead (docs/MODEL.md §4).
  */
 class Cache
 {
@@ -72,13 +76,63 @@ class Cache
     explicit Cache(const CacheConfig &config,
                    stats::Group *parent = nullptr);
 
+    Cache(const Cache &) = delete;
+    Cache &operator=(const Cache &) = delete;
+
     /**
-     * Perform one access and update tag state.
+     * Perform one access and update tag state.  Inline: it runs once
+     * per access per probed level.
      * @param addr Byte address accessed.
      * @param type Read or Write.
      * @return hit/miss and eviction information.
      */
-    CacheResult access(Addr addr, AccessType type);
+    CacheResult
+    access(Addr addr, AccessType type)
+    {
+        CacheResult res;
+        const Addr line = lineAddr(addr);
+        Line *ways = setWays(addr);
+        const Addr dirty =
+            type == AccessType::Write && _writeBack ? kDirtyBit : 0;
+
+        // Direct-mapped fast path: the only way is both the probe and
+        // the victim, so there is no scan and no LRU stamp.  Two of
+        // the modelled structures (the 21064/21164 L1 and the 8400's
+        // 4 MB board cache) are direct mapped.
+        if (_assoc == 1) {
+            Line &l = ways[0];
+            if (holds(l, line)) {
+                res.hit = true;
+                res.wasDirty = (l.tag & kDirtyBit) != 0;
+                l.tag |= dirty;
+                ++_hits;
+                return res;
+            }
+            ++_misses;
+            if (type == AccessType::Read || _writeAllocate)
+                fill(l, line | dirty, res);
+            return res;
+        }
+
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            Line &l = ways[w];
+            if (holds(l, line)) {
+                res.hit = true;
+                res.wasDirty = (l.tag & kDirtyBit) != 0;
+                l.tag |= dirty;
+                l.lru = nextLru();
+                ++_hits;
+                return res;
+            }
+        }
+        ++_misses;
+        if (type == AccessType::Read || _writeAllocate) {
+            Line &v = victim(ways);
+            fill(v, line | dirty, res);
+            v.lru = nextLru();
+        }
+        return res;
+    }
 
     /** @return true if the line containing @p addr is present. */
     bool contains(Addr addr) const;
@@ -132,41 +186,112 @@ class Cache
     }
 
   private:
+    /** Test-only access to the stamp counters (tests/mem). */
+    friend struct CacheTestPeer;
+
+    /**
+     * One tag entry.  Lines are aligned and at least 2 bytes, so bit 0
+     * of a line address is free and holds the dirty bit.  A line is
+     * live when stamped with the current epoch; epoch 0 is never live,
+     * so the OS-zeroed array starts all dead.  lru is stamped only in
+     * set-associative caches (larger = more recently used).
+     */
     struct Line
     {
-        Addr tag = 0;
-        std::uint64_t epoch = 0; ///< live only when == cache epoch
-        std::uint64_t lru = 0;   ///< larger = more recently used
-        bool dirty = false;
+        Addr tag;            ///< line address | dirty bit
+        std::uint32_t epoch; ///< live only when == _epoch
+        std::uint32_t lru;
+    };
+
+    static constexpr Addr kDirtyBit = 1;
+
+    /** free()s the calloc()ed tag array. */
+    struct FreeLines
+    {
+        void operator()(Line *p) const;
     };
 
     /**
-     * A line is live when stamped with the current epoch; epoch 0 is
-     * never live (_epoch starts at 1 and only grows), so a default
-     * line is invalid and invalidate() just zeroes the stamp.
-     * invalidateAll() — the per-experiment harness reset, called once
-     * per grid point over line arrays up to megabytes long — is then
-     * a single epoch bump instead of a full-array clear.  Stale-epoch
-     * lines behave exactly like invalid ones: probes skip them and
-     * victim selection prefers them in way order, the same order a
-     * cleared array yields.
+     * invalidate() zeroes a line's epoch; invalidateAll() — the
+     * per-experiment harness reset, called once per grid point over
+     * line arrays up to megabytes long — is a single epoch bump
+     * instead of a full-array clear.  Stale-epoch lines behave exactly
+     * like invalid ones: probes skip them and victim selection prefers
+     * them in way order, the same order a cleared array yields.
      */
     bool live(const Line &l) const { return l.epoch == _epoch; }
 
-    std::size_t setIndex(Addr addr) const
+    bool
+    holds(const Line &l, Addr line) const
     {
-        // lineBytes is asserted pow2; shift instead of dividing —
-        // this runs once per access per probed level.
-        return (addr >> _lineShift) & (_numSets - 1);
+        return live(l) && (l.tag & ~kDirtyBit) == line;
     }
 
-    CacheConfig _config;
+    Line *
+    setWays(Addr addr) const
+    {
+        // lineBytes is asserted pow2; shift instead of dividing.
+        return _lines.get() +
+               ((addr >> _lineShift) & _setMask) * _assoc;
+    }
+
+    /** The way to refill in @p ways: the first dead way, else LRU. */
+    Line &
+    victim(Line *ways) const
+    {
+        Line *v = &ways[0];
+        for (std::uint32_t w = 0; w < _assoc; ++w) {
+            Line &l = ways[w];
+            if (!live(l))
+                return l;
+            if (l.lru < v->lru)
+                v = &l;
+        }
+        return *v;
+    }
+
+    /** Refill @p l with @p tag (line | dirty bit), reporting a dirty
+     *  live victim in @p res. */
+    void
+    fill(Line &l, Addr tag, CacheResult &res)
+    {
+        if (live(l) && (l.tag & kDirtyBit)) {
+            res.evictedDirty = true;
+            res.victimAddr = l.tag & ~kDirtyBit;
+            ++_writebacks;
+        }
+        l.tag = tag;
+        l.epoch = _epoch;
+        res.allocated = true;
+    }
+
+    /** The next LRU stamp; renumbers every set first if the 32-bit
+     *  clock would wrap. */
+    std::uint32_t
+    nextLru()
+    {
+        if (_lruClock == UINT32_MAX) [[unlikely]]
+            renumberLru();
+        return ++_lruClock;
+    }
+
+    /** Restamp each set's live lines 1..k in LRU order and restart
+     *  the clock at assoc, so every later stamp is newer. */
+    void renumberLru();
+
+    /** The 32-bit epoch wrapped: kill every line, restart at 1. */
+    void restartEpochs();
+
+    std::unique_ptr<Line[], FreeLines> _lines; ///< numSets x assoc
     Addr _lineMask;
     unsigned _lineShift;
-    std::size_t _numSets;
-    std::uint64_t _lruClock = 0;
-    std::uint64_t _epoch = 1;
-    std::vector<Line> _lines; ///< numSets x assoc, row major
+    std::uint32_t _assoc;
+    Addr _setMask; ///< numSets - 1
+    bool _writeBack;
+    bool _writeAllocate;
+    std::uint32_t _epoch = 1;
+    std::uint32_t _lruClock = 0;
+    CacheConfig _config;
 
     stats::Group _stats;
     stats::Scalar _hits;

@@ -45,8 +45,9 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
     _lastLineMask = ~static_cast<Addr>(_lastLineBytes - 1);
 
     for (const LevelConfig &lc : config.levels)
-        _caches.push_back(std::make_unique<Cache>(lc.cache, &_stats));
-    _ports.resize(_caches.size());
+        _levels[_numLevels++] =
+            &_cacheStore.emplace_back(lc.cache, &_stats);
+    _ports.resize(_numLevels);
 
     _stats.addChild(&_dram.statsGroup());
     _stats.addChild(&_readAhead.statsGroup());
@@ -81,8 +82,8 @@ MemoryHierarchy::nsTicks(double ns) const
 Cache &
 MemoryHierarchy::level(std::size_t i)
 {
-    GASNUB_ASSERT(i < _caches.size(), "bad cache level ", i);
-    return *_caches[i];
+    GASNUB_ASSERT(i < _numLevels, "bad cache level ", i);
+    return *_levels[i];
 }
 
 mem::DramResult
@@ -148,7 +149,7 @@ Tick
 MemoryHierarchy::serveRead(std::size_t level, Addr addr, Tick issue,
                            std::size_t &served_level, bool exclusive)
 {
-    const std::size_t n = _caches.size();
+    const std::size_t n = _numLevels;
     if (level == n) {
         served_level = n;
         const Addr line = addr & _lastLineMask;
@@ -158,7 +159,7 @@ MemoryHierarchy::serveRead(std::size_t level, Addr addr, Tick issue,
     }
 
     const LevelTicks &t = _levelTicks[level];
-    const CacheResult r = _caches[level]->access(addr, AccessType::Read);
+    const CacheResult r = _levels[level]->access(addr, AccessType::Read);
     if (r.hit) {
         served_level = level;
         const Tick occ = t.hitOcc;
@@ -187,14 +188,14 @@ MemoryHierarchy::postWriteback(std::size_t from_level, Addr victim_line,
     const std::size_t target = from_level + 1;
     const std::uint32_t line_bytes =
         _config.levels[from_level].cache.lineBytes;
-    if (target == _caches.size()) {
+    if (target == _numLevels) {
         // Last-level victim goes to DRAM; posted write, occupies the
         // bank and bus but never blocks the demand path directly.
         memorySide(victim_line, FetchIntent::Write, earliest,
                    line_bytes);
         return;
     }
-    const CacheResult r = _caches[target]->install(victim_line);
+    const CacheResult r = _levels[target]->install(victim_line);
     const Tick occ = _levelTicks[target].fillOcc;
     const Tick start = _ports[target].acquire(earliest, occ);
     if (_acct)
@@ -207,7 +208,7 @@ Tick
 MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
                             std::size_t &served_level)
 {
-    const std::size_t n = _caches.size();
+    const std::size_t n = _numLevels;
     if (level == n) {
         // Uncached word-granularity write to DRAM.
         served_level = n;
@@ -219,7 +220,7 @@ MemoryHierarchy::serveWrite(std::size_t level, Addr addr, Tick issue,
 
     const LevelTicks &t = _levelTicks[level];
     const CacheResult r =
-        _caches[level]->access(addr, AccessType::Write);
+        _levels[level]->access(addr, AccessType::Write);
     if (r.hit) {
         served_level = level;
         const Tick occ = t.hitOcc;
@@ -285,7 +286,7 @@ MemoryHierarchy::writeOne(Addr addr)
     if (_wbq) {
         // T3D path: the write-through L1 updates its copy on a hit and
         // every store enters the coalescing write-back queue.
-        _caches[0]->access(addr, AccessType::Write);
+        _levels[0]->access(addr, AccessType::Write);
         const Tick proceed = _wbq->store(addr, want);
         _nextIssue = proceed + _storeIssueTicks;
         if (_acct)
@@ -310,7 +311,7 @@ Tick
 MemoryHierarchy::readOne(Addr addr)
 {
     const Tick want = _nextIssue;
-    const std::size_t n = _caches.size();
+    const std::size_t n = _numLevels;
 
     // One mutating walk down the levels finds the serving level.
     // Allocation at an upper level never changes a deeper level's
@@ -319,7 +320,7 @@ MemoryHierarchy::readOne(Addr addr)
     CacheResult walk[kMaxLevels];
     std::size_t hit_level = n;
     for (std::size_t k = 0; k < n; ++k) {
-        walk[k] = _caches[k]->access(addr, AccessType::Read);
+        walk[k] = _levels[k]->access(addr, AccessType::Read);
         if (walk[k].hit) {
             hit_level = k;
             break;
@@ -414,13 +415,13 @@ void
 MemoryHierarchy::primeBatch(const Addr *addrs, std::size_t n)
 {
     GASNUB_PROF_ZONE("mem.prime");
-    const std::size_t levels = _caches.size();
+    const std::size_t levels = _numLevels;
     for (std::size_t i = 0; i < n; ++i) {
         const Addr addr = addrs[i];
         std::size_t k = 0;
         for (; k < levels; ++k) {
             const CacheResult r =
-                _caches[k]->access(addr, AccessType::Read);
+                _levels[k]->access(addr, AccessType::Read);
             // Priming reads on resetAll()-clean caches can only evict
             // clean lines; a dirty victim means the caller primed a
             // warm cache and the skipped writeback would diverge from
@@ -464,8 +465,8 @@ void
 MemoryHierarchy::resetAll()
 {
     resetTiming();
-    for (auto &c : _caches)
-        c->invalidateAll();
+    for (Cache &c : _cacheStore)
+        c.invalidateAll();
 }
 
 Tick
@@ -478,8 +479,8 @@ MemoryHierarchy::engineAccess(Addr addr, AccessType type, Tick earliest,
 void
 MemoryHierarchy::invalidateLine(Addr addr)
 {
-    for (auto &c : _caches)
-        c->invalidate(addr);
+    for (Cache &c : _cacheStore)
+        c.invalidate(addr);
 }
 
 } // namespace gasnub::mem

@@ -25,6 +25,7 @@
 #ifndef GASNUB_MEM_HIERARCHY_HH
 #define GASNUB_MEM_HIERARCHY_HH
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -216,7 +217,7 @@ class MemoryHierarchy
     void resetAll();
 
     /** Number of cache levels. */
-    std::size_t numLevels() const { return _caches.size(); }
+    std::size_t numLevels() const { return _numLevels; }
 
     /** Access a cache level (0 = L1). */
     Cache &level(std::size_t i);
@@ -353,7 +354,8 @@ class MemoryHierarchy
 
     Tick nsTicks(double ns) const;
 
-    /** Upper bound on cache levels (readOne's walk scratch array). */
+    /** Upper bound on cache levels (the level array and readOne's
+     *  walk scratch array). */
     static constexpr std::size_t kMaxLevels = 8;
 
     /** Per-level timing precomputed from the config (== nsTicks of
@@ -375,7 +377,11 @@ class MemoryHierarchy
     std::uint32_t _lastLineBytes = 0;
     Addr _lastLineMask = 0;
 
-    std::vector<std::unique_ptr<Cache>> _caches;
+    /** Owns the levels; a deque never moves what it holds. */
+    std::deque<Cache> _cacheStore;
+    /** The levels the walks probe, L1 first; _numLevels are set. */
+    Cache *_levels[kMaxLevels] = {};
+    std::size_t _numLevels = 0;
     std::vector<Resource> _ports; ///< one per cache level
     Dram _dram;
     ReadAhead _readAhead;

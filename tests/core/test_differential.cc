@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <iterator>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -55,6 +56,7 @@
 #include "machine/configs.hh"
 #include "machine/machine.hh"
 #include "machine/sync.hh"
+#include "mem/cache.hh"
 #include "mem/resource.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -515,6 +517,80 @@ TEST(DifferentialDirectory, SeededCoherenceTraceMatchesFixture)
            << static_cast<std::uint64_t>(s->value()) << "\n";
     }
     expectMatchesFixture("coherence_dec8400.txt", os.str());
+}
+
+/**
+ * A seeded trace of every mem::Cache mutator over the three shipped
+ * geometries and one 4-way one, pinning each CacheResult field,
+ * clean()'s answer and the final counters.  Addresses fall in a few
+ * sets (the first, the last and some between) with assoc + 2 tags
+ * each, one of them past 2^36, so sets overflow and LRU picks
+ * victims; a bulk invalidateAll() lands every ~400 calls.  The trace
+ * was captured while each line was a 32-byte record with 64-bit
+ * epoch and LRU stamps, zero-filled at construction, so it pins the
+ * packed, lazily backed tag array to that model's answers.
+ */
+TEST(DifferentialCache, SeededTraceMatchesFixture)
+{
+    constexpr int kCalls = 3000;
+    const mem::CacheConfig geometries[] = {
+        {"l1", 8_KiB, 32, 1, mem::WritePolicy::WriteThrough,
+         mem::AllocPolicy::ReadAllocate},
+        {"l2", 96_KiB, 64, 3, mem::WritePolicy::WriteBack,
+         mem::AllocPolicy::ReadWriteAllocate},
+        {"l3", 4_MiB, 64, 1, mem::WritePolicy::WriteBack,
+         mem::AllocPolicy::ReadWriteAllocate},
+        {"w4", 16_KiB, 32, 4, mem::WritePolicy::WriteBack,
+         mem::AllocPolicy::ReadWriteAllocate},
+    };
+    std::ostringstream os;
+    os << std::hex;
+    sim::Rng rng(20);
+    for (const mem::CacheConfig &cfg : geometries) {
+        mem::Cache c(cfg);
+        const Addr way_bytes = cfg.sizeBytes / cfg.assoc;
+        const Addr sets = way_bytes / cfg.lineBytes;
+        const Addr some_sets[] = {0, 1, 2, sets / 3, sets / 2, sets - 1};
+        const Addr far = Addr{1} << 36;
+        os << "# " << cfg.name << "\n";
+        for (int i = 0; i < kCalls; ++i) {
+            const Addr tag = rng.below(cfg.assoc + 2);
+            const Addr a =
+                (tag == cfg.assoc + 1 ? far : tag * way_bytes) +
+                some_sets[rng.below(std::size(some_sets))] *
+                    cfg.lineBytes +
+                rng.below(cfg.lineBytes);
+            const std::uint64_t op = rng.below(100);
+            auto record = [&os](char what, const mem::CacheResult &r) {
+                os << what << r.hit << r.allocated << r.evictedDirty
+                   << r.wasDirty << ":" << r.victimAddr;
+            };
+            if (op == 0 && rng.below(4) == 0) {
+                c.invalidateAll();
+                os << "A";
+            } else if (op < 40) {
+                record('r', c.access(a, mem::AccessType::Read));
+            } else if (op < 70) {
+                record('w', c.access(a, mem::AccessType::Write));
+            } else if (op < 80) {
+                record('n', c.install(c.lineAddr(a)));
+            } else if (op < 90) {
+                c.invalidate(a);
+                os << "i" << c.contains(a);
+            } else {
+                os << "c" << c.clean(a);
+            }
+            os << ((i + 1) % 8 == 0 ? "\n" : " ");
+        }
+        os << std::dec << cfg.name << " hits " << c.hits() << " misses "
+           << c.misses() << " writebacks " << c.writebacks();
+        const auto *inv = dynamic_cast<const stats::Scalar *>(
+            c.statsGroup().find(cfg.name + ".invalidations"));
+        ASSERT_NE(inv, nullptr);
+        os << " invalidations " << static_cast<std::uint64_t>(inv->value())
+           << std::hex << "\n";
+    }
+    expectMatchesFixture("cache_trace.txt", os.str());
 }
 
 /**

@@ -254,7 +254,63 @@ TEST(JsonFuzz, MembersWalksOneObjectWithoutATree)
     EXPECT_EQ(calls, 0);
 }
 
+TEST(JsonFuzz, UnicodeEscapesDecodeToUtf8)
+{
+    // Once only the low byte was kept: "t3\u0165" read as "t3e".
+    const struct
+    {
+        const char *escaped;
+        const char *utf8;
+    } cases[] = {
+        {"t3\\u0165", "t3\xc5\xa5"},
+        {"\\u0007", "\a"},
+        {"\\u007f", "\x7f"},
+        {"\\u0080", "\xc2\x80"},
+        {"\\u00e9", "\xc3\xa9"},
+        {"\\u07FF", "\xdf\xbf"},
+        {"\\u0800", "\xe0\xa0\x80"},
+        {"\\u20ac", "\xe2\x82\xac"},
+        {"\\uffff", "\xef\xbf\xbf"},
+        {"\\ud800\\udc00", "\xf0\x90\x80\x80"},
+        {"x\\ud83d\\ude00y", "x\xf0\x9f\x98\x80y"},
+        {"\\udbff\\udfff", "\xf4\x8f\xbf\xbf"},
+    };
+    for (const auto &c : cases) {
+        const std::string text =
+            std::string("{\"") + c.escaped + "\": \"" + c.escaped + "\"}";
+        const JsonValue v = parseJson(text);
+        ASSERT_EQ(v.object.size(), 1u) << text;
+        EXPECT_EQ(v.object[0].first, c.utf8) << text;
+        EXPECT_EQ(v.object[0].second.string, c.utf8) << text;
+        JsonParser p(text, "test");
+        p.members(
+            [&](std::string_view key, const tooljson::JsonFieldView &f) {
+                EXPECT_EQ(key, c.utf8) << text;
+                EXPECT_EQ(f.string, c.utf8) << text;
+            });
+    }
+}
+
 using JsonDeath = ::testing::Test;
+
+TEST(JsonDeath, LoneSurrogatesAreFatalAtTheirBackslash)
+{
+    // The escape starts at byte 9 of each input.
+    for (const char *bad :
+         {"{\"x\": \"ab\\ud800\"}", "{\"x\": \"ab\\udbffz\"}",
+          "{\"x\": \"ab\\udc00\"}", "{\"x\": \"ab\\udfff\\ud800\"}",
+          "{\"x\": \"ab\\ud800\\u0041\"}",
+          "{\"x\": \"ab\\ud800\\ud800\"}"}) {
+        EXPECT_EXIT(
+            {
+                parseJson(bad);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(2),
+            "test: JSON error at byte 9: lone surrogate")
+            << "input " << bad;
+    }
+}
 
 TEST(JsonDeath, MalformedNumbersAreFatalAtTheirFirstByte)
 {

@@ -49,9 +49,11 @@ snprintfAnswer(const std::string &machine, const serve::PlanAnswer &a)
 std::string
 codecAnswer(const std::string &machine, const serve::PlanAnswer &a)
 {
-    std::vector<char> buf(servejson::kAnswerFixedBytes + machine.size() +
-                          a.label.size());
-    char *end = servejson::encodeAnswer(buf.data(), machine, a);
+    const std::string m = servejson::quotedJson(machine);
+    const std::string l = servejson::quotedJson(a.label);
+    std::vector<char> buf(servejson::kAnswerFixedBytes + m.size() +
+                          l.size());
+    char *end = servejson::encodeAnswer(buf.data(), m, l, a);
     return std::string(buf.data(), end);
 }
 
@@ -165,6 +167,29 @@ TEST(ServeJsonEncode, MatchesSnprintfOnEdgeAndRandomDoubles)
     EXPECT_EQ(diffs, 0u);
 }
 
+TEST(ServeJsonEncode, NamesAndLabelsAreEscapedOnce)
+{
+    const serve::PlannerIndex index = demoIndex();
+    const servejson::WireNames names(index);
+    EXPECT_EQ(names.machine(0), "\"demo\"");
+    for (std::size_t o = 0; o < index.numOptions(0); ++o)
+        EXPECT_EQ(names.label(0, o),
+                  "\"" + index.option(0, o).label + "\"");
+
+    // Quotes, backslashes and control bytes survive a round trip
+    // through the reader.
+    const std::string machine = "a\"b\\c\n\x01";
+    serve::PlanAnswer a;
+    a.label = "x\"y";
+    a.predictedMBs = 1.5;
+    const std::string line = codecAnswer(machine, a);
+    tooljson::JsonParser parser(line, "answer");
+    const tooljson::JsonValue v = parser.parse();
+    EXPECT_EQ(v.find("machine")->string, machine);
+    EXPECT_EQ(v.find("option")->string, "x\"y");
+    EXPECT_EQ(v.find("mbs")->number, 1.5);
+}
+
 /** The query as the old decode read it: a parse() tree and find(). */
 servejson::QueryLine
 treeDecode(const std::string &line, const serve::PlannerIndex &index)
@@ -234,6 +259,9 @@ TEST(ServeJsonDeath, ErrorsNameTheLine)
          "serve: query line 12: JSON error at byte 52: unexpected end"},
         {R"({"machine": "dem0", "bytes": 2, "ws": 1, "stride": 1})", 1,
          "serve: query line 12: unknown machine 'dem0'"},
+        // U+016F, not 'o': once only the escape's low byte was kept.
+        {R"({"machine": "dem\u016f", "bytes": 2, "ws": 1, "stride": 1})",
+         1, "serve: query line 12: unknown machine 'dem"},
         {R"({"machine": 5, "bytes": 2, "ws": 1, "stride": 1})", 1,
          "serve: query line 12: missing or bad 'machine'"},
         {R"({"machine": "demo", "ws": 1, "stride": 1})", 1,

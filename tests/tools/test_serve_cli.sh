@@ -354,6 +354,24 @@ else
     echo "ok: long machine names get whole answer lines"
 fi
 
+# A machine name holding a quote and a backslash comes back as one
+# escaped JSON string (it was once written raw, breaking the line).
+"$pack" --machine 'a"b\c' --surfaces "$tmp/surfaces" \
+    --out "$tmp/quote.pack" 2>/dev/null
+printf '%s\n' '{"machine": "a\"b\\c", "bytes": 8, "ws": 8, "stride": 1}' |
+    "$serve" --pack "$tmp/quote.pack" > "$tmp/quote.out" 2>"$tmp/err"
+if [ $? -ne 0 ]; then
+    echo "FAIL: serve on a quoted machine name failed"
+    cat "$tmp/err"
+    fails=1
+elif ! grep -qF '{"machine": "a\"b\\c", "option": "' "$tmp/quote.out"; then
+    echo "FAIL: the machine name is not escaped in the answer"
+    cat "$tmp/quote.out"
+    fails=1
+else
+    echo "ok: machine names are escaped in answers"
+fi
+
 # serve answers a batch flushed by {"cmd": "metrics"} while its input
 # stays open: the reader never waits past the current line, so a
 # closed-loop client (one that waits for the answers before sending

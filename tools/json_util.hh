@@ -6,8 +6,9 @@
  * Covers exactly what this repo's writers emit — stats
  * Group::dumpJson trees, BENCH_<pr>.json protocol files, profiler
  * exports: objects, arrays, strings, numbers, bools and null, with
- * sim/json.hh's control-byte escapes.  Numbers follow RFC 8259's
- * grammar exactly and convert with std::from_chars; literals are
+ * sim/json.hh's control-byte escapes; any other \uXXXX escape,
+ * surrogate pairs included, decodes to UTF-8.  Numbers follow RFC
+ * 8259's grammar exactly and convert with std::from_chars; literals are
  * spelled out in full.  parse() builds a JsonValue tree; members()
  * walks one object's members with the same lexer and builds nothing.
  * Parse errors are fatal (exit 2) with the caller-supplied context
@@ -231,6 +232,71 @@ class JsonParser
         _i += word.size();
     }
 
+    /** The four hex digits of a \u escape at _i, consumed.  Checked
+     *  by hand: std::stoi would throw (not fail) on non-hex digits. */
+    std::uint32_t hex4()
+    {
+        if (_i + 4 > _s.size())
+            fail("truncated \\u escape");
+        std::uint32_t code = 0;
+        for (int k = 0; k < 4; ++k) {
+            const char h = _s[_i + k];
+            code <<= 4;
+            if (h >= '0' && h <= '9')
+                code |= static_cast<std::uint32_t>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                code |= static_cast<std::uint32_t>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                code |= static_cast<std::uint32_t>(h - 'A' + 10);
+            else
+                fail("bad \\u escape");
+        }
+        _i += 4;
+        return code;
+    }
+
+    /**
+     * Decode the \uXXXX escape whose 'u' was just read, appending its
+     * code point to @p out as UTF-8.  A surrogate pair is one code
+     * point; a lone surrogate is fatal at the byte of its backslash.
+     */
+    void unicodeEscape(std::string &out)
+    {
+        const std::size_t at = _i - 2;
+        std::uint32_t code = hex4();
+        if (code >= 0xd800 && code <= 0xdfff) {
+            const bool high = code <= 0xdbff;
+            std::uint32_t low = 0;
+            if (high && _s.substr(_i, 2) == "\\u") {
+                _i += 2;
+                low = hex4();
+            }
+            if (low < 0xdc00 || low > 0xdfff) {
+                _i = at;
+                fail("lone surrogate in \\u escape");
+            }
+            code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+        }
+        auto put = [&out](std::uint32_t byte) {
+            out.push_back(static_cast<char>(byte));
+        };
+        if (code < 0x80) {
+            put(code);
+        } else if (code < 0x800) {
+            put(0xc0 | code >> 6);
+            put(0x80 | (code & 0x3f));
+        } else if (code < 0x10000) {
+            put(0xe0 | code >> 12);
+            put(0x80 | (code >> 6 & 0x3f));
+            put(0x80 | (code & 0x3f));
+        } else {
+            put(0xf0 | code >> 18);
+            put(0x80 | (code >> 12 & 0x3f));
+            put(0x80 | (code >> 6 & 0x3f));
+            put(0x80 | (code & 0x3f));
+        }
+    }
+
     /** A string token: a view into the text when it has no escapes,
      *  else decoded into @p scratch. */
     std::string_view string(std::string &scratch)
@@ -254,30 +320,9 @@ class JsonParser
                   case 'r': c = '\r'; break;
                   case 'b': c = '\b'; break;
                   case 'f': c = '\f'; break;
-                  case 'u': {
-                    // sim/json.hh only \u-escapes control bytes;
-                    // decode the low byte and move on.  Checked by
-                    // hand: std::stoi would throw (not fail) on
-                    // non-hex digits.
-                    if (_i + 4 > _s.size())
-                        fail("truncated \\u escape");
-                    int code = 0;
-                    for (int k = 0; k < 4; ++k) {
-                        const char h = _s[_i + k];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= h - '0';
-                        else if (h >= 'a' && h <= 'f')
-                            code |= h - 'a' + 10;
-                        else if (h >= 'A' && h <= 'F')
-                            code |= h - 'A' + 10;
-                        else
-                            fail("bad \\u escape");
-                    }
-                    c = static_cast<char>(code);
-                    _i += 4;
-                    break;
-                  }
+                  case 'u':
+                    unicodeEscape(scratch);
+                    continue;
                   default: c = e; break;
                 }
             }

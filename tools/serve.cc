@@ -271,7 +271,8 @@ runJson(const serve::PlannerIndex &index, int threads,
     std::setvbuf(stdout, nullptr, _IOFBF, 1 << 16);
     std::vector<Request> requests(batch);
     std::vector<serve::PlanAnswer> answers;
-    std::vector<char> out(servejson::maxAnswerBytes(index));
+    const servejson::WireNames names(index);
+    std::vector<char> out(names.maxAnswerBytes());
     std::string line;
     std::uint64_t line_no = 0;
     std::size_t n = 0;
@@ -285,7 +286,8 @@ runJson(const serve::PlannerIndex &index, int threads,
         for (std::size_t i = 0; i < n; ++i) {
             const serve::PlanAnswer &a = answers[i];
             const char *end = servejson::encodeAnswer(
-                out.data(), index.machineName(a.machine), a);
+                out.data(), names.machine(a.machine),
+                names.label(a.machine, a.optionIndex), a);
             std::fwrite(out.data(), 1,
                         static_cast<std::size_t>(end - out.data()),
                         stdout);

@@ -7,7 +7,8 @@
  * decodeQuery() walks the line's members with
  * tooljson::JsonParser::members(); encodeAnswer() formats the answer
  * with std::to_chars, which prints a double exactly as printf's
- * "%.17g" does.  Both keep serve's wire bytes and diagnostics as
+ * "%.17g" does, around names and labels escaped once at load
+ * (WireNames).  Both keep serve's wire bytes and diagnostics as
  * they were when the line went through a parse() tree and snprintf.
  */
 
@@ -19,12 +20,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/planner.hh"
 #include "json_util.hh"
 #include "serve/planner_index.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 
 namespace gasnub::servejson {
@@ -137,23 +141,64 @@ decodeQuery(std::string_view text, std::uint64_t line_no,
     return q;
 }
 
-/** Room for an answer line besides its machine name and option
- *  label: 90 bytes of fixed text, the longest method name (13,
+/** Room for an answer line besides its machine and option literals:
+ *  87 bytes of fixed text, the longest method name (13,
  *  "coherent-pull") and two doubles of at most 24 characters each
  *  ("-2.2250738585072014e-308"), with to_chars given 32 for each. */
 constexpr std::size_t kAnswerFixedBytes = 192;
 
-/** Room encodeAnswer() may need for any answer of @p index. */
-inline std::size_t
-maxAnswerBytes(const serve::PlannerIndex &index)
+/** @p s as a quoted JSON string literal (sim/json.hh escapes). */
+inline std::string
+quotedJson(std::string_view s)
 {
-    std::size_t most = 0;
-    for (std::size_t m = 0; m < index.numMachines(); ++m)
-        for (std::size_t o = 0; o < index.numOptions(m); ++o)
-            most = std::max(most, index.machineName(m).size() +
-                                      index.option(m, o).label.size());
-    return kAnswerFixedBytes + most;
+    std::ostringstream os;
+    os << json::quoted(s);
+    return os.str();
 }
+
+/**
+ * An index's machine names and option labels as quoted, escaped JSON
+ * literals, built once at load so the per-answer path only copies
+ * bytes.  A name or label with no quote, backslash or control byte
+ * comes out as itself in quotes.
+ */
+class WireNames
+{
+  public:
+    explicit WireNames(const serve::PlannerIndex &index)
+    {
+        _labels.resize(index.numMachines());
+        for (std::size_t m = 0; m < index.numMachines(); ++m) {
+            _machines.push_back(quotedJson(index.machineName(m)));
+            for (std::size_t o = 0; o < index.numOptions(m); ++o) {
+                _labels[m].push_back(
+                    quotedJson(index.option(m, o).label));
+                _longest = std::max(_longest, _machines[m].size() +
+                                                  _labels[m].back().size());
+            }
+        }
+    }
+
+    std::string_view machine(std::size_t m) const { return _machines[m]; }
+
+    std::string_view
+    label(std::size_t m, std::size_t option) const
+    {
+        return _labels[m][option];
+    }
+
+    /** Room encodeAnswer() may need for any answer of the index. */
+    std::size_t
+    maxAnswerBytes() const
+    {
+        return kAnswerFixedBytes + _longest;
+    }
+
+  private:
+    std::vector<std::string> _machines;
+    std::vector<std::vector<std::string>> _labels; ///< [machine][option]
+    std::size_t _longest = 0; ///< longest machine + label literals
+};
 
 inline char *
 put(char *p, std::string_view s)
@@ -163,23 +208,25 @@ put(char *p, std::string_view s)
 }
 
 /**
- * Write the answer line for @p a on machine @p machine at @p out,
- * which has room for kAnswerFixedBytes plus the name and label;
- * returns the end.  The bytes are those of printf with
+ * Write the answer line for @p a at @p out, which has room for
+ * kAnswerFixedBytes plus @p machine and @p label, the answer's
+ * machine name and option label as quoted literals (WireNames);
+ * returns the end.  For names and labels that need no escape the
+ * bytes are those of printf with
  *   {"machine": "%s", "option": "%s", "method": "%s",
  *    "strideOnSource": %s, "mbs": %.17g, "seconds": %.17g}\n
  * on one line (tests/serve/test_serve_json.cc holds them equal).
  */
 inline char *
-encodeAnswer(char *out, std::string_view machine,
+encodeAnswer(char *out, std::string_view machine, std::string_view label,
              const serve::PlanAnswer &a)
 {
     constexpr int kDigits = 17;
-    char *p = put(out, "{\"machine\": \"");
+    char *p = put(out, "{\"machine\": ");
     p = put(p, machine);
-    p = put(p, "\", \"option\": \"");
-    p = put(p, a.label);
-    p = put(p, "\", \"method\": \"");
+    p = put(p, ", \"option\": ");
+    p = put(p, label);
+    p = put(p, ", \"method\": \"");
     p = put(p, remote::methodName(a.method));
     p = put(p, a.strideOnSource ? "\", \"strideOnSource\": true"
                                 : "\", \"strideOnSource\": false");
