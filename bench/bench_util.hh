@@ -3,11 +3,11 @@
  * Shared helpers for the figure-regeneration benches.
  *
  * Every bench binary regenerates one figure of the paper: it prints
- * the same series the figure plots (bandwidth or MFlop/s tables) and,
- * where the paper states numbers in the text, a paper-vs-model
- * comparison block.  Absolute numbers come from calibrated machine
- * models; the claim being checked is the *shape* (plateaus, ratios,
- * crossovers) — see EXPERIMENTS.md.
+ * the same series the figure plots (bandwidth or MFlop/s tables) and
+ * the paper-vs-model comparison block of the figure's rows of
+ * paper_claims.hh (bench::compare).  Absolute numbers come from
+ * calibrated machine models; the claim being checked is the *shape*
+ * (plateaus, ratios, crossovers) — see EXPERIMENTS.md.
  *
  * Pass "full" as the first argument for the paper's full working-set
  * axis (up to 128 MB); the default grids are trimmed to keep each
@@ -31,6 +31,7 @@
 #include "gas/fft2d.hh"
 #include "gas/runtime.hh"
 #include "machine/machine.hh"
+#include "paper_claims.hh"
 #include "serve/planner_index.hh"
 #include "sim/pool.hh"
 #include "sim/profiler.hh"
@@ -148,6 +149,14 @@ sweep(machine::Machine &m, const core::SweepSpec &spec,
     core::Surface s = runner.run(spec, cfg);
     runner.mergeStatsInto(m.statsGroup());
     return s;
+}
+
+/** sweep() of the tools/characterize benchmark @p name. */
+inline core::Surface
+sweep(machine::Machine &m, const char *name,
+      const core::CharacterizeConfig &cfg, int jobs)
+{
+    return sweep(m, *core::SweepSpec::fromName(m.kind(), name), cfg, jobs);
 }
 
 /** Header line for a figure bench. */
@@ -491,27 +500,6 @@ runPerfScenario(const PerfScenario &s, int jobs = 1)
         counts.accesses = runner.accesses();
     }
     return counts;
-}
-
-/** A paper reference point for the comparison block. */
-struct PaperRef
-{
-    const char *what;
-    double paper;
-    double measured;
-};
-
-/** Print the paper-vs-model comparison block. */
-inline void
-compare(const std::vector<PaperRef> &refs)
-{
-    std::printf("\n%-44s %10s %10s %8s\n", "paper reference point",
-                "paper", "model", "ratio");
-    for (const PaperRef &r : refs) {
-        std::printf("%-44s %10.0f %10.1f %8.2f\n", r.what, r.paper,
-                    r.measured, r.measured / r.paper);
-    }
-    std::printf("\n");
 }
 
 } // namespace gasnub::bench

@@ -34,9 +34,11 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(cfg.n),
                     r.overallMFlops, last_per_proc, r.commMBs);
     }
-    bench::compare({
-        {"MFlop/s per processor at 512 (paper ~17)", 17.1,
-         last_per_proc},
-    });
+    // Not a row of bench/paper_claims.hh: the 512-PE run takes about
+    // 25 s, too long for the calibration test.
+    std::printf("\n%s\n%s\n\n", bench::compareHeader,
+                bench::compareLine("MFlop/s per processor at 512", 17.1,
+                                   last_per_proc)
+                    .c_str());
     return 0;
 }

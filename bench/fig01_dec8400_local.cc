@@ -15,20 +15,11 @@ main(int argc, char **argv)
                   "DEC 8400 local load bandwidth (stride x working "
                   "set), one processor");
     machine::Machine m(machine::SystemKind::Dec8400, 4);
-    core::Surface s = bench::sweep(
-        m, core::SweepSpec::localLoads(0),
-        bench::surfaceGrid(bench::fullRun(argc, argv), 128_MiB,
-                              12_MiB),
-        obs.jobs);
+    const auto cfg =
+        bench::surfaceGrid(bench::fullRun(argc, argv), 128_MiB, 12_MiB);
+    core::Surface s = bench::sweep(m, "loads", cfg, obs.jobs);
     s.print(std::cout);
-    bench::compare({
-        {"L1 plateau (MB/s)", 1100, s.at(4_KiB, 1)},
-        {"L2 plateau, strided", 700, s.at(64_KiB, 8)},
-        {"L3 contiguous", 600, s.at(1_MiB, 1)},
-        {"L3 strided", 120, s.at(1_MiB, 16)},
-        {"DRAM contiguous", 150, s.at(16_MiB, 1)},
-        {"DRAM strided", 28, s.at(16_MiB, 32)},
-    });
+    bench::compare(1);
     obs.finish(m.statsGroup());
     return 0;
 }

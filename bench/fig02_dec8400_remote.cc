@@ -16,17 +16,9 @@ main(int argc, char **argv)
     machine::Machine m(machine::SystemKind::Dec8400, 4);
     auto cfg = bench::remoteGrid(bench::fullRun(argc, argv), 32_MiB,
                                  12_MiB);
-    core::Surface s = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::CoherentPull,
-                                true, 1, 0),
-        cfg, obs.jobs);
+    core::Surface s = bench::sweep(m, "pull", cfg, obs.jobs);
     s.print(std::cout);
-    bench::compare({
-        {"remote contiguous max (MB/s)", 140, s.at(16_MiB, 1)},
-        {"remote strided from DRAM", 22, s.at(16_MiB, 32)},
-        {"cached working set, strided", 75, s.at(2_MiB, 16)},
-    });
+    bench::compare(2);
     obs.finish(m.statsGroup());
     return 0;
 }

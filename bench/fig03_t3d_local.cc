@@ -15,17 +15,11 @@ main(int argc, char **argv)
                   "Cray T3D local load bandwidth (stride x working "
                   "set), one processor");
     machine::Machine m(machine::SystemKind::CrayT3D, 4);
-    core::Surface s = bench::sweep(
-        m, core::SweepSpec::localLoads(0),
-        bench::surfaceGrid(bench::fullRun(argc, argv), 16_MiB,
-                              4_MiB),
-        obs.jobs);
+    const auto cfg =
+        bench::surfaceGrid(bench::fullRun(argc, argv), 16_MiB, 4_MiB);
+    core::Surface s = bench::sweep(m, "loads", cfg, obs.jobs);
     s.print(std::cout);
-    bench::compare({
-        {"L1 plateau (MB/s)", 600, s.at(4_KiB, 1)},
-        {"DRAM contiguous (read-ahead)", 195, s.at(16_MiB, 1)},
-        {"DRAM strided", 43, s.at(16_MiB, 16)},
-    });
+    bench::compare(3);
     obs.finish(m.statsGroup());
     return 0;
 }

@@ -16,21 +16,13 @@ main(int argc, char **argv)
     machine::Machine m(machine::SystemKind::CrayT3D, 4);
     auto cfg = bench::remoteGrid(bench::fullRun(argc, argv), 16_MiB,
                                  512_KiB);
-    core::Surface s = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Fetch,
-                                true, 0, 2),
-        cfg, obs.jobs);
+    core::Surface s = bench::sweep(m, "fetch-sload", cfg, obs.jobs);
     s.print(std::cout);
     std::printf("The paper: naive remote loads run an order of "
                 "magnitude below the\nnetwork bandwidth; the "
                 "prefetch FIFO helps but fetch stays inferior\nto "
                 "deposit everywhere (compare Figure 5).\n");
-    bench::compare({
-        {"fetch contiguous (MB/s)", 65, s.at(8_MiB, 1)},
-        {"fetch stride 2", 20, s.at(8_MiB, 2)},
-        {"fetch large strides", 43, s.at(8_MiB, 32)},
-    });
+    bench::compare(4);
     obs.finish(m.statsGroup());
     return 0;
 }

@@ -17,16 +17,9 @@ main(int argc, char **argv)
     machine::Machine m(machine::SystemKind::CrayT3D, 4);
     auto cfg = bench::remoteGrid(bench::fullRun(argc, argv), 16_MiB,
                                  512_KiB);
-    core::Surface s = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Deposit,
-                                false, 0, 2),
-        cfg, obs.jobs);
+    core::Surface s = bench::sweep(m, "deposit-sstore", cfg, obs.jobs);
     s.print(std::cout);
-    bench::compare({
-        {"deposit contiguous (MB/s)", 120, s.at(8_MiB, 1)},
-        {"deposit strided stores", 55, s.at(8_MiB, 16)},
-    });
+    bench::compare(5);
     obs.finish(m.statsGroup());
     return 0;
 }

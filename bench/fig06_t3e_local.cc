@@ -15,18 +15,11 @@ main(int argc, char **argv)
                   "Cray T3E local load bandwidth (stride x working "
                   "set), one processor");
     machine::Machine m(machine::SystemKind::CrayT3E, 4);
-    core::Surface s = bench::sweep(
-        m, core::SweepSpec::localLoads(0),
-        bench::surfaceGrid(bench::fullRun(argc, argv), 8_MiB,
-                              4_MiB),
-        obs.jobs);
+    const auto cfg =
+        bench::surfaceGrid(bench::fullRun(argc, argv), 8_MiB, 4_MiB);
+    core::Surface s = bench::sweep(m, "loads", cfg, obs.jobs);
     s.print(std::cout);
-    bench::compare({
-        {"L1 plateau (MB/s)", 1100, s.at(4_KiB, 1)},
-        {"L2 plateau, strided", 700, s.at(64_KiB, 8)},
-        {"DRAM contiguous (streams)", 430, s.at(8_MiB, 1)},
-        {"DRAM strided", 42, s.at(8_MiB, 32)},
-    });
+    bench::compare(6);
     obs.finish(m.statsGroup());
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Regenerates Figure 7: Cray T3E transfer bandwidth under the fetch
- * model (shmem_iget through the E-registers), p1 <- pull <- p0.
+ * model (shmem_iget through the E-registers), p0 <- pull <- p1.
  */
 
 #include "bench_util.hh"
@@ -16,16 +16,9 @@ main(int argc, char **argv)
     machine::Machine m(machine::SystemKind::CrayT3E, 4);
     auto cfg = bench::remoteGrid(bench::fullRun(argc, argv), 16_MiB,
                                  1_MiB);
-    core::Surface s = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Fetch,
-                                true, 0, 1),
-        cfg, obs.jobs);
+    core::Surface s = bench::sweep(m, "fetch-sload", cfg, obs.jobs);
     s.print(std::cout);
-    bench::compare({
-        {"iget contiguous (MB/s)", 350, s.at(8_MiB, 1)},
-        {"iget strided (flat)", 140, s.at(8_MiB, 16)},
-    });
+    bench::compare(7);
     obs.finish(m.statsGroup());
     return 0;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Regenerates Figure 8: Cray T3E transfer bandwidth under the deposit
- * model (shmem_iput), p0 -> push -> p1, with the even/odd-stride
+ * model (shmem_iput), p1 -> push -> p0, with the even/odd-stride
  * ripples from destination bank conflicts.
  */
 
@@ -17,20 +17,12 @@ main(int argc, char **argv)
     machine::Machine m(machine::SystemKind::CrayT3E, 4);
     auto cfg = bench::remoteGrid(bench::fullRun(argc, argv), 16_MiB,
                                  1_MiB);
-    core::Surface s = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Deposit,
-                                false, 0, 1),
-        cfg, obs.jobs);
+    core::Surface s = bench::sweep(m, "deposit-sstore", cfg, obs.jobs);
     s.print(std::cout);
     std::printf("Ripples: even strides hit the same destination bank "
                 "parity in\nconsecutive receives (paper Section "
                 "5.6).\n");
-    bench::compare({
-        {"iput contiguous (MB/s)", 350, s.at(8_MiB, 1)},
-        {"iput even stride", 70, s.at(8_MiB, 16)},
-        {"iput odd stride", 140, s.at(8_MiB, 15)},
-    });
+    bench::compare(8);
     obs.finish(m.statsGroup());
     return 0;
 }

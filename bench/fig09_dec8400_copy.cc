@@ -16,25 +16,11 @@ main(int argc, char **argv)
                   "loads vs strided stores");
     machine::Machine m(machine::SystemKind::Dec8400, 4);
     auto cfg = bench::copySliceGrid(12_MiB);
-    core::Surface sl =
-        bench::sweep(
-            m,
-            core::SweepSpec::localCopy(
-                kernels::CopyVariant::StridedLoads, 0),
-            cfg, obs.jobs);
-    core::Surface ss =
-        bench::sweep(
-            m,
-            core::SweepSpec::localCopy(
-                kernels::CopyVariant::StridedStores, 0),
-            cfg, obs.jobs);
+    core::Surface sl = bench::sweep(m, "copy-sload", cfg, obs.jobs);
+    core::Surface ss = bench::sweep(m, "copy-sstore", cfg, obs.jobs);
     sl.print(std::cout);
     ss.print(std::cout);
-    bench::compare({
-        {"contiguous copy (MB/s)", 57, sl.at(65 * 1_MiB, 1)},
-        {"strided loads @16", 18, sl.at(65 * 1_MiB, 16)},
-        {"strided stores @16", 18, ss.at(65 * 1_MiB, 16)},
-    });
+    bench::compare(9);
     obs.finish(m.statsGroup());
     return 0;
 }

@@ -16,28 +16,14 @@ main(int argc, char **argv)
                   "loads vs strided stores");
     machine::Machine m(machine::SystemKind::CrayT3E, 4);
     auto cfg = bench::copySliceGrid(4_MiB);
-    core::Surface sl =
-        bench::sweep(
-            m,
-            core::SweepSpec::localCopy(
-                kernels::CopyVariant::StridedLoads, 0),
-            cfg, obs.jobs);
-    core::Surface ss =
-        bench::sweep(
-            m,
-            core::SweepSpec::localCopy(
-                kernels::CopyVariant::StridedStores, 0),
-            cfg, obs.jobs);
+    core::Surface sl = bench::sweep(m, "copy-sload", cfg, obs.jobs);
+    core::Surface ss = bench::sweep(m, "copy-sstore", cfg, obs.jobs);
     sl.print(std::cout);
     ss.print(std::cout);
     std::printf("\"The write-back caches prohibit efficient strided "
                 "stores\" — the\nstrided picture resembles the DEC "
                 "8400, not the T3D.\n");
-    bench::compare({
-        {"contiguous copy (MB/s)", 200, sl.at(65 * 1_MiB, 1)},
-        {"strided loads @16", 36, sl.at(65 * 1_MiB, 16)},
-        {"strided stores @16", 25, ss.at(65 * 1_MiB, 16)},
-    });
+    bench::compare(11);
     obs.finish(m.statsGroup());
     return 0;
 }

@@ -15,17 +15,9 @@ main(int argc, char **argv)
                   "DEC 8400 remote copy transfer p1 -> p0, 65 MB");
     machine::Machine m(machine::SystemKind::Dec8400, 4);
     auto cfg = bench::copySliceGrid(12_MiB);
-    core::Surface s = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::CoherentPull,
-                                true, 1, 0),
-        cfg, obs.jobs);
+    core::Surface s = bench::sweep(m, "pull", cfg, obs.jobs);
     s.print(std::cout);
-    bench::compare({
-        {"contiguous (MB/s)", 140, s.at(65 * 1_MiB, 1)},
-        {"strided @16", 22, s.at(65 * 1_MiB, 16)},
-        {"strided @64", 22, s.at(65 * 1_MiB, 64)},
-    });
+    bench::compare(12);
     obs.finish(m.statsGroup());
     return 0;
 }

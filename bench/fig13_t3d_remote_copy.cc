@@ -15,24 +15,11 @@ main(int argc, char **argv)
                   "Cray T3D remote copy transfer p0 -> p2, 65 MB");
     machine::Machine m(machine::SystemKind::CrayT3D, 4);
     auto cfg = bench::copySliceGrid(4_MiB);
-    core::Surface sl = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Deposit,
-                                true, 0, 2),
-        cfg, obs.jobs);
-    core::Surface ss = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Deposit,
-                                false, 0, 2),
-        cfg, obs.jobs);
+    core::Surface sl = bench::sweep(m, "deposit-sload", cfg, obs.jobs);
+    core::Surface ss = bench::sweep(m, "deposit-sstore", cfg, obs.jobs);
     sl.print(std::cout);
     ss.print(std::cout);
-    bench::compare({
-        {"contiguous (MB/s)", 120, ss.at(65 * 1_MiB, 1)},
-        {"strided loads @16 (load-limited)", 43,
-         sl.at(65 * 1_MiB, 16)},
-        {"strided remote stores @16", 55, ss.at(65 * 1_MiB, 16)},
-    });
+    bench::compare(13);
     obs.finish(m.statsGroup());
     return 0;
 }

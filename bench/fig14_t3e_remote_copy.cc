@@ -1,6 +1,6 @@
 /**
  * @file
- * Regenerates Figure 14: Cray T3E remote copy transfer p0 -> p1 at a
+ * Regenerates Figure 14: Cray T3E remote copy transfer p1 -> p0 at a
  * 65 MB working set: strided loads (iget) vs strided remote stores
  * (iput), with the even/odd ripples.
  */
@@ -13,31 +13,18 @@ main(int argc, char **argv)
     using namespace gasnub;
     bench::Observability obs(argc, argv);
     bench::banner("Figure 14",
-                  "Cray T3E remote copy transfer p0 -> p1, 65 MB");
+                  "Cray T3E remote copy transfer p1 -> p0, 65 MB");
     machine::Machine m(machine::SystemKind::CrayT3E, 4);
     auto cfg = bench::copySliceGrid(4_MiB);
-    core::Surface sl = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Fetch,
-                                true, 0, 1),
-        cfg, obs.jobs);
-    core::Surface ss = bench::sweep(
-        m,
-        core::SweepSpec::remote(remote::TransferMethod::Deposit,
-                                false, 0, 1),
-        cfg, obs.jobs);
+    core::Surface sl = bench::sweep(m, "fetch-sload", cfg, obs.jobs);
+    core::Surface ss = bench::sweep(m, "deposit-sstore", cfg, obs.jobs);
     sl.print(std::cout);
     ss.print(std::cout);
     std::printf("Fetch (strided gathers) is flat ~140; deposit "
                 "(strided scatters)\nripples between ~70 (even) and "
                 "~140 (odd) — hence the Fx back-end\ngenerates fetch "
                 "code for the T3E (paper Section 9).\n");
-    bench::compare({
-        {"contiguous (MB/s)", 350, sl.at(65 * 1_MiB, 1)},
-        {"strided loads @16 (flat)", 140, sl.at(65 * 1_MiB, 16)},
-        {"strided stores @16 (even)", 70, ss.at(65 * 1_MiB, 16)},
-        {"strided stores @15 (odd)", 140, ss.at(65 * 1_MiB, 15)},
-    });
+    bench::compare(14);
     obs.finish(m.statsGroup());
     return 0;
 }

@@ -20,18 +20,6 @@ main(int argc, char **argv)
                          [](const fft::Fft2dResult &r) {
                              return r.overallMFlops;
                          });
-    const auto &t3d = sweep[0].results[3];  // n = 256
-    const auto &dec = sweep[1].results[3];
-    const auto &t3e = sweep[2].results[3];
-    bench::compare({
-        {"T3D @ 256x256 (MFlop/s)", 133, t3d.overallMFlops},
-        {"DEC 8400 @ 256x256", 220, dec.overallMFlops},
-        {"T3E @ 256x256", 330, t3e.overallMFlops},
-    });
-    std::printf("Paper: the 8400 improvement over the T3D stays 'a "
-                "factor below two'\n(model: %.2fx), and the T3E runs "
-                "about 50%% above the 8400 (model:\n%.2fx).\n",
-                dec.overallMFlops / t3d.overallMFlops,
-                t3e.overallMFlops / dec.overallMFlops);
+    bench::compare(15);
     return 0;
 }

@@ -19,18 +19,6 @@ main(int argc, char **argv)
                          [](const fft::Fft2dResult &r) {
                              return r.computeMFlops;
                          });
-    const auto &t3d = sweep[0].results;
-    const auto &dec = sweep[1].results;
-    const auto &t3e = sweep[2].results;
-    bench::compare({
-        {"8400 / T3D compute ratio @256 (paper >2.5)", 2.5,
-         dec[3].computeMFlops / t3d[3].computeMFlops},
-        {"T3E per-processor peak (MFlop/s)", 200,
-         t3e[5].computeMFlops / 4.0},
-        {"T3D falloff 1024 vs 256 (ratio)", 0.66,
-         t3d[5].computeMFlops / t3d[3].computeMFlops},
-        {"8400 level 1024 vs 256 (ratio)", 1.0,
-         dec[5].computeMFlops / dec[3].computeMFlops},
-    });
+    bench::compare(16);
     return 0;
 }

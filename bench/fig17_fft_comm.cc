@@ -19,14 +19,10 @@ main(int argc, char **argv)
                          [](const fft::Fft2dResult &r) {
                              return r.commMBs;
                          });
-    const auto &t3d = sweep[0].results[3];
-    const auto &dec = sweep[1].results[3];
-    const auto &t3e = sweep[2].results[3];
     std::printf("\nPaper: the 8400 communication system 'runs at "
-                "approximately the same\nperformance level as the "
-                "... Cray T3D' (model @256: %.0f vs %.0f\nMB/s); "
-                "the T3E leads but below its potential due to the "
-                "shmem_iput\nmismatch (model: %.0f MB/s).\n",
-                dec.commMBs, t3d.commMBs, t3e.commMBs);
+                "approximately the same\nperformance level as the ... "
+                "Cray T3D'; the T3E leads but below its\npotential due "
+                "to the shmem_iput mismatch (compare the n = 256 "
+                "column).\n");
     return 0;
 }

@@ -1,5 +1,6 @@
 #include "core/characterizer.hh"
 
+#include "core/planner_io.hh"
 #include "sim/logging.hh"
 #include "sim/profiler.hh"
 #include "sim/units.hh"
@@ -72,6 +73,25 @@ SweepSpec::remote(remote::TransferMethod method, bool stride_on_source,
     s.src = src;
     s.dst = dst;
     return s;
+}
+
+std::optional<SweepSpec>
+SweepSpec::fromName(machine::SystemKind kind, const std::string &name)
+{
+    if (name == "loads")
+        return localLoads(0);
+    if (name == "stores")
+        return localStores(0);
+    if (name == "copy-sload")
+        return localCopy(kernels::CopyVariant::StridedLoads, 0);
+    if (name == "copy-sstore")
+        return localCopy(kernels::CopyVariant::StridedStores, 0);
+    const auto option = findPlanOptionKind(name);
+    if (!option)
+        return std::nullopt;
+    const bool t3d = kind == machine::SystemKind::CrayT3D;
+    return remote(option->method, option->strideOnSource, t3d ? 0 : 1,
+                  t3d ? 2 : 0);
 }
 
 std::string

@@ -11,6 +11,8 @@
 #define GASNUB_CORE_CHARACTERIZER_HH
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/surface.hh"
@@ -80,6 +82,17 @@ struct SweepSpec
     static SweepSpec remote(remote::TransferMethod method,
                             bool stride_on_source, NodeId src = 1,
                             NodeId dst = 0);
+
+    /**
+     * Decode a benchmark name of tools/characterize on a machine of
+     * kind @p kind: loads, stores, copy-sload, copy-sstore, or one of
+     * the five remote option names of core::planOptionKind.  Local
+     * sweeps measure node 0; remote ones move data 0 -> 2 on the T3D
+     * (distinct network nodes, as the paper's p0,1 -> p2,3) and
+     * 1 -> 0 elsewhere.  Nothing when @p name is none of these.
+     */
+    static std::optional<SweepSpec> fromName(machine::SystemKind kind,
+                                             const std::string &name);
 };
 
 /** Surface name of sweep @p spec on a machine of kind @p kind. */

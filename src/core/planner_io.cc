@@ -11,20 +11,28 @@ namespace gasnub::core {
 
 namespace fs = std::filesystem;
 
-PlanOptionKind
-planOptionKind(const std::string &stem, const std::string &context)
+std::optional<PlanOptionKind>
+findPlanOptionKind(const std::string &stem)
 {
     using remote::TransferMethod;
     if (stem == "pull")
-        return {TransferMethod::CoherentPull, true};
+        return PlanOptionKind{TransferMethod::CoherentPull, true};
     if (stem == "fetch-sload")
-        return {TransferMethod::Fetch, true};
+        return PlanOptionKind{TransferMethod::Fetch, true};
     if (stem == "fetch-sstore")
-        return {TransferMethod::Fetch, false};
+        return PlanOptionKind{TransferMethod::Fetch, false};
     if (stem == "deposit-sload")
-        return {TransferMethod::Deposit, true};
+        return PlanOptionKind{TransferMethod::Deposit, true};
     if (stem == "deposit-sstore")
-        return {TransferMethod::Deposit, false};
+        return PlanOptionKind{TransferMethod::Deposit, false};
+    return std::nullopt;
+}
+
+PlanOptionKind
+planOptionKind(const std::string &stem, const std::string &context)
+{
+    if (const auto kind = findPlanOptionKind(stem))
+        return *kind;
     // Name the offending file when decoding a directory manifest, so
     // the user knows which file to rename — matching the surface
     // loader's file/line diagnostics.

@@ -23,6 +23,7 @@
 #ifndef GASNUB_CORE_PLANNER_IO_HH
 #define GASNUB_CORE_PLANNER_IO_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,10 +41,15 @@ struct PlanOptionKind
 
 /**
  * Decode an option name ("pull", "fetch-sload", ...; see file
- * comment).  Fatal with the list of valid names when @p stem is not
- * one of them; when @p context is non-empty (e.g.\ the file path the
- * stem came from) the diagnostic names it, so directory loads point
- * at the offending file.
+ * comment), or nothing when @p stem is not one of them.
+ */
+std::optional<PlanOptionKind> findPlanOptionKind(const std::string &stem);
+
+/**
+ * findPlanOptionKind(), fatal with the list of valid names when
+ * @p stem is not one of them; when @p context is non-empty (e.g.\ the
+ * file path the stem came from) the diagnostic names it, so directory
+ * loads point at the offending file.
  */
 PlanOptionKind planOptionKind(const std::string &stem,
                               const std::string &context = "");

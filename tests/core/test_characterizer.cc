@@ -97,6 +97,39 @@ TEST(Characterizer, RemoteSurfaceUsesTheRequestedMethod)
     EXPECT_GT(dep.at(256_KiB, 3), 1.4 * dep.at(256_KiB, 2));
 }
 
+TEST(SweepSpec, FromNameDecodesTheCharacterizeBenchmarks)
+{
+    using machine::SystemKind;
+    using remote::TransferMethod;
+    EXPECT_EQ(SweepSpec::fromName(SystemKind::CrayT3E, "loads")->kind,
+              SweepSpec::Kind::LocalLoads);
+    EXPECT_EQ(SweepSpec::fromName(SystemKind::CrayT3E, "stores")->kind,
+              SweepSpec::Kind::LocalStores);
+    const auto copy = SweepSpec::fromName(SystemKind::Dec8400, "copy-sstore");
+    EXPECT_EQ(copy->kind, SweepSpec::Kind::LocalCopy);
+    EXPECT_EQ(copy->variant, kernels::CopyVariant::StridedStores);
+    EXPECT_EQ(copy->node, 0u);
+
+    // Remote names: the T3D moves data between distinct network nodes
+    // (0 -> 2), the other machines from node 1 to node 0.
+    const auto t3d = SweepSpec::fromName(SystemKind::CrayT3D, "fetch-sload");
+    EXPECT_EQ(t3d->kind, SweepSpec::Kind::Remote);
+    EXPECT_EQ(t3d->method, TransferMethod::Fetch);
+    EXPECT_TRUE(t3d->strideOnSource);
+    EXPECT_EQ(t3d->src, 0u);
+    EXPECT_EQ(t3d->dst, 2u);
+    const auto dec = SweepSpec::fromName(SystemKind::Dec8400, "pull");
+    EXPECT_EQ(dec->method, TransferMethod::CoherentPull);
+    EXPECT_EQ(dec->src, 1u);
+    EXPECT_EQ(dec->dst, 0u);
+    const auto t3e = SweepSpec::fromName(SystemKind::CrayT3E, "deposit-sstore");
+    EXPECT_EQ(t3e->method, TransferMethod::Deposit);
+    EXPECT_FALSE(t3e->strideOnSource);
+
+    EXPECT_FALSE(SweepSpec::fromName(SystemKind::CrayT3E, "flops"));
+    EXPECT_FALSE(SweepSpec::fromName(SystemKind::CrayT3E, ""));
+}
+
 TEST(Characterizer, RunIsOneGridLoopOverMeasure)
 {
     // run() is surface() plus measure()/setPoint() at every grid

@@ -1,309 +1,234 @@
 /**
  * @file
  * Integration tests: the simulated machines must land on the paper's
- * measured plateaus (within a tolerance band) and reproduce every
- * qualitative finding of the evaluation.  This is the repository's
- * scientific regression suite; EXPERIMENTS.md records the full
- * paper-vs-model comparison.
+ * reported numbers.  One case per row of bench/paper_claims.hh
+ * measures the row, asserts its bound and checks that EXPERIMENTS.md
+ * records it; the remaining cases keep the table's other copies
+ * honest: EXPERIMENTS.md's claim tables, perfbench's reference points
+ * and a figure bench's comparison block.
  */
 
 #include <gtest/gtest.h>
 
-#include "fft/fft2d_dist.hh"
-#include "kernels/kernels.hh"
-#include "kernels/remote_kernels.hh"
-#include "machine/machine.hh"
-#include "sim/units.hh"
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "json_util.hh"
+#include "paper_claims.hh"
+
+namespace gasnub::bench {
+
+/** gtest prints a failing case's row by its key. */
+void
+PrintTo(const PaperClaim &c, std::ostream *os)
+{
+    *os << c.key;
+}
+
+} // namespace gasnub::bench
 
 namespace {
 
 using namespace gasnub;
-using machine::Machine;
-using machine::SystemKind;
+using bench::PaperClaim;
 
-constexpr double kTol = 0.25; // +-25% band on absolute plateaus
-
-void
-expectNear(double measured, double paper, const char *what,
-           double tol = kTol)
+std::string
+readFile(const std::string &path)
 {
-    EXPECT_GE(measured, paper * (1 - tol)) << what;
-    EXPECT_LE(measured, paper * (1 + tol)) << what;
+    std::ifstream in(path);
+    EXPECT_TRUE(in.good()) << "cannot read " << path;
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
 }
 
-double
-localLoad(Machine &m, std::uint64_t ws, std::uint64_t stride)
+/** Header of the claim tables in EXPERIMENTS.md. */
+constexpr const char *kClaimHeader =
+    "| Figure | reference point | paper | model | ratio |";
+
+/** Every line of EXPERIMENTS.md's claim tables, separators excluded. */
+std::vector<std::string>
+claimTableLines()
 {
-    kernels::KernelParams p;
-    p.wsBytes = ws;
-    p.stride = stride;
-    return kernels::loadSumOn(m, 0, p).mbs;
+    std::istringstream in(readFile(GASNUB_SOURCE_DIR "/EXPERIMENTS.md"));
+    std::vector<std::string> out;
+    bool inTable = false;
+    for (std::string line; std::getline(in, line);) {
+        if (line == kClaimHeader)
+            inTable = true;
+        else if (line.empty() || line[0] != '|')
+            inTable = false;
+        else if (inTable && line.rfind("|---", 0) != 0)
+            out.push_back(line);
+    }
+    return out;
 }
 
-double
-localCopy(Machine &m, kernels::CopyVariant v, std::uint64_t stride)
+/** "| figure | row |": the part of a claim line that names the row. */
+std::string
+linePrefix(int figure, const std::string &row)
 {
-    kernels::KernelParams p;
-    p.wsBytes = 16_MiB;
-    p.stride = stride;
-    const std::uint64_t eff =
-        kernels::effectiveWorkingSet(m.node(0), p);
-    return kernels::copyOn(m, 0, p, v, eff).mbs;
+    return "| " + std::to_string(figure) + " | " + row + " |";
 }
 
-double
-remoteMbs(Machine &m, remote::TransferMethod method, bool on_src,
-          std::uint64_t ws, std::uint64_t stride, NodeId src,
-          NodeId dst)
+/**
+ * The EXPERIMENTS.md line of @p c measured at @p model: the paper
+ * value, the model value rounded (to two decimals for ratio rows),
+ * and model / paper.
+ */
+std::string
+experimentsLine(const PaperClaim &c, double model)
 {
-    kernels::RemoteParams p;
-    p.src = src;
-    p.dst = dst;
-    p.wsBytes = ws;
-    p.stride = stride;
-    p.strideOnSource = on_src;
-    p.method = method;
-    p.dstBase = 1ull << 33;
-    return kernels::remoteTransfer(m, p).mbs;
+    char buf[96];
+    std::snprintf(buf, sizeof buf, " %g | %.*f | %.2f |", c.paper,
+                  c.kind == PaperClaim::Kind::Ratio ? 2 : 0, model,
+                  model / c.paper);
+    return linePrefix(c.figure, c.row) + buf;
 }
 
-// ----- Figure 1: DEC 8400 local loads ------------------------------
-
-TEST(PaperFig1, Dec8400LocalLoadPlateaus)
+class PaperClaimTest : public ::testing::TestWithParam<PaperClaim>
 {
-    Machine m(SystemKind::Dec8400, 4);
-    expectNear(localLoad(m, 4_KiB, 1), 1100, "L1");
-    expectNear(localLoad(m, 64_KiB, 8), 700, "L2 strided");
-    expectNear(localLoad(m, 1_MiB, 1), 600, "L3 contiguous");
-    expectNear(localLoad(m, 1_MiB, 16), 120, "L3 strided");
-    expectNear(localLoad(m, 16_MiB, 1), 150, "DRAM contiguous");
-    expectNear(localLoad(m, 16_MiB, 32), 28, "DRAM strided");
+};
+
+TEST_P(PaperClaimTest, WithinBoundAndRecorded)
+{
+    const PaperClaim &c = GetParam();
+    const double v = bench::measureClaim(c);
+    EXPECT_GE(v, c.lo) << c.key;
+    EXPECT_LE(v, c.hi) << c.key;
+    EXPECT_EQ(c.deviation,
+              std::fabs(v / c.paper - 1) > bench::deviationBand)
+        << c.key << ": model " << v << " vs paper " << c.paper
+        << "; a row this far off the paper is a deviation";
+
+    const std::string want = experimentsLine(c, v);
+    const std::string prefix = linePrefix(c.figure, c.row);
+    std::vector<std::string> found;
+    for (const std::string &line : claimTableLines())
+        if (line.rfind(prefix, 0) == 0)
+            found.push_back(line);
+    EXPECT_EQ(found, std::vector<std::string>{want})
+        << "EXPERIMENTS.md needs exactly one claim line\n  " << want;
 }
 
-// ----- Figure 3: T3D local loads -----------------------------------
+INSTANTIATE_TEST_SUITE_P(
+    Paper, PaperClaimTest, ::testing::ValuesIn(bench::paperClaims),
+    [](const ::testing::TestParamInfo<PaperClaim> &info) {
+        return std::string(info.param.key);
+    });
 
-TEST(PaperFig3, T3dLocalLoadPlateaus)
+TEST(PaperClaims, TableIsWellFormed)
 {
-    Machine m(SystemKind::CrayT3D, 4);
-    expectNear(localLoad(m, 4_KiB, 1), 600, "L1");
-    expectNear(localLoad(m, 16_MiB, 1), 195, "DRAM contiguous");
-    expectNear(localLoad(m, 16_MiB, 16), 43, "DRAM strided");
-    // "Contiguous loads ... about 30% faster than in the DEC 8400".
-    Machine dec(SystemKind::Dec8400, 4);
-    EXPECT_GT(localLoad(m, 16_MiB, 1),
-              1.2 * localLoad(dec, 16_MiB, 1));
+    std::set<std::string> keys;
+    std::set<std::pair<int, std::string>> rows;
+    for (const PaperClaim &c : bench::paperClaims) {
+        EXPECT_TRUE(keys.insert(c.key).second) << "duplicate " << c.key;
+        EXPECT_TRUE(rows.insert({c.figure, c.row}).second)
+            << "duplicate row " << c.figure << " " << c.row;
+        EXPECT_LT(c.lo, c.hi) << c.key;
+        EXPECT_GT(c.paper, 0) << c.key;
+        switch (c.kind) {
+          case PaperClaim::Kind::Bandwidth:
+            EXPECT_TRUE(core::SweepSpec::fromName(c.machine, c.benchmark))
+                << c.key;
+            break;
+          case PaperClaim::Kind::FftOverall:
+          case PaperClaim::Kind::FftCompute:
+            EXPECT_GT(c.n, 0u) << c.key;
+            break;
+          case PaperClaim::Kind::Ratio:
+            for (const char *operand : {c.num, c.den})
+                EXPECT_NE(bench::findClaim(operand).kind,
+                          PaperClaim::Kind::Ratio)
+                    << c.key;
+            break;
+        }
+    }
 }
 
-// ----- Figure 6: T3E local loads -----------------------------------
-
-TEST(PaperFig6, T3eLocalLoadPlateaus)
+TEST(PaperClaims, EveryExperimentsClaimLineIsARow)
 {
-    Machine m(SystemKind::CrayT3E, 4);
-    expectNear(localLoad(m, 4_KiB, 1), 1100, "L1");
-    expectNear(localLoad(m, 64_KiB, 8), 700, "L2 strided");
-    expectNear(localLoad(m, 16_MiB, 1), 430, "DRAM contiguous");
-    expectNear(localLoad(m, 16_MiB, 32), 42, "DRAM strided");
-    // "No improvement for strided accesses out of DRAM" vs the T3D.
-    Machine t3d(SystemKind::CrayT3D, 4);
-    EXPECT_NEAR(localLoad(m, 16_MiB, 32),
-                localLoad(t3d, 16_MiB, 32), 10);
+    const std::vector<std::string> lines = claimTableLines();
+    EXPECT_FALSE(lines.empty());
+    for (const std::string &line : lines) {
+        bool known = false;
+        for (const PaperClaim &c : bench::paperClaims)
+            known |= line.rfind(linePrefix(c.figure, c.row), 0) == 0;
+        EXPECT_TRUE(known) << "EXPERIMENTS.md claim line with no row in "
+                              "bench/paper_claims.hh:\n  "
+                           << line;
+    }
 }
 
-// ----- Figures 9-11: local copies ----------------------------------
-
-TEST(PaperFig9, Dec8400LocalCopy)
+TEST(PaperClaims, PerfbenchPaperPointsAreRows)
 {
-    Machine m(SystemKind::Dec8400, 4);
-    expectNear(localCopy(m, kernels::CopyVariant::StridedLoads, 1), 57,
-               "contiguous copy");
-    // "Strided data at about 18 MByte/s" (both variants similar).
-    const double sl =
-        localCopy(m, kernels::CopyVariant::StridedLoads, 16);
-    const double ss =
-        localCopy(m, kernels::CopyVariant::StridedStores, 16);
-    // Model bands: the strided-load variant sits near the paper's 18;
-    // the strided-store variant runs somewhat high (~30) because the
-    // contiguous load stream survives the write allocations.
-    EXPECT_GT(sl, 10);
-    EXPECT_LT(sl, 30);
-    EXPECT_GT(ss, 8);
-    EXPECT_LT(ss, 34);
+    const std::string text =
+        readFile(GASNUB_SOURCE_DIR "/perfbench/paper_points.json");
+    const tooljson::JsonValue doc =
+        tooljson::JsonParser(text, "paper_points.json").parse();
+    const tooljson::JsonValue *points = doc.find("points");
+    ASSERT_NE(points, nullptr);
+    EXPECT_FALSE(points->array.empty());
+    const auto cliName = [](machine::SystemKind kind) {
+        return kind == machine::SystemKind::Dec8400 ? "dec8400"
+               : kind == machine::SystemKind::CrayT3D ? "t3d"
+                                                      : "t3e";
+    };
+    for (const tooljson::JsonValue &p : points->array) {
+        const std::string machine = p.find("machine")->string;
+        const std::string benchmark = p.find("benchmark")->string;
+        const std::uint64_t ws = parseSize(p.find("ws")->string);
+        const double stride = p.find("stride")->number;
+        const double paper = p.find("paper")->number;
+        const PaperClaim *match = nullptr;
+        for (const PaperClaim &c : bench::paperClaims)
+            if (c.kind == PaperClaim::Kind::Bandwidth &&
+                machine == cliName(c.machine) && benchmark == c.benchmark &&
+                ws == c.ws && stride == double(c.stride) &&
+                paper == c.paper)
+                match = &c;
+        ASSERT_NE(match, nullptr)
+            << "no row for " << machine << " " << benchmark << " "
+            << p.find("ws")->string << " stride " << stride;
+        EXPECT_EQ(match->figure, p.find("figure")->number) << match->key;
+        EXPECT_EQ(match->row, p.find("row")->string) << match->key;
+    }
 }
 
-TEST(PaperFig10, T3dLocalCopy)
+TEST(PaperClaims, Fig05BenchComparesTheTableRows)
 {
-    Machine m(SystemKind::CrayT3D, 4);
-    expectNear(localCopy(m, kernels::CopyVariant::StridedLoads, 1),
-               100, "contiguous copy");
-    // "Strided stores at up to 70 MByte/s, almost three times the
-    // speed of the DEC 8400."
-    const double ss =
-        localCopy(m, kernels::CopyVariant::StridedStores, 16);
-    expectNear(ss, 60, "strided stores", 0.3);
-    Machine dec(SystemKind::Dec8400, 4);
-    EXPECT_GT(ss, 1.7 * localCopy(dec,
-                                  kernels::CopyVariant::StridedStores,
-                                  16));
-}
+    std::FILE *pipe = popen("'" GASNUB_FIG05_BENCH "' --jobs=1", "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string out;
+    char buf[4096];
+    while (const std::size_t n = std::fread(buf, 1, sizeof buf, pipe))
+        out.append(buf, n);
+    ASSERT_EQ(pclose(pipe), 0);
 
-TEST(PaperFig11, T3eLocalCopy)
-{
-    Machine m(SystemKind::CrayT3E, 4);
-    expectNear(localCopy(m, kernels::CopyVariant::StridedLoads, 1),
-               200, "contiguous copy");
-    // "The picture for strided access resembles more the DEC 8400
-    // than the T3D": strided stores are slow again.
-    const double ss =
-        localCopy(m, kernels::CopyVariant::StridedStores, 16);
-    EXPECT_LT(ss, 45);
-}
-
-// ----- Figure 2 / 12: DEC 8400 remote pulls ------------------------
-
-TEST(PaperFig2And12, Dec8400RemotePull)
-{
-    Machine m(SystemKind::Dec8400, 4);
-    const auto pull = remote::TransferMethod::CoherentPull;
-    // "Maximal performance for remote memory accesses is down to 140
-    // MByte/s" — contiguous.
-    expectNear(remoteMbs(m, pull, true, 16_MiB, 1, 1, 0), 140,
-               "remote contiguous");
-    // "For strided accesses out of DRAM, performance is about 22."
-    expectNear(remoteMbs(m, pull, true, 16_MiB, 32, 1, 0), 22,
-               "remote strided");
-}
-
-// ----- Figures 4, 5, 13: T3D remote transfers ----------------------
-
-TEST(PaperFig5And13, T3dDeposit)
-{
-    Machine m(SystemKind::CrayT3D, 4);
-    const auto dep = remote::TransferMethod::Deposit;
-    // Contiguous deposits around 120 MB/s (Figure 5 plateau).
-    expectNear(remoteMbs(m, dep, false, 8_MiB, 1, 0, 2), 120,
-               "deposit contiguous");
-    // "Optimized using strided stores ... at about 55 MByte/s."
-    expectNear(remoteMbs(m, dep, false, 8_MiB, 16, 0, 2), 55,
-               "deposit strided stores");
-    // Strided-load deposits are limited by the 43 MB/s local loads.
-    const double sl = remoteMbs(m, dep, true, 8_MiB, 16, 0, 2);
-    EXPECT_LT(sl, 48);
-}
-
-TEST(PaperFig4, T3dFetchInferior)
-{
-    Machine m(SystemKind::CrayT3D, 4);
-    const double fetch = remoteMbs(
-        m, remote::TransferMethod::Fetch, true, 8_MiB, 1, 0, 2);
-    const double dep = remoteMbs(
-        m, remote::TransferMethod::Deposit, false, 8_MiB, 1, 0, 2);
-    // "Pulling data proves to be consistently inferior."
-    EXPECT_LT(fetch, 0.8 * dep);
-    const double fetch_s = remoteMbs(
-        m, remote::TransferMethod::Fetch, true, 8_MiB, 16, 0, 2);
-    const double dep_s = remoteMbs(
-        m, remote::TransferMethod::Deposit, false, 8_MiB, 16, 0, 2);
-    EXPECT_LT(fetch_s, 0.8 * dep_s);
-}
-
-// ----- Figures 7, 8, 14: T3E remote transfers ----------------------
-
-TEST(PaperFig7And8, T3eFetchAndDeposit)
-{
-    Machine m(SystemKind::CrayT3E, 4);
-    // "Both modes of operation perform impressively at 350 MByte/sec
-    // for contiguous data transfers."
-    expectNear(remoteMbs(m, remote::TransferMethod::Fetch, true,
-                         8_MiB, 1, 1, 0),
-               350, "iget contiguous");
-    expectNear(remoteMbs(m, remote::TransferMethod::Deposit, false,
-                         8_MiB, 1, 1, 0),
-               350, "iput contiguous");
-    // "Falls down to 140 MByte/s or 70 MByte/s for strided accesses
-    // (depending on how the transfer is programmed)."
-    expectNear(remoteMbs(m, remote::TransferMethod::Fetch, true,
-                         8_MiB, 16, 1, 0),
-               140, "iget strided");
-    expectNear(remoteMbs(m, remote::TransferMethod::Deposit, false,
-                         8_MiB, 16, 1, 0),
-               70, "iput strided even");
-    // The odd-stride ripple (destination bank parity).
-    const double odd = remoteMbs(m, remote::TransferMethod::Deposit,
-                                 false, 8_MiB, 15, 1, 0);
-    EXPECT_GT(odd, 110);
-}
-
-// ----- Conclusions: cross-machine ratios ---------------------------
-
-TEST(PaperConclusions, StridedRemoteRatios)
-{
-    // "22 MByte/s per processor on the DEC 8400, a factor of 2.5 less
-    // than the 55 MByte/s measured in the T3D, or a factor of 6.5
-    // less than the 140 MByte/s measured in the T3E."
-    Machine dec(SystemKind::Dec8400, 4);
-    Machine t3d(SystemKind::CrayT3D, 4);
-    Machine t3e(SystemKind::CrayT3E, 4);
-    const double v_dec = remoteMbs(
-        dec, remote::TransferMethod::CoherentPull, true, 8_MiB, 16, 1,
-        0);
-    const double v_t3d = remoteMbs(
-        t3d, remote::TransferMethod::Deposit, false, 8_MiB, 16, 0, 2);
-    const double v_t3e = remoteMbs(
-        t3e, remote::TransferMethod::Fetch, true, 8_MiB, 16, 1, 0);
-    EXPECT_NEAR(v_t3d / v_dec, 2.5, 1.0);
-    EXPECT_NEAR(v_t3e / v_dec, 6.5, 2.0);
-}
-
-TEST(PaperConclusions, RemoteCopyNotSlowerThanLocalCopy)
-{
-    // "The straight remote memory copy bandwidth is equal to or
-    // higher than the local copy performance" — packing never pays.
-    Machine t3d(SystemKind::CrayT3D, 4);
-    const double local =
-        localCopy(t3d, kernels::CopyVariant::StridedLoads, 1);
-    const double rem = remoteMbs(
-        t3d, remote::TransferMethod::Deposit, false, 8_MiB, 1, 0, 2);
-    EXPECT_GE(rem, 0.95 * local);
-}
-
-// ----- Figure 15-17 headline numbers -------------------------------
-
-TEST(PaperFig15, FftOverallPerformance)
-{
-    fft::Fft2dConfig cfg;
-    cfg.n = 256;
-    Machine t3d(SystemKind::CrayT3D, 4);
-    Machine dec(SystemKind::Dec8400, 4);
-    Machine t3e(SystemKind::CrayT3E, 4);
-    const double v_t3d =
-        fft::DistributedFft2d(t3d).run(cfg).overallMFlops;
-    const double v_dec =
-        fft::DistributedFft2d(dec).run(cfg).overallMFlops;
-    const double v_t3e =
-        fft::DistributedFft2d(t3e).run(cfg).overallMFlops;
-    expectNear(v_t3d, 133, "T3D 256^2");
-    expectNear(v_dec, 220, "8400 256^2");
-    expectNear(v_t3e, 330, "T3E 256^2", 0.30);
-    EXPECT_LT(v_dec / v_t3d, 2.0); // "a factor below two over the T3D"
-}
-
-TEST(PaperFig16, FftComputeRates)
-{
-    fft::Fft2dConfig cfg;
-    cfg.n = 256;
-    Machine t3d(SystemKind::CrayT3D, 4);
-    Machine dec(SystemKind::Dec8400, 4);
-    Machine t3e(SystemKind::CrayT3E, 4);
-    const double c_t3d =
-        fft::DistributedFft2d(t3d).run(cfg).computeMFlops;
-    const double c_dec =
-        fft::DistributedFft2d(dec).run(cfg).computeMFlops;
-    const double c_t3e =
-        fft::DistributedFft2d(t3e).run(cfg).computeMFlops;
-    // "More than a factor 2.5 higher on the DEC 8400 than on the T3D"
-    EXPECT_GT(c_dec, 2.3 * c_t3d);
-    // T3E up to 200 MFlop/s per processor.
-    EXPECT_GT(c_t3e, 4 * 180);
+    std::vector<std::string> block;
+    std::istringstream in(out);
+    bool inBlock = false;
+    for (std::string line; std::getline(in, line);) {
+        if (line == bench::compareHeader)
+            inBlock = true;
+        else if (line.empty())
+            inBlock = false;
+        else if (inBlock)
+            block.push_back(line);
+    }
+    std::vector<std::string> want;
+    for (const PaperClaim &c : bench::paperClaims)
+        if (c.figure == 5)
+            want.push_back(bench::compareLine(c.row, c.paper,
+                                              bench::measureClaim(c)));
+    EXPECT_FALSE(want.empty());
+    EXPECT_EQ(block, want);
 }
 
 } // namespace

@@ -2,18 +2,14 @@
 # CLI contract tests for the characterize tool: malformed command
 # lines exit with code 2 and an error on stderr, valid ones exit 0;
 # plus the report tool's JSON output over a hand-written ledger and
-# the numeric flags of the calibration and chaos tools.
+# the numeric flags of the chaos tool.
 # Usage: test_characterize_cli.sh /path/to/characterize /path/to/report \
-#            /path/to/calibrate_fft /path/to/calibrate_local \
-#            /path/to/calibrate_remote /path/to/chaos
+#            /path/to/chaos
 set -u
 
 bin="$1"
 report="$2"
-calibrate_fft="$3"
-calibrate_local="$4"
-calibrate_remote="$5"
-chaos="$6"
+chaos="$3"
 fails=0
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
@@ -75,21 +71,19 @@ expect_bad_value() {
     fi
 }
 
-for tool in "$calibrate_fft" "$calibrate_local" "$calibrate_remote"; do
-    for v in 4x 1e3 -1 "" 99999 " 2"; do
-        expect_bad_value "$tool" --jobs "$v"
-    done
-    for v in abc -3 4097; do
-        "$tool" "--jobs=$v" >/dev/null 2>"$err"
-        code=$?
-        if [ "$code" -ne 2 ] ||
-                ! grep -qF "bad value '$v' for --jobs" "$err"; then
-            echo "FAIL: $(basename "$tool") --jobs=$v: exit $code"
-            fails=1
-        else
-            echo "ok: $(basename "$tool") --jobs=$v rejected"
-        fi
-    done
+for v in 4x 1e3 -1 "" 99999 " 2"; do
+    expect_bad_value "$bin" --jobs "$v" t3e loads
+done
+for v in abc -3 4097; do
+    "$bin" t3e loads "--jobs=$v" >/dev/null 2>"$err"
+    code=$?
+    if [ "$code" -ne 2 ] ||
+            ! grep -qF "bad value '$v' for --jobs" "$err"; then
+        echo "FAIL: characterize --jobs=$v: exit $code"
+        fails=1
+    else
+        echo "ok: characterize --jobs=$v rejected"
+    fi
 done
 for v in 4 1e3 -64 64x 99999999; do
     expect_bad_value "$chaos" --n "$v"

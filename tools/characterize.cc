@@ -283,7 +283,7 @@ main(int argc, char **argv)
                 "characterize", opt, val, 1, 1'000'000));
         else if (opt == "--jobs")
             jobs_arg = static_cast<int>(toolcli::parseIntOpt(
-                "characterize", opt, val, 1, 1'000'000));
+                "characterize", opt, val, 1, 4096));
         else if (opt == "--trace-out")
             trace_out = val;
         else if (opt == "--trace-categories")
@@ -312,38 +312,10 @@ main(int argc, char **argv)
     cfg.maxWorkingSet = max_ws;
     cfg.capBytes = cap;
 
-    const NodeId src = kind == machine::SystemKind::CrayT3D ? 0 : 1;
-    const NodeId dst = kind == machine::SystemKind::CrayT3D ? 2 : 0;
-
-    core::SweepSpec spec;
-    if (benchmark == "loads") {
-        spec = core::SweepSpec::localLoads(0);
-    } else if (benchmark == "stores") {
-        spec = core::SweepSpec::localStores(0);
-    } else if (benchmark == "copy-sload") {
-        spec = core::SweepSpec::localCopy(
-            kernels::CopyVariant::StridedLoads, 0);
-    } else if (benchmark == "copy-sstore") {
-        spec = core::SweepSpec::localCopy(
-            kernels::CopyVariant::StridedStores, 0);
-    } else if (benchmark == "pull") {
-        spec = core::SweepSpec::remote(
-            remote::TransferMethod::CoherentPull, true, src, dst);
-    } else if (benchmark == "fetch-sload") {
-        spec = core::SweepSpec::remote(remote::TransferMethod::Fetch,
-                                       true, src, dst);
-    } else if (benchmark == "fetch-sstore") {
-        spec = core::SweepSpec::remote(remote::TransferMethod::Fetch,
-                                       false, src, dst);
-    } else if (benchmark == "deposit-sload") {
-        spec = core::SweepSpec::remote(remote::TransferMethod::Deposit,
-                                       true, src, dst);
-    } else if (benchmark == "deposit-sstore") {
-        spec = core::SweepSpec::remote(remote::TransferMethod::Deposit,
-                                       false, src, dst);
-    } else {
+    const std::optional<core::SweepSpec> spec =
+        core::SweepSpec::fromName(kind, benchmark);
+    if (!spec)
         fail("unknown benchmark '" + benchmark + "'");
-    }
 
     // The main machine is constructed either way: it registers the
     // same trace tracks a serial run would, and it is where parallel
@@ -371,7 +343,7 @@ main(int argc, char **argv)
     core::Surface s("", {512}, {1});
     try {
         if (jobs <= 1) {
-            s = c.run(spec, cfg);
+            s = c.run(*spec, cfg);
             if (prof::enabled()) {
                 telemetry.emplace(m.statsGroup(), jobs);
                 telemetry->recordSweep(
@@ -382,7 +354,7 @@ main(int argc, char **argv)
             }
         } else {
             core::SweepRunner runner(sys, jobs);
-            s = runner.run(spec, cfg);
+            s = runner.run(*spec, cfg);
             runner.mergeStatsInto(m.statsGroup());
             if (prof::enabled()) {
                 telemetry.emplace(m.statsGroup(), jobs);
