@@ -16,9 +16,10 @@ defaultJobs(int requested)
     if (const char *env = std::getenv("GASNUB_JOBS")) {
         char *end = nullptr;
         const long v = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || v < 1)
+        if (end == env || *end != '\0' || v < 1 || v > maxJobs)
             GASNUB_FATAL("bad GASNUB_JOBS value '", env,
-                         "' (expected a positive integer)");
+                         "' (expected an integer from 1 to ", maxJobs,
+                         ")");
         return static_cast<int>(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();

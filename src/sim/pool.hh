@@ -32,10 +32,14 @@
 
 namespace gasnub::sim {
 
+/** Largest worker count GASNUB_JOBS and the tools' --jobs accept. */
+constexpr int maxJobs = 4096;
+
 /**
  * Resolve a worker count: an explicit @p requested > 0 wins, then the
  * GASNUB_JOBS environment variable, then the hardware concurrency
- * (falling back to 1 when unknown).  Fatal on a malformed GASNUB_JOBS.
+ * (falling back to 1 when unknown).  Fatal on a malformed GASNUB_JOBS
+ * or one outside 1..maxJobs.
  */
 int defaultJobs(int requested = 0);
 

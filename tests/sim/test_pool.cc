@@ -242,4 +242,15 @@ TEST(DefaultJobsDeath, RejectsNonPositiveEnv)
                 "bad GASNUB_JOBS");
 }
 
+TEST(DefaultJobsDeath, RejectsEnvAboveTheJobsBound)
+{
+    JobsEnvGuard guard;
+    for (const char *v : {"4097", "99999999999"}) {
+        setenv("GASNUB_JOBS", v, 1);
+        EXPECT_EXIT(sim::defaultJobs(0), ::testing::ExitedWithCode(1),
+                    "bad GASNUB_JOBS value '" + std::string(v) +
+                        "' \\(expected an integer from 1 to 4096\\)");
+    }
+}
+
 } // namespace

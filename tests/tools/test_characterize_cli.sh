@@ -1,15 +1,16 @@
 #!/bin/sh
 # CLI contract tests for the characterize tool: malformed command
 # lines exit with code 2 and an error on stderr, valid ones exit 0;
-# plus the report tool's JSON output over a hand-written ledger and
-# the numeric flags of the chaos tool.
+# plus the report tool's JSON output over a hand-written ledger, the
+# numeric flags of the chaos tool and the options of a figure bench.
 # Usage: test_characterize_cli.sh /path/to/characterize /path/to/report \
-#            /path/to/chaos
+#            /path/to/chaos /path/to/fig05_t3d_deposit
 set -u
 
 bin="$1"
 report="$2"
 chaos="$3"
+fig="$4"
 fails=0
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
@@ -209,6 +210,55 @@ if ! GASNUB_PROFILE=1 "$bin" t3e loads --max-ws=4K --cap 4K \
 else
     echo "ok: GASNUB_PROFILE=1 enables profiling"
 fi
+
+# The figure benches' options fail loudly: a malformed --jobs value,
+# a space-form option or an unknown argument exits 2 before any sweep.
+for v in abc 4x 0 -3 ""; do
+    "$fig" "--jobs=$v" >/dev/null 2>"$err"
+    code=$?
+    if [ "$code" -ne 2 ] ||
+            ! grep -qF "bad value '$v' for --jobs" "$err"; then
+        echo "FAIL: fig05 --jobs=$v: exit $code"
+        fails=1
+    else
+        echo "ok: fig05 --jobs=$v rejected"
+    fi
+done
+for args in "--stats-json $tmp/space.json" "--bogus" "full --bogus"; do
+    # shellcheck disable=SC2086
+    "$fig" $args >/dev/null 2>"$err"
+    code=$?
+    if [ "$code" -ne 2 ] || ! grep -q "unknown argument" "$err"; then
+        echo "FAIL: fig05 $args: exit $code, expected 2"
+        fails=1
+    else
+        echo "ok: fig05 $args rejected"
+    fi
+done
+
+# A valid run prints the same figure at any --jobs, and an output
+# file that cannot be opened fails the run instead of being reported.
+if ! "$fig" --jobs=1 > "$tmp/fig1" 2>"$err" ||
+        ! "$fig" --jobs=2 > "$tmp/fig2" 2>>"$err"; then
+    echo "FAIL: fig05 valid run failed"
+    cat "$err"
+    fails=1
+elif ! grep -q "^Figure 5 " "$tmp/fig1" ||
+        ! cmp -s "$tmp/fig1" "$tmp/fig2"; then
+    echo "FAIL: fig05 output differs between --jobs=1 and --jobs=2"
+    fails=1
+else
+    echo "ok: fig05 --jobs=1 and --jobs=2 print the same figure"
+fi
+for opt in --stats-json --trace-out; do
+    if "$fig" --jobs=2 "$opt=$tmp/missing/out.json" >/dev/null \
+            2>"$err" || ! grep -qF "cannot open" "$err"; then
+        echo "FAIL: fig05 $opt into a missing directory did not fail"
+        fails=1
+    else
+        echo "ok: fig05 $opt into a missing directory fails"
+    fi
+done
 
 # report --format json escapes what it read: a ledger whose stat and
 # resource names hold a newline and a tab still yields one valid line.

@@ -283,7 +283,7 @@ main(int argc, char **argv)
                 "characterize", opt, val, 1, 1'000'000));
         else if (opt == "--jobs")
             jobs_arg = static_cast<int>(toolcli::parseIntOpt(
-                "characterize", opt, val, 1, 4096));
+                "characterize", opt, val, 1, sim::maxJobs));
         else if (opt == "--trace-out")
             trace_out = val;
         else if (opt == "--trace-categories")

@@ -1,11 +1,10 @@
 /**
  * @file
- * Minimal JSON reader shared by the tools: report, bench and serve's
- * query lines.
+ * Minimal JSON reader shared by the tools: report and serve's query
+ * lines.
  *
  * Covers exactly what this repo's writers emit — stats
- * Group::dumpJson trees, BENCH_<pr>.json protocol files, profiler
- * exports: objects, arrays, strings, numbers, bools and null, with
+ * Group::dumpJson trees, profiler exports: objects, arrays, strings, numbers, bools and null, with
  * sim/json.hh's control-byte escapes; any other \uXXXX escape,
  * surrogate pairs included, decodes to UTF-8.  Numbers follow RFC
  * 8259's grammar exactly and convert with std::from_chars; literals are
