@@ -66,19 +66,38 @@ fullRun(int argc, char **argv)
  *
  * Construct at the top of main (enables tracing before the machine is
  * built) and call finish() with the machine's stats group at the end.
+ * Benches that keep no machine to report on (the FFT figures build
+ * theirs on worker threads) pass Outputs::ProfileOnly: the trace and
+ * stats options then exit 2 naming the option, and finish() without
+ * a stats group prints only the profile.
  */
 struct Observability
 {
+    /** Which options the bench can honour. */
+    enum class Outputs { All, ProfileOnly };
+
     std::string traceOut;
     std::string statsJson;
     int jobs = 1;
 
-    Observability(int argc, char **argv)
+    Observability(int argc, char **argv, Outputs outputs = Outputs::All)
     {
         std::uint32_t mask = trace::allCategories;
         int jobs_arg = 0;
         for (int i = fullRun(argc, argv) ? 2 : 1; i < argc; ++i) {
             const std::string a = argv[i];
+            if (outputs == Outputs::ProfileOnly &&
+                (a.rfind("--trace-out=", 0) == 0 ||
+                 a.rfind("--trace-categories=", 0) == 0 ||
+                 a.rfind("--stats-json=", 0) == 0)) {
+                std::fprintf(stderr,
+                             "%s: %s is not supported: this bench "
+                             "builds its machines on worker threads "
+                             "and keeps no trace or stats (expected "
+                             "[full] [--jobs=N] [--profile])\n",
+                             argv[0], a.substr(0, a.find('=') + 1).c_str());
+                std::exit(2);
+            }
             if (a.rfind("--trace-out=", 0) == 0)
                 traceOut = a.substr(12);
             else if (a.rfind("--trace-categories=", 0) == 0)
@@ -105,6 +124,14 @@ struct Observability
         jobs = sim::defaultJobs(jobs_arg);
         if (!traceOut.empty())
             trace::Tracer::instance().setMask(mask);
+    }
+
+    /** Print the profile, if requested; call at the end of main. */
+    void
+    finish() const
+    {
+        if (prof::enabled())
+            prof::Profiler::instance().report(std::cerr);
     }
 
     /** Write the requested outputs; call at the end of main. */
@@ -139,8 +166,7 @@ struct Observability
             os << "\n";
             std::fprintf(stderr, "stats: %s\n", statsJson.c_str());
         }
-        if (prof::enabled())
-            prof::Profiler::instance().report(std::cerr);
+        finish();
     }
 };
 

@@ -11,7 +11,8 @@ int
 main(int argc, char **argv)
 {
     using namespace gasnub;
-    bench::Observability obs(argc, argv);
+    bench::Observability obs(argc, argv,
+                             bench::Observability::Outputs::ProfileOnly);
     bench::banner("Figure 15",
                   "2D-FFT overall application performance, 4 "
                   "processors");
@@ -21,5 +22,6 @@ main(int argc, char **argv)
                              return r.overallMFlops;
                          });
     bench::compare(15);
+    obs.finish();
     return 0;
 }

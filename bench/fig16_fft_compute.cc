@@ -10,7 +10,8 @@ int
 main(int argc, char **argv)
 {
     using namespace gasnub;
-    bench::Observability obs(argc, argv);
+    bench::Observability obs(argc, argv,
+                             bench::Observability::Outputs::ProfileOnly);
     bench::banner("Figure 16",
                   "2D-FFT local computation performance, 4 "
                   "processors");
@@ -20,5 +21,6 @@ main(int argc, char **argv)
                              return r.computeMFlops;
                          });
     bench::compare(16);
+    obs.finish();
     return 0;
 }

@@ -10,7 +10,8 @@ int
 main(int argc, char **argv)
 {
     using namespace gasnub;
-    bench::Observability obs(argc, argv);
+    bench::Observability obs(argc, argv,
+                             bench::Observability::Outputs::ProfileOnly);
     bench::banner("Figure 17",
                   "2D-FFT transpose communication performance, 4 "
                   "processors");
@@ -24,5 +25,6 @@ main(int argc, char **argv)
                 "Cray T3D'; the T3E leads but below its\npotential due "
                 "to the shmem_iput mismatch (compare the n = 256 "
                 "column).\n");
+    obs.finish();
     return 0;
 }

@@ -30,6 +30,7 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig &config,
     GASNUB_ASSERT(config.cpu.clockMhz > 0, "bad clock");
     _loadIssueTicks = cyclesToTicks(config.cpu.loadIssueCycles);
     _storeIssueTicks = cyclesToTicks(config.cpu.storeIssueCycles);
+    _cycleTicks = cyclesToTicks(1);
     _dramFrontTicks = nsTicks(config.dramFrontNs);
     _dramBackTicks = nsTicks(config.dramBackNs);
     _streamLineTicks =
@@ -135,7 +136,7 @@ MemoryHierarchy::dramLineRead(Addr line_addr, std::uint32_t line_bytes,
     }
 
     Tick ready = dr.dataReady + _dramBackTicks;
-    const Tick min_use = issue + cyclesToTicks(1);
+    const Tick min_use = issue + _cycleTicks;
     ready = std::max(ready, min_use);
     _fillBandwidth.addBytes(ready, line_bytes);
     GASNUB_TRACE(trace::Category::Mem, _traceTrack,
@@ -315,15 +316,23 @@ MemoryHierarchy::readOne(Addr addr)
 
     // One mutating walk down the levels finds the serving level.
     // Allocation at an upper level never changes a deeper level's
-    // probe, so the first hit is the level that holds the line, and
-    // the stored per-level results drive the fill unwind below.
-    CacheResult walk[kMaxLevels];
+    // probe, so the first hit is the level that holds the line.  The
+    // fill unwind below needs only each missed level's dirty victim:
+    // bit k of dirty says victim[k] holds one.  victim[] is left
+    // uninitialized on purpose — clearing scratch on every access
+    // cost more than the L1 hit it serves.
+    Addr victim[kMaxLevels];
+    unsigned dirty = 0;
     std::size_t hit_level = n;
     for (std::size_t k = 0; k < n; ++k) {
-        walk[k] = _levels[k]->access(addr, AccessType::Read);
-        if (walk[k].hit) {
+        const CacheResult r = _levels[k]->access(addr, AccessType::Read);
+        if (r.hit) {
             hit_level = k;
             break;
+        }
+        if (r.evictedDirty) {
+            dirty |= 1u << k;
+            victim[k] = r.victimAddr;
         }
     }
 
@@ -358,8 +367,8 @@ MemoryHierarchy::readOne(Addr addr)
     // Fill upward, deepest first: each level's victim writeback and
     // fill occupancy in the same order serveRead()'s recursion uses.
     for (std::size_t j = hit_level; j-- > 0;) {
-        if (walk[j].evictedDirty)
-            postWriteback(j, walk[j].victimAddr, below);
+        if (dirty & (1u << j))
+            postWriteback(j, victim[j], below);
         const Tick fill_occ = _levelTicks[j].fillOcc;
         const Tick start = _ports[j].acquire(below, fill_occ);
         if (_acct)

@@ -355,7 +355,7 @@ class MemoryHierarchy
     Tick nsTicks(double ns) const;
 
     /** Upper bound on cache levels (the level array and readOne's
-     *  walk scratch array). */
+     *  victim scratch array). */
     static constexpr std::size_t kMaxLevels = 8;
 
     /** Per-level timing precomputed from the config (== nsTicks of
@@ -370,6 +370,7 @@ class MemoryHierarchy
     HierarchyConfig _config;
     Tick _loadIssueTicks;
     Tick _storeIssueTicks;
+    Tick _cycleTicks; ///< one processor cycle: a fill's minimum use
     Tick _dramFrontTicks;
     Tick _dramBackTicks;
     Tick _streamLineTicks;

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -36,7 +37,7 @@ struct StreamConfig
      * Entries in the allocation filter: a stream buffer is only
      * allocated after a fill sequentially follows a filter entry, so
      * isolated misses (write allocations, pointer chases) cannot
-     * steal live stream slots.
+     * steal live stream slots.  At most 64.
      */
     std::uint32_t filterEntries = 16;
 };
@@ -75,8 +76,19 @@ class ReadAhead
      * of the previous fill in @p slot, used by the hierarchy as the
      * earliest issue time of the next prefetched fill.
      */
-    Tick lastStart(std::uint32_t slot) const;
-    void setLastStart(std::uint32_t slot, Tick t);
+    Tick
+    lastStart(std::uint32_t slot) const
+    {
+        GASNUB_ASSERT(slot < _slots.size(), "bad stream slot");
+        return _slots[slot].lastStart;
+    }
+
+    void
+    setLastStart(std::uint32_t slot, Tick t)
+    {
+        GASNUB_ASSERT(slot < _slots.size(), "bad stream slot");
+        _slots[slot].lastStart = t;
+    }
 
     bool enabled() const { return _config.enabled; }
 
@@ -103,18 +115,34 @@ class ReadAhead
         bool valid = false;
     };
 
-    /** Allocation-filter entry: a potential stream. */
-    struct Candidate
-    {
-        Addr nextLine = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
+    /** Filter link value meaning "no entry". */
+    static constexpr std::uint8_t kNoEntry = 0xff;
+
+    /** Unlink live filter entry @p i from the insertion chain. */
+    void unchain(std::uint8_t i);
+    /** Chain filter entry @p i as the most recently inserted. */
+    void chain(std::uint8_t i);
 
     StreamConfig _config;
     std::vector<Slot> _slots;
-    std::vector<Candidate> _filter;
-    std::uint64_t _lruClock = 0;
+    std::uint64_t _lruClock = 0; ///< slot use stamps
+
+    /**
+     * The allocation filter, struct-of-arrays: entry i is a potential
+     * stream expecting line _filterNext[i], live when bit i of
+     * _filterValid is set.  Every uncovered fill scans it, so the
+     * match is a branch-free compare over the line array.  Live
+     * entries are chained oldest to newest by insertion
+     * (_filterOlder/_filterNewer), so the least recently inserted one
+     * is the chain's head instead of a search.
+     */
+    std::vector<Addr> _filterNext;
+    std::vector<std::uint8_t> _filterOlder;
+    std::vector<std::uint8_t> _filterNewer;
+    std::uint8_t _filterOldest = kNoEntry;
+    std::uint8_t _filterNewest = kNoEntry;
+    std::uint64_t _filterValid = 0;
+    std::uint64_t _filterAll = 0; ///< one bit per entry
 
     stats::Group _stats;
     stats::Scalar _fills;

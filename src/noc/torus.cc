@@ -262,25 +262,31 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
         return res;
     }
 
-    if (src != _routeCacheSrc || dst != _routeCacheDst) {
-        // Invalidate first: route() throws when every direction of a
-        // ring is severed, and a half-written cache must not survive.
-        _routeCacheSrc = invalidNode;
-        _routeCacheDst = invalidNode;
-        int detours = 0;
-        route(src, dst, _routeCache, detours);
-        _routeCacheDetours = detours;
-        _routeCacheSrc = src;
-        _routeCacheDst = dst;
+    CachedRoute *rt = &_routes[_newestRoute];
+    if (rt->src != src || rt->dst != dst) {
+        _newestRoute ^= 1;
+        rt = &_routes[_newestRoute];
+        if (rt->src != src || rt->dst != dst) {
+            // Invalidate first: route() throws when every direction of
+            // a ring is severed, and a half-written entry must not
+            // survive.
+            rt->src = invalidNode;
+            rt->dst = invalidNode;
+            int detours = 0;
+            route(src, dst, rt->links, detours);
+            rt->detours = detours;
+            rt->src = src;
+            rt->dst = dst;
+        }
     }
-    if (_routeCacheDetours)
-        _faultDetours += _routeCacheDetours;
-    res.hops = static_cast<int>(_routeCache.size());
+    if (rt->detours)
+        _faultDetours += rt->detours;
+    res.hops = static_cast<int>(rt->links.size());
 
     // Cut-through: the head advances one hop latency per router; each
     // link is occupied for the full wire time of the packet.
     Tick head = injected + _nicTicks;
-    for (const std::size_t l : _routeCache) {
+    for (const std::size_t l : rt->links) {
         Tick occupy = wire_ticks;
         if (_anyLinkSlow && _linkSlow[l] != 1.0) {
             // A slow link carries the same bytes at a fraction of the
@@ -321,9 +327,11 @@ Torus::setFaults(sim::FaultDomain *domain)
     _anyLinkSlow = false;
     _anyLinkDown = false;
     // Severed links change the detour structure: drop the route cache.
-    _routeCacheSrc = invalidNode;
-    _routeCacheDst = invalidNode;
-    _routeCacheDetours = 0;
+    for (CachedRoute &rt : _routes) {
+        rt.src = invalidNode;
+        rt.dst = invalidNode;
+        rt.detours = 0;
+    }
     if (!domain)
         return;
     for (const sim::FaultSpec &s : domain->plan().specs()) {

@@ -168,18 +168,26 @@ class Torus
     std::vector<mem::Resource> _nicsIn;
     std::vector<NodeId> _lastPartner;  ///< per NIC
 
+    /** One cached route: its links and fault detour count. */
+    struct CachedRoute
+    {
+        NodeId src = invalidNode;
+        NodeId dst = invalidNode;
+        int detours = 0;
+        std::vector<std::size_t> links;
+    };
+
     /**
-     * Single-entry route cache: bulk transfers send long runs of
-     * packets between the same (src, dst) pair, so the dimension-order
-     * walk (and its fault detour count) is computed once per pair
-     * instead of once per packet.  Invalidated when the fault topology
-     * changes (setFaults); reset() keeps it — calendars change between
-     * experiments, link geometry does not.
+     * Two-entry route cache: bulk transfers send long runs of packets
+     * between the same pair, and a fetch alternates request (dst ->
+     * src) with response (src -> dst) packets, so the dimension-order
+     * walk is computed once per pair instead of once per packet.  A
+     * miss refills the entry used less recently.  Invalidated when the
+     * fault topology changes (setFaults); reset() keeps it — calendars
+     * change between experiments, link geometry does not.
      */
-    std::vector<std::size_t> _routeCache;
-    NodeId _routeCacheSrc = invalidNode;
-    NodeId _routeCacheDst = invalidNode;
-    int _routeCacheDetours = 0;
+    CachedRoute _routes[2];
+    unsigned _newestRoute = 0; ///< index of the entry used last
 
     sim::TimeAccount *_acct = nullptr;
     sim::TimeAccount::ResId _linkRes = 0;

@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
-#include <bit>
 #include <iomanip>
 #include <ostream>
 
@@ -194,37 +193,6 @@ Distribution::reset()
     _sum = 0;
     _minSeen = 0;
     _maxSeen = 0;
-}
-
-unsigned
-Histogram::bucketOf(std::uint64_t v)
-{
-    GASNUB_ASSERT(v >= 1, "bucketOf is defined for v >= 1");
-    return static_cast<unsigned>(std::bit_width(v)) - 1;
-}
-
-void
-Histogram::sample(std::uint64_t v, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    if (_count == 0) {
-        _minSeen = v;
-        _maxSeen = v;
-    } else {
-        _minSeen = std::min(_minSeen, v);
-        _maxSeen = std::max(_maxSeen, v);
-    }
-    _count += n;
-    _sum += v * n;
-    if (v == 0) {
-        _zeros += n;
-        return;
-    }
-    const unsigned idx = bucketOf(v);
-    if (idx >= _buckets.size())
-        _buckets.resize(idx + 1, 0);
-    _buckets[idx] += n;
 }
 
 double

@@ -10,6 +10,7 @@
 #ifndef GASNUB_SIM_STATS_HH
 #define GASNUB_SIM_STATS_HH
 
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/types.hh"
 
 namespace gasnub::stats {
@@ -177,8 +179,31 @@ class Histogram : public StatBase
   public:
     using StatBase::StatBase;
 
-    /** Record @p n occurrences of the value @p v. */
-    void sample(std::uint64_t v, std::uint64_t n = 1);
+    /** Record @p n occurrences of the value @p v.  Inline: the DRAM
+     *  and torus models sample once per access. */
+    void
+    sample(std::uint64_t v, std::uint64_t n = 1)
+    {
+        if (n == 0)
+            return;
+        if (_count == 0) {
+            _minSeen = v;
+            _maxSeen = v;
+        } else {
+            _minSeen = v < _minSeen ? v : _minSeen;
+            _maxSeen = v > _maxSeen ? v : _maxSeen;
+        }
+        _count += n;
+        _sum += v * n;
+        if (v == 0) {
+            _zeros += n;
+            return;
+        }
+        const unsigned idx = bucketOf(v);
+        if (idx >= _buckets.size()) [[unlikely]]
+            _buckets.resize(idx + 1, 0);
+        _buckets[idx] += n;
+    }
 
     std::uint64_t count() const { return _count; }
     std::uint64_t sum() const { return _sum; }
@@ -188,7 +213,12 @@ class Histogram : public StatBase
     const std::vector<std::uint64_t> &buckets() const { return _buckets; }
 
     /** Index of the bucket holding @p v (>= 1): floor(log2(v)). */
-    static unsigned bucketOf(std::uint64_t v);
+    static unsigned
+    bucketOf(std::uint64_t v)
+    {
+        GASNUB_ASSERT(v >= 1, "bucketOf is defined for v >= 1");
+        return static_cast<unsigned>(std::bit_width(v)) - 1;
+    }
 
     /**
      * Approximate value at quantile @p p in [0, 1] (0.5 = median,

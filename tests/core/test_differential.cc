@@ -57,7 +57,9 @@
 #include "machine/machine.hh"
 #include "machine/sync.hh"
 #include "mem/cache.hh"
+#include "mem/hierarchy.hh"
 #include "mem/resource.hh"
+#include "mem/stream.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/trace.hh"
@@ -591,6 +593,251 @@ TEST(DifferentialCache, SeededTraceMatchesFixture)
            << std::hex << "\n";
     }
     expectMatchesFixture("cache_trace.txt", os.str());
+}
+
+/**
+ * A seeded trace of mem::ReadAhead over more live sequences than the
+ * 16-entry allocation filter holds, under a 4-slot and a 1-slot
+ * detector, pinning every StreamHit, each covered slot's pipeline
+ * timestamp and the fills/covered counters.  Cursors mostly advance
+ * one line, sometimes jump, and isolated lines land between them, so
+ * the filter and every slot fill up and are replaced over and over;
+ * a reset() lands mid-trace.  The trace was captured while the
+ * filter was an array of {line, lru, valid} records scanned once per
+ * uncovered fill, so it pins which entry any later layout replaces.
+ */
+TEST(DifferentialStreams, SeededTraceMatchesFixture)
+{
+    constexpr int kCalls = 4000;
+    constexpr int kCursors = 24;
+    constexpr Addr kLine = 64;
+    std::ostringstream os;
+    sim::Rng rng(23);
+    for (const std::uint32_t slots : {4u, 1u}) {
+        mem::StreamConfig cfg;
+        cfg.name = "s" + std::to_string(slots);
+        cfg.streams = slots;
+        cfg.threshold = slots == 1 ? 3 : 2;
+        mem::ReadAhead ra(cfg);
+        std::vector<Addr> cursor(kCursors);
+        for (Addr &c : cursor)
+            c = rng.below(Addr{1} << 20) * kLine;
+        os << "# " << cfg.name << "\n";
+        for (int i = 0; i < kCalls; ++i) {
+            if (i == kCalls / 2) {
+                ra.reset();
+                os << "reset\n";
+            }
+            const std::uint64_t op = rng.below(10);
+            Addr &c = cursor[rng.below(kCursors)];
+            Addr line = 0;
+            if (op < 8) {
+                line = c;
+                c += kLine;
+            } else if (op < 9) {
+                c = rng.below(Addr{1} << 20) * kLine;
+                line = c;
+            } else {
+                line = rng.below(Addr{1} << 20) * kLine;
+            }
+            const mem::StreamHit h = ra.note(line, kLine);
+            if (h.covered) {
+                os << "c" << h.slot << "@" << ra.lastStart(h.slot);
+                ra.setLastStart(h.slot, static_cast<Tick>(i));
+            } else {
+                os << "-";
+            }
+            os << ((i + 1) % 16 == 0 ? "\n" : " ");
+        }
+        const auto *fills = dynamic_cast<const stats::Scalar *>(
+            ra.statsGroup().find(cfg.name + ".fills"));
+        ASSERT_NE(fills, nullptr);
+        os << cfg.name << " fills "
+           << static_cast<std::uint64_t>(fills->value()) << " covered "
+           << ra.coveredFills() << "\n";
+    }
+    expectMatchesFixture("stream_trace.txt", os.str());
+}
+
+/**
+ * Three write-back levels under a write-back, write-allocate L1, with
+ * caches small enough that a seeded trace evicts dirty lines at two
+ * levels on one load, and a 2-slot stream unit.
+ */
+mem::HierarchyConfig
+writeBackConfig()
+{
+    mem::HierarchyConfig h;
+    h.name = "wb3";
+    h.cpu.clockMhz = 250;
+    h.cpu.readWindow = 2;
+    h.cpu.writeWindow = 3;
+    const struct
+    {
+        std::uint64_t size;
+        std::uint32_t line, assoc;
+        double hit, occ, fill;
+    } levels[] = {{1_KiB, 32, 1, 4, 2, 8},
+                  {4_KiB, 64, 2, 12, 6, 16},
+                  {16_KiB, 64, 4, 30, 10, 24}};
+    for (const auto &l : levels) {
+        mem::LevelConfig lc;
+        lc.cache.name = "wb3.l" + std::to_string(h.levels.size() + 1);
+        lc.cache.sizeBytes = l.size;
+        lc.cache.lineBytes = l.line;
+        lc.cache.assoc = l.assoc;
+        lc.cache.writePolicy = mem::WritePolicy::WriteBack;
+        lc.cache.allocPolicy = mem::AllocPolicy::ReadWriteAllocate;
+        lc.timing = {l.hit, l.occ, l.fill};
+        h.levels.push_back(lc);
+    }
+    h.dram.name = "wb3.dram";
+    h.dram.banks = 4;
+    h.dram.rowBytes = 1024;
+    h.windowFromLevel = 2;
+    h.stream.name = "wb3.streams";
+    h.stream.streams = 2;
+    h.streamLineNs = 20;
+    return h;
+}
+
+/**
+ * Renders a seeded mix of read(), write(), readBatch(), writeBatch()
+ * and primeBatch() (after a resetAll(), as its contract asks) on
+ * @p h: every returned tick, the clocks after each batch, periodic
+ * and final drain() ticks, and each level's hits, misses and
+ * writebacks plus the stream and node counters.  Addresses come from
+ * a few sets aliased at @p alias bytes, with sequential runs between,
+ * so fills are both stream-covered and not.  @p double_dirty counts
+ * single loads that wrote back dirty victims from two levels.
+ */
+std::string
+hierarchyTrace(mem::MemoryHierarchy &h, Addr alias, std::uint64_t seed,
+               int &double_dirty)
+{
+    constexpr int kCalls = 3000;
+    const std::size_t levels = h.numLevels();
+    sim::Rng rng(seed);
+    Addr cursor = 0;
+    auto pick = [&]() -> Addr {
+        if (rng.below(3) == 0) {
+            cursor += 8;
+            return cursor;
+        }
+        return rng.below(6) * alias + rng.below(4) * 4096 +
+               rng.below(3) * 64 + 8 * rng.below(8);
+    };
+    auto writebacks = [&] {
+        std::vector<std::uint64_t> w;
+        for (std::size_t l = 0; l < levels; ++l)
+            w.push_back(h.level(l).writebacks());
+        return w;
+    };
+    std::ostringstream os;
+    std::vector<Addr> batch;
+    double_dirty = 0;
+    for (int i = 0; i < kCalls; ++i) {
+        const std::uint64_t op = rng.below(100);
+        if (op < 40) {
+            const std::vector<std::uint64_t> before = writebacks();
+            os << "r" << h.read(pick());
+            const std::vector<std::uint64_t> after = writebacks();
+            int dirty_levels = 0;
+            for (std::size_t l = 0; l < levels; ++l)
+                dirty_levels += after[l] != before[l];
+            double_dirty += dirty_levels >= 2;
+        } else if (op < 65) {
+            os << "w" << h.write(pick());
+        } else if (op < 94) {
+            const bool sequential = rng.below(2) == 0;
+            const std::size_t n = 1 + rng.below(48);
+            const Addr stride = 8 * (1 + rng.below(16));
+            batch.clear();
+            Addr a = pick();
+            for (std::size_t k = 0; k < n; ++k) {
+                batch.push_back(sequential ? a : pick());
+                a += stride;
+            }
+            const bool load = op < 84;
+            if (load)
+                h.readBatch(batch.data(), batch.size());
+            else
+                h.writeBatch(batch.data(), batch.size());
+            os << (load ? "R" : "W") << n << ":" << h.now() << ","
+               << h.lastComplete();
+        } else if (op < 97) {
+            h.resetAll();
+            batch.clear();
+            const Addr base = pick();
+            const std::size_t n = 1 + rng.below(256);
+            for (std::size_t k = 0; k < n; ++k)
+                batch.push_back(base + 8 * k * (1 + rng.below(2)));
+            h.primeBatch(batch.data(), batch.size());
+            os << "P" << n << ":" << h.now();
+        } else {
+            os << "d" << h.drain();
+        }
+        os << ((i + 1) % 8 == 0 ? "\n" : " ");
+    }
+    os << "drain " << h.drain() << "\n";
+    for (std::size_t l = 0; l < levels; ++l) {
+        const mem::Cache &c = h.level(l);
+        os << c.config().name << " hits " << c.hits() << " misses "
+           << c.misses() << " writebacks " << c.writebacks() << "\n";
+    }
+    os << h.config().stream.name << " covered "
+       << h.readAhead().coveredFills() << "\n";
+    for (const char *stat : {".reads", ".writes", ".dramLineFills"}) {
+        const std::string name = h.config().name + stat;
+        const auto *s = dynamic_cast<const stats::Scalar *>(
+            h.statsGroup().find(name));
+        os << name << " "
+           << (s ? static_cast<std::uint64_t>(s->value()) : 0) << "\n";
+    }
+    return os.str();
+}
+
+/**
+ * Per-access hierarchy fixture: hierarchyTrace() on node 0 of each
+ * machine (the 8400's fills go over its bus hook) and on the
+ * three-level write-back config.  The 8400 and write-back traces must
+ * write back dirty victims from two levels on some single load, and
+ * every trace must see both stream-covered and uncovered fills.  The
+ * fixture was captured while readOne() kept a value-initialized
+ * CacheResult for every level, so it pins the fill unwind to that
+ * code's ticks.
+ */
+TEST(DifferentialHierarchy, SeededTraceMatchesFixture)
+{
+    std::string out;
+    auto check = [&out](const std::string &what,
+                        mem::MemoryHierarchy &h, Addr alias,
+                        std::uint64_t seed, bool expect_double_dirty) {
+        int double_dirty = 0;
+        out += "# " + what + "\n" +
+               hierarchyTrace(h, alias, seed, double_dirty);
+        if (expect_double_dirty) {
+            EXPECT_GT(double_dirty, 0) << what;
+        }
+        const std::string fills_name = h.config().stream.name + ".fills";
+        const auto *fills = dynamic_cast<const stats::Scalar *>(
+            h.readAhead().statsGroup().find(fills_name));
+        ASSERT_NE(fills, nullptr) << fills_name;
+        const auto covered = h.readAhead().coveredFills();
+        EXPECT_GT(covered, 0u) << what;
+        EXPECT_GT(static_cast<std::uint64_t>(fills->value()), covered)
+            << what;
+    };
+    for (const machine::SystemKind kind :
+         {machine::SystemKind::Dec8400, machine::SystemKind::CrayT3D,
+          machine::SystemKind::CrayT3E}) {
+        machine::Machine m(kind, 2);
+        check(slug(kind), m.node(0), 4_MiB, 31,
+              kind == machine::SystemKind::Dec8400);
+    }
+    mem::MemoryHierarchy wb(writeBackConfig());
+    check("wb3", wb, 16_KiB, 37, true);
+    expectMatchesFixture("hierarchy_trace.txt", out);
 }
 
 /**

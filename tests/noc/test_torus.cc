@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "machine/machine.hh"
 #include "noc/torus.hh"
@@ -235,6 +238,83 @@ TEST(TorusFaults, NicBackpressureDelaysInjection)
     EXPECT_EQ(faultStat(t, "nicStalls"), 1.0);
     EXPECT_EQ(faultStat(t, "nicStallTicks"),
               static_cast<double>(extra));
+}
+
+/**
+ * A fetch alternates request (a, b) and response (b, a) packets, and
+ * interleaved transfers add a third pair (a, c); all three cross a
+ * severed link or not.  Every packet's times and hop count, the
+ * detour count and the per-link occupancy are pinned to values
+ * captured while the torus cached a single route, so any route cache
+ * must charge each packet's detours and invalidate on setFaults()
+ * exactly as that one did.
+ */
+TEST(TorusFaults, AlternatingPairsUnderASeveredLink)
+{
+    const sim::FaultPlan plan =
+        sim::FaultPlan::parse("link-down:router=0,dir=+x");
+    sim::FaultDomain dom(plan);
+    Torus t(smallTorus());
+    t.setFaults(&dom);
+
+    struct Send
+    {
+        NodeId src, dst;
+    };
+    const Send round[] = {{0, 1}, {1, 0}, {0, 5}, {1, 0}, {0, 1}};
+    std::vector<PacketResult> got;
+    auto sendRound = [&](Tick base) {
+        for (std::size_t i = 0; i < std::size(round); ++i)
+            got.push_back(t.send(round[i].src, round[i].dst, 64,
+                                 base + i * 100000));
+    };
+    sendRound(0);
+    sendRound(200000);
+    // The healthy topology routes 0 -> 1 one hop; the route cache
+    // must not keep the detour across setFaults().
+    t.setFaults(nullptr);
+    sendRound(400000);
+    t.setFaults(&dom);
+    sendRound(600000);
+
+    struct Want
+    {
+        Tick injected, arrived;
+        int hops;
+    };
+    const Want want[] = {
+        {0, 790000, 3},        {100000, 870000, 1},
+        {740000, 1540000, 4},  {840000, 1610000, 1},
+        {1480000, 2270000, 3}, {2220000, 3010000, 3},
+        {1580000, 2350000, 1}, {2960000, 3760000, 4},
+        {2320000, 3090000, 1}, {3700000, 4490000, 3},
+        {4440000, 5210000, 1}, {3060000, 3830000, 1},
+        {5180000, 5960000, 2}, {3800000, 4570000, 1},
+        {5920000, 6690000, 1}, {6660000, 7450000, 3},
+        {4540000, 5310000, 1}, {7400000, 8200000, 4},
+        {5280000, 6050000, 1}, {8140000, 8930000, 3},
+    };
+    ASSERT_EQ(got.size(), std::size(want));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].injected, want[i].injected) << "packet " << i;
+        EXPECT_EQ(got[i].arrived, want[i].arrived) << "packet " << i;
+        EXPECT_EQ(got[i].hops, want[i].hops) << "packet " << i;
+    }
+    // Three packets per faulty round take the long way round.
+    EXPECT_EQ(faultStat(t, "detours"), 9.0);
+
+    const auto *busy = static_cast<const stats::Vector *>(
+        t.statsGroup().find("torus.linkBusyTicks"));
+    ASSERT_NE(busy, nullptr);
+    const std::map<std::size_t, double> want_busy = {
+        {0, 2160000}, {1, 6480000},  {7, 5760000},
+        {8, 2880000}, {13, 6480000}, {19, 6480000},
+    };
+    for (std::size_t l = 0; l < busy->size(); ++l) {
+        const auto it = want_busy.find(l);
+        EXPECT_EQ(busy->value(l), it == want_busy.end() ? 0.0 : it->second)
+            << "link " << l;
+    }
 }
 
 TEST(TorusFaults, UnrelatedPlanPerturbsNothing)

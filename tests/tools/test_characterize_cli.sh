@@ -2,15 +2,18 @@
 # CLI contract tests for the characterize tool: malformed command
 # lines exit with code 2 and an error on stderr, valid ones exit 0;
 # plus the report tool's JSON output over a hand-written ledger, the
-# numeric flags of the chaos tool and the options of a figure bench.
+# numeric flags of the chaos tool and the options of two figure
+# benches, a single-machine one and an FFT one.
 # Usage: test_characterize_cli.sh /path/to/characterize /path/to/report \
-#            /path/to/chaos /path/to/fig05_t3d_deposit
+#            /path/to/chaos /path/to/fig05_t3d_deposit \
+#            /path/to/fig15_fft_overall
 set -u
 
 bin="$1"
 report="$2"
 chaos="$3"
 fig="$4"
+fft="$5"
 fails=0
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
@@ -259,6 +262,28 @@ for opt in --stats-json --trace-out; do
         echo "ok: fig05 $opt into a missing directory fails"
     fi
 done
+
+# The FFT figures build their machines on worker threads and keep no
+# trace or stats: those options exit 2 naming the option and write
+# nothing, while --profile prints the profile.
+for opt in --stats-json --trace-out --trace-categories; do
+    "$fft" --jobs=2 "$opt=$tmp/fft.out" >/dev/null 2>"$err"
+    code=$?
+    if [ "$code" -ne 2 ] || ! grep -qF -- "$opt=" "$err" ||
+            [ -e "$tmp/fft.out" ]; then
+        echo "FAIL: fig15 $opt=: exit $code, expected 2 naming it"
+        fails=1
+    else
+        echo "ok: fig15 $opt= rejected"
+    fi
+done
+if ! "$fft" --jobs=2 --profile >/dev/null 2>"$err" ||
+        ! grep -q "== profile:" "$err"; then
+    echo "FAIL: fig15 --profile printed no profile"
+    fails=1
+else
+    echo "ok: fig15 --profile prints the profile"
+fi
 
 # report --format json escapes what it read: a ledger whose stat and
 # resource names hold a newline and a tab still yields one valid line.
