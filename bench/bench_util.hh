@@ -20,19 +20,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "cli_util.hh"
-#include "core/characterizer.hh"
 #include "core/sweep_runner.hh"
 #include "machine/machine.hh"
 #include "paper_claims.hh"
-#include "sim/logging.hh"
 #include "sim/pool.hh"
 #include "sim/profiler.hh"
-#include "sim/stats.hh"
 #include "sim/trace.hh"
 #include "sim/units.hh"
 
@@ -136,67 +132,26 @@ struct Observability
 
     /** Write the requested outputs; call at the end of main. */
     void
-    finish(stats::Group &root) const
+    finish(const stats::Group &root) const
     {
-        trace::Tracer &tracer = trace::Tracer::instance();
-        if (!traceOut.empty()) {
-            std::ofstream os(traceOut);
-            if (!os)
-                GASNUB_FATAL("cannot open ", traceOut);
-            const bool csv =
-                traceOut.size() > 4 &&
-                traceOut.compare(traceOut.size() - 4, 4, ".csv") == 0;
-            if (csv)
-                tracer.exportCsv(os);
-            else
-                tracer.exportChromeJson(os);
-            std::fprintf(stderr, "trace: %zu events to %s",
-                         tracer.size(), traceOut.c_str());
-            if (tracer.dropped())
-                std::fprintf(stderr, " (%llu dropped)",
-                             static_cast<unsigned long long>(
-                                 tracer.dropped()));
-            std::fprintf(stderr, "\n");
-        }
-        if (!statsJson.empty()) {
-            std::ofstream os(statsJson);
-            if (!os)
-                GASNUB_FATAL("cannot open ", statsJson);
-            root.dumpJson(os);
-            os << "\n";
-            std::fprintf(stderr, "stats: %s\n", statsJson.c_str());
-        }
+        if (!traceOut.empty())
+            toolcli::writeTrace(traceOut);
+        if (!statsJson.empty())
+            toolcli::writeStatsJson(root, statsJson);
         finish();
     }
 };
 
 /**
- * Run one characterization sweep on @p m, distributing grid points
- * over @p jobs workers when > 1.  Per-worker machine replicas are
- * built from m.systemConfig(); the surface, trace events, and stats
- * merge back deterministically, so every output is byte-identical to
- * a serial run (see docs/parallel_sweeps.md).
+ * core::sweep() of the tools/characterize benchmark @p name: a serial
+ * or --jobs-parallel sweep whose outputs are byte-identical either way.
  */
-inline core::Surface
-sweep(machine::Machine &m, const core::SweepSpec &spec,
-      const core::CharacterizeConfig &cfg, int jobs)
-{
-    if (jobs <= 1) {
-        core::Characterizer c(m);
-        return c.run(spec, cfg);
-    }
-    core::SweepRunner runner(m.systemConfig(), jobs);
-    core::Surface s = runner.run(spec, cfg);
-    runner.mergeStatsInto(m.statsGroup());
-    return s;
-}
-
-/** sweep() of the tools/characterize benchmark @p name. */
 inline core::Surface
 sweep(machine::Machine &m, const char *name,
       const core::CharacterizeConfig &cfg, int jobs)
 {
-    return sweep(m, *core::SweepSpec::fromName(m.kind(), name), cfg, jobs);
+    return core::sweep(m, *core::SweepSpec::fromName(m.kind(), name),
+                       cfg, jobs);
 }
 
 /** Header line for a figure bench. */

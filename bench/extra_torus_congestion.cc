@@ -5,9 +5,8 @@
  * (8 x 8 x 8) torus, before bisection limits become visible in
  * transposes (i.e., AAPC patterns)".
  *
- * Two traffic patterns at increasing T3E sizes, driven by the
- * discrete-event kernel so all flows interleave in global time
- * order:
+ * Two traffic patterns at increasing T3E sizes, driven by a local
+ * event queue so all flows interleave in global time order:
  *
  *  - neighbour: node p streams to p+1 on its ring (disjoint links);
  *  - bisection: node p streams to the node half a machine away
@@ -15,11 +14,13 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.hh"
-#include "sim/event_queue.hh"
 
 namespace {
 
@@ -30,32 +31,32 @@ double
 runPattern(int procs, bool bisection)
 {
     noc::Torus torus(machine::t3eTorusConfig(procs));
-    sim::EventQueue q;
     const int packets = 256;
     const std::uint32_t payload = 64;
 
+    // Each node is a packet source paced by its own injections.  The
+    // min-heap of (tick, insertion sequence, node) merges all sources
+    // in time order; same-tick sends go in the order they were
+    // scheduled.
+    using Send = std::tuple<Tick, std::uint64_t, NodeId>;
+    std::priority_queue<Send, std::vector<Send>, std::greater<>> q;
+    std::uint64_t seq = 0;
+    for (NodeId p = 0; p < procs; ++p)
+        q.emplace(Tick(0), seq++, p);
+
     std::vector<int> remaining(procs, packets);
     Tick last_arrival = 0;
-
-    // Each node is a packet source paced by its own injections; the
-    // event queue merges all sources in time order.
-    std::function<void(NodeId)> send_next = [&](NodeId p) {
-        if (remaining[p] == 0)
-            return;
+    while (!q.empty()) {
+        const auto [now, order, p] = q.top();
+        q.pop();
         --remaining[p];
         const NodeId dst =
             bisection ? (p + procs / 2) % procs : (p + 1) % procs;
-        const noc::PacketResult pr =
-            torus.send(p, dst, payload, q.now());
+        const noc::PacketResult pr = torus.send(p, dst, payload, now);
         last_arrival = std::max(last_arrival, pr.arrived);
-        if (remaining[p] > 0) {
-            q.schedule(std::max(pr.injected + 1, q.now() + 1),
-                       [&send_next, p] { send_next(p); });
-        }
-    };
-    for (NodeId p = 0; p < procs; ++p)
-        q.schedule(0, [&send_next, p] { send_next(p); });
-    q.run();
+        if (remaining[p] > 0)
+            q.emplace(std::max(pr.injected + 1, now + 1), seq++, p);
+    }
 
     const double total_bytes =
         static_cast<double>(procs) * packets * payload;

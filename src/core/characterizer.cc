@@ -201,8 +201,6 @@ Characterizer::measure(const SweepSpec &spec, std::uint64_t ws_bytes,
         acct->arm();
     SweepPoint pt;
     pt.result = runKernel(_machine, spec, ws_bytes, stride, cap_bytes);
-    ++_points;
-    _accesses += pt.result.accesses;
     if (acct)
         pt.attribution = acct->finishPoint(pt.result.elapsed);
     // Each grid point runs with simulated time reset to 0, so point

@@ -136,7 +136,7 @@ class Characterizer
      * measurement, shared by run() and SweepRunner's workers.  Runs
      * the kernel under the `sweep.<kind>` / `point` profile zones,
      * arms and finishes the attribution ledger, records the point's
-     * trace event and counts the point.
+     * trace event.
      */
     SweepPoint measure(const SweepSpec &spec, std::uint64_t ws_bytes,
                        std::uint64_t stride, std::uint64_t cap_bytes);
@@ -151,21 +151,9 @@ class Characterizer
 
     machine::Machine &machine() { return _machine; }
 
-    /**
-     * Throughput counters, cumulative across this characterizer's
-     * sweeps: grid points simulated and word accesses performed.
-     * Two integer adds per grid point — cheap enough to maintain
-     * unconditionally — feeding the host-side points/sec and
-     * accesses/sec telemetry (core::SweepTelemetry, --profile).
-     */
-    std::uint64_t points() const { return _points; }
-    std::uint64_t accesses() const { return _accesses; }
-
   private:
     machine::Machine &_machine;
     trace::TrackId _traceTrack;
-    std::uint64_t _points = 0;
-    std::uint64_t _accesses = 0;
 };
 
 /** Store measured point @p p at (@p ws_bytes, @p stride) of @p s. */

@@ -104,24 +104,18 @@ SweepRunner::mergeStatsInto(stats::Group &target)
             target.mergeFrom(w->machine->statsGroup());
 }
 
-std::uint64_t
-SweepRunner::points() const
+Surface
+sweep(machine::Machine &m, const SweepSpec &spec,
+      const CharacterizeConfig &cfg, int jobs)
 {
-    std::uint64_t n = 0;
-    for (const auto &w : _workers)
-        if (w->chr)
-            n += w->chr->points();
-    return n;
-}
-
-std::uint64_t
-SweepRunner::accesses() const
-{
-    std::uint64_t n = 0;
-    for (const auto &w : _workers)
-        if (w->chr)
-            n += w->chr->accesses();
-    return n;
+    if (jobs <= 1) {
+        Characterizer c(m);
+        return c.run(spec, cfg);
+    }
+    SweepRunner runner(m.systemConfig(), jobs);
+    Surface s = runner.run(spec, cfg);
+    runner.mergeStatsInto(m.statsGroup());
+    return s;
 }
 
 } // namespace gasnub::core

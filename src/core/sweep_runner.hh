@@ -70,19 +70,6 @@ class SweepRunner
      */
     void mergeStatsInto(stats::Group &target);
 
-    /**
-     * Throughput counters summed over the worker characterizers,
-     * cumulative across this runner's sweeps; equal to what a serial
-     * Characterizer doing the same sweeps would report.  Read between
-     * sweeps only (the parallelFor join publishes the workers'
-     * counters).
-     */
-    std::uint64_t points() const;
-    std::uint64_t accesses() const;
-
-    /** The pool, for per-worker utilization telemetry (--profile). */
-    const sim::ThreadPool &pool() const { return _pool; }
-
   private:
     /** One worker's private simulator state (lazily built). */
     struct Worker;
@@ -91,6 +78,16 @@ class SweepRunner
     std::vector<std::unique_ptr<Worker>> _workers;
     sim::ThreadPool _pool;
 };
+
+/**
+ * Run one characterization sweep on @p m, distributing grid points
+ * over @p jobs workers when > 1.  Per-worker machine replicas are
+ * built from m.systemConfig(); the surface, trace events, and stats
+ * merge back into @p m deterministically, so every output is
+ * byte-identical to a serial run (see docs/parallel_sweeps.md).
+ */
+Surface sweep(machine::Machine &m, const SweepSpec &spec,
+              const CharacterizeConfig &cfg, int jobs);
 
 } // namespace gasnub::core
 

@@ -45,13 +45,6 @@ CrayEngine::supports(TransferMethod method) const
            method == TransferMethod::Fetch;
 }
 
-std::uint32_t
-CrayEngine::granule(std::uint64_t stride) const
-{
-    return stride == 1 ? _config.blockBytes
-                       : static_cast<std::uint32_t>(wordBytes);
-}
-
 namespace {
 
 /** Block granule for one request (word-granular unless contiguous). */
@@ -94,29 +87,24 @@ CrayEngine::transfer(const TransferRequest &req, TransferMethod method,
     // routine, not a fixed primitive) handles element runs natively.
     const bool cpu_path =
         method == TransferMethod::Deposit && _config.depositViaCpu;
+    const auto issue = [&](const TransferRequest &r) {
+        return method == TransferMethod::Deposit ? deposit(r, start)
+                                                 : fetch(r, start);
+    };
+    Tick end;
     if (req.elemWords > 1 && !cpu_path) {
-        Tick end = start;
+        end = start;
         TransferRequest part = req;
         part.elemWords = 1;
         part.words = req.words / req.elemWords;
         for (std::uint64_t k = 0; k < req.elemWords; ++k) {
             part.srcAddr = req.srcAddr + k * wordBytes;
             part.dstAddr = req.dstAddr + k * wordBytes;
-            const Tick t = method == TransferMethod::Deposit
-                               ? deposit(part, start)
-                               : fetch(part, start);
-            end = std::max(end, t);
+            end = std::max(end, issue(part));
         }
-        _bandwidth.addBytes(end, req.words * wordBytes);
-        GASNUB_TRACE(trace::Category::Remote, _traceTrack,
-                     methodName(method), start, end, "words",
-                     req.words, "dst",
-                     static_cast<std::uint64_t>(req.dst));
-        return end;
+    } else {
+        end = issue(req);
     }
-    const Tick end = method == TransferMethod::Deposit
-                         ? deposit(req, start)
-                         : fetch(req, start);
     _bandwidth.addBytes(end, req.words * wordBytes);
     GASNUB_TRACE(trace::Category::Remote, _traceTrack,
                  methodName(method), start, end, "words", req.words,
@@ -183,56 +171,22 @@ CrayEngine::deposit(const TransferRequest &req, Tick start)
 
     // T3E shmem_iput: E-register gather at the source, scatter at the
     // destination, deeply pipelined.
-    const std::uint32_t g = requestGranule(_config, req);
-    const std::uint64_t wpb = g / wordBytes;
-    const std::uint64_t blocks = (req.words + wpb - 1) / wpb;
-
-    std::deque<Tick> outstanding;
-    Tick cursor = start;
-    Tick last = start;
-    for (std::uint64_t b = 0; b < blocks; ++b) {
-        if (outstanding.size() >= _config.window) {
-            cursor = std::max(cursor, outstanding.front());
-            outstanding.pop_front();
-        }
-        const std::uint64_t w0 = b * wpb;
-        const std::uint32_t bytes = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(wpb, req.words - w0) * wordBytes);
-        const std::uint64_t e = w0 / req.elemWords;
-        const std::uint64_t k = w0 % req.elemWords;
-        const Addr sa =
-            req.srcAddr + (e * req.srcStride + k) * wordBytes;
-        const Addr da =
-            req.dstAddr + (e * req.dstStride + k) * wordBytes;
-
-        const Tick t0 = cursor;
-        cursor += _requestTicks;
-        if (_acct)
-            _acct->charge(_engineRes, t0, cursor);
-        const Tick rd = src->engineAccess(sa, mem::AccessType::Read,
-                                          t0 + _engineTicks, bytes);
-        const noc::PacketResult pr =
-            _torus->send(req.src, req.dst, bytes, rd);
-        const Tick done = dst->engineAccess(da, mem::AccessType::Write,
-                                            pr.arrived + _engineTicks,
-                                            bytes);
-        dst->invalidateLine(da);
-        outstanding.push_back(done);
-        last = std::max(last, done);
-    }
-    return last;
+    return blockLoop(req, start, false);
 }
 
 Tick
 CrayEngine::fetch(const TransferRequest &req, Tick start)
 {
     ++_fetches;
+    return blockLoop(req, start, true);
+}
+
+Tick
+CrayEngine::blockLoop(const TransferRequest &req, Tick start,
+                      bool fetching)
+{
     mem::MemoryHierarchy *src = _nodes[req.src];
     mem::MemoryHierarchy *dst = _nodes[req.dst];
-
-    // Receiver-driven: request packets flow dst -> src; the source
-    // engine reads memory and returns data packets; the local engine
-    // writes the destination region.
     const std::uint32_t g = requestGranule(_config, req);
     const std::uint64_t wpb = g / wordBytes;
     const std::uint64_t blocks = (req.words + wpb - 1) / wpb;
@@ -259,15 +213,20 @@ CrayEngine::fetch(const TransferRequest &req, Tick start)
         cursor += _requestTicks;
         if (_acct)
             _acct->charge(_engineRes, t0, cursor);
-        const noc::PacketResult preq = _torus->send(
-            req.dst, req.src, _config.requestBytes, t0);
-        const Tick rd = src->engineAccess(
-            sa, mem::AccessType::Read,
-            preq.arrived + _engineTicks + _fetchExtraTicks, bytes);
-        const noc::PacketResult presp =
+        // A fetch is receiver-driven: its request packet flows
+        // dst -> src before the source engine reads memory.
+        Tick read_at = t0 + _engineTicks;
+        if (fetching) {
+            const noc::PacketResult preq = _torus->send(
+                req.dst, req.src, _config.requestBytes, t0);
+            read_at = preq.arrived + _engineTicks + _fetchExtraTicks;
+        }
+        const Tick rd =
+            src->engineAccess(sa, mem::AccessType::Read, read_at, bytes);
+        const noc::PacketResult pr =
             _torus->send(req.src, req.dst, bytes, rd);
         const Tick done = dst->engineAccess(da, mem::AccessType::Write,
-                                            presp.arrived + _engineTicks,
+                                            pr.arrived + _engineTicks,
                                             bytes);
         dst->invalidateLine(da);
         outstanding.push_back(done);

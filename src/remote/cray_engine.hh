@@ -97,10 +97,14 @@ class CrayEngine : public RemoteOps
     Tick fetch(const TransferRequest &req, Tick start);
 
     /**
-     * Transfer granule in bytes: full blocks for unit strides, single
-     * words otherwise (strided access defeats coalescing).
+     * The windowed E-register block loop behind every fetch and the
+     * T3E's deposit: blocks of the request's granule (full blocks when
+     * contiguous, single words otherwise), one issued per request
+     * time, at most `window` in flight.  When @p fetching, each block
+     * first sends a request packet dst -> src and its source read
+     * pays fetchExtraNs.
      */
-    std::uint32_t granule(std::uint64_t stride) const;
+    Tick blockLoop(const TransferRequest &req, Tick start, bool fetching);
 
     CrayEngineConfig _config;
     std::vector<mem::MemoryHierarchy *> _nodes;

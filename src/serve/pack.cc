@@ -1,10 +1,5 @@
 #include "serve/pack.hh"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -406,45 +401,18 @@ parsePack(const unsigned char *data, std::size_t size,
 MachinePack
 loadPackFile(const std::string &path)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
+    std::ifstream is(path, std::ios::binary);
+    if (!is)
         GASNUB_FATAL("cannot open pack '", path, "' for reading");
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-        ::close(fd);
-        GASNUB_FATAL("cannot stat pack '", path, "'");
-    }
-    const std::size_t size = static_cast<std::size_t>(st.st_size);
-
-    // The format is built for mmap: map read-only and parse in place;
-    // fall back to a plain read when mapping fails (e.g.\ a pipe).
-    void *map = size > 0
-                    ? ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE,
-                             fd, 0)
-                    : MAP_FAILED;
-    if (map != MAP_FAILED) {
-        // Parse errors are fatal (process exits), so the unmap on the
-        // success path is the only one needed.
-        MachinePack pack = parsePack(
-            static_cast<const unsigned char *>(map), size, path);
-        ::munmap(map, size);
-        ::close(fd);
-        return pack;
-    }
-    std::vector<unsigned char> buf(size);
-    std::size_t got = 0;
-    while (got < size) {
-        const ssize_t n =
-            ::read(fd, buf.data() + got, size - got);
-        if (n <= 0)
-            break;
-        got += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-    if (got != size)
-        GASNUB_FATAL("short read from pack '", path, "' (", got,
-                     " of ", size, " bytes)");
-    return parsePack(buf.data(), size, path);
+    // Read to end of file rather than trusting a size from stat, so
+    // pipes and other unsized inputs load too.
+    std::vector<unsigned char> buf;
+    char chunk[1 << 16];
+    while (is.read(chunk, sizeof(chunk)), is.gcount() > 0)
+        buf.insert(buf.end(), chunk, chunk + is.gcount());
+    if (is.bad())
+        GASNUB_FATAL("cannot read pack '", path, "'");
+    return parsePack(buf.data(), buf.size(), path);
 }
 
 } // namespace gasnub::serve

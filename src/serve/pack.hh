@@ -3,11 +3,11 @@
  * The `gas-pack-1` binary surface pack: one machine's planner options
  * — labels, methods, blocking, characterization surfaces including
  * the v2 attribution columns — bundled into a single compact,
- * versioned, mmap-able file.
+ * versioned file.
  *
  * The text `*.surface` directory convention (core/planner_io.hh) is
  * the measurement-side interchange format; the pack is the *serving*
- * side: one open + one mmap hands a process the whole cost model, and
+ * side: one sequential read hands a process the whole cost model, and
  * serve::PlannerIndex answers plan queries from it without ever
  * re-parsing text.  Bandwidths are stored as raw IEEE-754 doubles, so
  * a pack round-trip reproduces `loadPlannerDir` predictions
@@ -96,9 +96,9 @@ MachinePack parsePack(const unsigned char *data, std::size_t size,
                       const std::string &context);
 
 /**
- * Load a pack file.  The file is mapped (mmap, falling back to a
- * plain read), fully validated, and materialized into immutable
- * surfaces; the mapping is released before returning.
+ * Load a pack file: read it to end of file into one buffer (so a pipe
+ * works as well as a regular file), then parsePack() it into
+ * immutable surfaces.  Fatal when the file cannot be opened or read.
  */
 MachinePack loadPackFile(const std::string &path);
 

@@ -1,10 +1,8 @@
 #include "sim/pool.hh"
 
-#include <chrono>
 #include <cstdlib>
 
 #include "sim/logging.hh"
-#include "sim/profiler.hh"
 
 namespace gasnub::sim {
 
@@ -32,7 +30,6 @@ ThreadPool::ThreadPool(int workers)
     _queues.reserve(n);
     for (int i = 0; i < n; ++i)
         _queues.push_back(std::make_unique<Queue>());
-    _telemetry.resize(n);
     _threads.reserve(n);
     for (int i = 0; i < n; ++i)
         _threads.emplace_back([this, i] { workerLoop(i); });
@@ -50,7 +47,7 @@ ThreadPool::~ThreadPool()
 }
 
 bool
-ThreadPool::nextJob(int worker, std::size_t &job, bool &stolen)
+ThreadPool::nextJob(int worker, std::size_t &job)
 {
     // Own queue first, front end (cache-friendly contiguous block).
     {
@@ -59,7 +56,6 @@ ThreadPool::nextJob(int worker, std::size_t &job, bool &stolen)
         if (!own.jobs.empty()) {
             job = own.jobs.front();
             own.jobs.pop_front();
-            stolen = false;
             return true;
         }
     }
@@ -71,7 +67,6 @@ ThreadPool::nextJob(int worker, std::size_t &job, bool &stolen)
         if (!victim.jobs.empty()) {
             job = victim.jobs.back();
             victim.jobs.pop_back();
-            stolen = true;
             return true;
         }
     }
@@ -94,19 +89,8 @@ ThreadPool::workerLoop(int worker)
             seen = _generation;
             fn = _fn;
         }
-        // Per-worker utilization: wall time inside job callbacks vs
-        // the rest of this drain (scheduling + waiting out the
-        // generation).  Only measured under --profile / GASNUB_PROFILE
-        // so the default path never reads the host clock.
-        const bool profiled = prof::enabled();
-        const auto drainStart = std::chrono::steady_clock::now();
-        double busy = 0;
         std::size_t job;
-        bool stolen = false;
-        while (nextJob(worker, job, stolen)) {
-            const auto jobStart = profiled
-                                      ? std::chrono::steady_clock::now()
-                                      : decltype(drainStart){};
+        while (nextJob(worker, job)) {
             try {
                 (*fn)(worker, job);
             } catch (...) {
@@ -114,24 +98,6 @@ ThreadPool::workerLoop(int worker)
                 if (!_error)
                     _error = std::current_exception();
             }
-            if (profiled) {
-                busy += std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - jobStart)
-                            .count();
-                WorkerTelemetry &t = _telemetry[worker];
-                ++t.jobs;
-                if (stolen)
-                    ++t.steals;
-            }
-        }
-        if (profiled) {
-            WorkerTelemetry &t = _telemetry[worker];
-            t.busySeconds += busy;
-            const double drain =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - drainStart)
-                    .count();
-            t.idleSeconds += drain > busy ? drain - busy : 0;
         }
         {
             std::lock_guard<std::mutex> lock(_mutex);

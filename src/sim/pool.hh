@@ -63,29 +63,6 @@ class ThreadPool
 
     int workers() const { return static_cast<int>(_queues.size()); }
 
-    /**
-     * Wall-clock utilization of one worker, accumulated across
-     * parallelFor calls while prof::enabled() (zero-cost otherwise:
-     * the counters stay 0).  busySeconds is time spent inside job
-     * callbacks; idleSeconds is the rest of the worker's drain loop
-     * (queue locks, steal searches).  Written only
-     * by the owning worker / the calling thread and published by the
-     * parallelFor join, so reading between calls is race-free.
-     */
-    struct WorkerTelemetry
-    {
-        double busySeconds = 0;
-        double idleSeconds = 0;
-        std::uint64_t jobs = 0;   ///< jobs run by this worker
-        std::uint64_t steals = 0; ///< jobs taken from a victim's queue
-    };
-
-    /** Per-worker telemetry; index matches the job callback's. */
-    const std::vector<WorkerTelemetry> &workerTelemetry() const
-    {
-        return _telemetry;
-    }
-
     /** Job callback: worker index and job index. */
     using Job = std::function<void(int worker, std::size_t job)>;
 
@@ -106,11 +83,10 @@ class ThreadPool
     };
 
     void workerLoop(int worker);
-    bool nextJob(int worker, std::size_t &job, bool &stolen);
+    bool nextJob(int worker, std::size_t &job);
 
     std::vector<std::unique_ptr<Queue>> _queues;
     std::vector<std::thread> _threads;
-    std::vector<WorkerTelemetry> _telemetry;
 
     std::mutex _mutex; ///< guards the run state below
     std::condition_variable _start;

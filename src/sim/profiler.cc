@@ -243,6 +243,24 @@ Profiler::report(std::ostream &os) const
            << formatSeconds(z->totalNs) << "  " << calls << "  "
            << z->path << "\n";
     }
+
+    // Per-thread busy time: each registered thread's top-level zones
+    // summed (a pool worker's are its sweep.worker jobs).
+    os << "   total s         calls  thread (top-level zones)\n";
+    std::lock_guard<std::mutex> lock(_mutex);
+    for (std::size_t i = 0; i < _threads.size(); ++i) {
+        std::uint64_t calls = 0;
+        std::uint64_t totalNs = 0;
+        for (const Node *c : _threads[i]->root.children) {
+            calls += c->calls;
+            totalNs += c->totalNs;
+        }
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "%12llu",
+                      static_cast<unsigned long long>(calls));
+        os << formatSeconds(totalNs) << "  " << buf << "  thread " << i
+           << "\n";
+    }
 }
 
 void

@@ -105,7 +105,9 @@ class Profiler
 
     /**
      * Ranked text report: zones sorted by self time (descending),
-     * with calls, total, self, and the nested path.
+     * with calls, total, self, and the nested path; then one line per
+     * registered thread with the summed calls and total time of its
+     * top-level zones.
      */
     void report(std::ostream &os) const;
 

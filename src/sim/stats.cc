@@ -62,139 +62,6 @@ Scalar::mergeFrom(const StatBase &other)
     _value += mergePeer<Scalar>(*this, other)._value;
 }
 
-void
-Average::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " "
-       << std::setw(16) << mean() << " # " << desc()
-       << " (n=" << _count << ")\n";
-}
-
-void
-Average::printJson(std::ostream &os) const
-{
-    jsonHead(os, *this, "average");
-    os << ",\"mean\":" << json::number(mean()) << ",\"count\":" << _count
-       << "}";
-}
-
-void
-Average::mergeFrom(const StatBase &other)
-{
-    const Average &peer = mergePeer<Average>(*this, other);
-    _sum += peer._sum;
-    _count += peer._count;
-}
-
-Distribution::Distribution(Group *group, std::string name,
-                           std::string desc, double min, double max,
-                           int buckets)
-    : StatBase(group, std::move(name), std::move(desc)),
-      _min(min), _max(max),
-      _width((max - min) / std::max(buckets, 1)),
-      _buckets(static_cast<std::size_t>(std::max(buckets, 1)), 0)
-{
-    GASNUB_ASSERT(max > min, "distribution range empty");
-    GASNUB_ASSERT(buckets >= 1, "distribution needs >= 1 bucket");
-}
-
-void
-Distribution::sample(double v)
-{
-    if (_count == 0) {
-        _minSeen = v;
-        _maxSeen = v;
-    } else {
-        _minSeen = std::min(_minSeen, v);
-        _maxSeen = std::max(_maxSeen, v);
-    }
-    ++_count;
-    _sum += v;
-    if (v < _min) {
-        ++_underflow;
-    } else if (v >= _max) {
-        ++_overflow;
-    } else {
-        auto idx = static_cast<std::size_t>((v - _min) / _width);
-        idx = std::min(idx, _buckets.size() - 1);
-        ++_buckets[idx];
-    }
-}
-
-void
-Distribution::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " mean="
-       << mean() << " n=" << _count << " min=" << _minSeen
-       << " max=" << _maxSeen << " # " << desc() << "\n";
-    if (_underflow)
-        os << "  " << name() << ".underflow " << _underflow << "\n";
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (_buckets[i] == 0)
-            continue;
-        os << "  " << name() << ".bucket[" << (_min + i * _width) << ","
-           << (_min + (i + 1) * _width) << ") " << _buckets[i] << "\n";
-    }
-    if (_overflow)
-        os << "  " << name() << ".overflow " << _overflow << "\n";
-}
-
-void
-Distribution::printJson(std::ostream &os) const
-{
-    jsonHead(os, *this, "distribution");
-    os << ",\"min\":" << json::number(_min)
-       << ",\"max\":" << json::number(_max) << ",\"count\":" << _count
-       << ",\"mean\":" << json::number(mean())
-       << ",\"minSeen\":" << json::number(_minSeen)
-       << ",\"maxSeen\":" << json::number(_maxSeen)
-       << ",\"underflow\":" << _underflow
-       << ",\"overflow\":" << _overflow << ",\"buckets\":[";
-    for (std::size_t i = 0; i < _buckets.size(); ++i) {
-        if (i)
-            os << ',';
-        os << _buckets[i];
-    }
-    os << "]}";
-}
-
-void
-Distribution::mergeFrom(const StatBase &other)
-{
-    const Distribution &peer = mergePeer<Distribution>(*this, other);
-    GASNUB_ASSERT(peer._buckets.size() == _buckets.size() &&
-                      peer._min == _min && peer._max == _max,
-                  "distribution merge shape mismatch at '", name(),
-                  "'");
-    if (peer._count == 0)
-        return;
-    if (_count == 0) {
-        _minSeen = peer._minSeen;
-        _maxSeen = peer._maxSeen;
-    } else {
-        _minSeen = std::min(_minSeen, peer._minSeen);
-        _maxSeen = std::max(_maxSeen, peer._maxSeen);
-    }
-    for (std::size_t i = 0; i < _buckets.size(); ++i)
-        _buckets[i] += peer._buckets[i];
-    _underflow += peer._underflow;
-    _overflow += peer._overflow;
-    _count += peer._count;
-    _sum += peer._sum;
-}
-
-void
-Distribution::reset()
-{
-    std::fill(_buckets.begin(), _buckets.end(), 0);
-    _underflow = 0;
-    _overflow = 0;
-    _count = 0;
-    _sum = 0;
-    _minSeen = 0;
-    _maxSeen = 0;
-}
-
 double
 Histogram::interpolate(std::span<const std::uint64_t> buckets,
                        std::uint64_t zeros, std::uint64_t count,

@@ -92,80 +92,6 @@ class Scalar : public StatBase
     double _value = 0;
 };
 
-/** Mean of sampled values (e.g.\ average queue depth). */
-class Average : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    /** Record one sample. */
-    void
-    sample(double v)
-    {
-        _sum += v;
-        ++_count;
-    }
-
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    std::uint64_t count() const { return _count; }
-
-    void print(std::ostream &os) const override;
-    void printJson(std::ostream &os) const override;
-    void reset() override { _sum = 0; _count = 0; }
-    void mergeFrom(const StatBase &other) override;
-
-  private:
-    double _sum = 0;
-    std::uint64_t _count = 0;
-};
-
-/**
- * A fixed-bucket histogram over [min, max); samples outside the range go
- * to underflow/overflow counters.
- */
-class Distribution : public StatBase
-{
-  public:
-    /**
-     * @param group   Owning group.
-     * @param name    Stat name.
-     * @param desc    Description.
-     * @param min     Inclusive lower bound of the first bucket.
-     * @param max     Exclusive upper bound of the last bucket.
-     * @param buckets Number of equal-width buckets (>= 1).
-     */
-    Distribution(Group *group, std::string name, std::string desc,
-                 double min, double max, int buckets);
-
-    /** Record one sample. */
-    void sample(double v);
-
-    std::uint64_t count() const { return _count; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    double minSeen() const { return _minSeen; }
-    double maxSeen() const { return _maxSeen; }
-    const std::vector<std::uint64_t> &buckets() const { return _buckets; }
-    std::uint64_t underflow() const { return _underflow; }
-    std::uint64_t overflow() const { return _overflow; }
-
-    void print(std::ostream &os) const override;
-    void printJson(std::ostream &os) const override;
-    void reset() override;
-    void mergeFrom(const StatBase &other) override;
-
-  private:
-    double _min;
-    double _max;
-    double _width;
-    std::vector<std::uint64_t> _buckets;
-    std::uint64_t _underflow = 0;
-    std::uint64_t _overflow = 0;
-    std::uint64_t _count = 0;
-    double _sum = 0;
-    double _minSeen = 0;
-    double _maxSeen = 0;
-};
-
 /**
  * A log2-bucketed histogram of non-negative integer samples (latencies
  * in ticks, sizes in bytes).  Bucket i counts samples in

@@ -134,8 +134,7 @@ TEST(Characterizer, RunIsOneGridLoopOverMeasure)
 {
     // run() is surface() plus measure()/setPoint() at every grid
     // point: a hand-written loop over them gives the same surface,
-    // attribution rows included, and the same counters, for every
-    // kind of sweep.
+    // attribution rows included, for every kind of sweep.
     CharacterizeConfig cfg;
     cfg.workingSets = {2_KiB, 32_KiB, 1_MiB};
     cfg.strides = {1, 3, 32};
@@ -169,9 +168,6 @@ TEST(Characterizer, RunIsOneGridLoopOverMeasure)
         saveSurface(got, got_text);
         EXPECT_EQ(got_text.str(), want_text.str()) << got.name();
     }
-    EXPECT_EQ(by_point.points(), specs.size() * 9);
-    EXPECT_EQ(by_point.points(), by_run.points());
-    EXPECT_EQ(by_point.accesses(), by_run.accesses());
 }
 
 TEST(Characterizer, MeasureCountsOnePointAndItsAccesses)
@@ -184,15 +180,10 @@ TEST(Characterizer, MeasureCountsOnePointAndItsAccesses)
     EXPECT_GT(loads.result.mbs, 0);
     // No ledger on this machine: no attribution.
     EXPECT_TRUE(loads.attribution.attributed.empty());
-    EXPECT_EQ(c.points(), 1u);
-    EXPECT_EQ(c.accesses(), loads.result.accesses);
     const SweepPoint copy = c.measure(
         SweepSpec::localCopy(kernels::CopyVariant::StridedStores, 0),
         64_KiB, 4, 0);
     EXPECT_EQ(copy.result.accesses, 2 * (64_KiB / 8));
-    EXPECT_EQ(c.points(), 2u);
-    EXPECT_EQ(c.accesses(),
-              loads.result.accesses + copy.result.accesses);
 }
 
 TEST(Characterizer, MeasureRecordsOnePointEventAtTimeZero)

@@ -160,7 +160,7 @@ TEST(PackRoundTrip, WriterIsDeterministic)
     EXPECT_EQ(packBytes(samplePack()), packBytes(samplePack()));
 }
 
-TEST(PackRoundTrip, FileRoundTripViaMmapPath)
+TEST(PackRoundTrip, FileRoundTrip)
 {
     const fs::path path =
         fs::path(::testing::TempDir()) / "roundtrip.pack";
@@ -199,6 +199,13 @@ TEST(PackFormat, MissingFileIsAClearError)
     EXPECT_EXIT(loadPackFile("/nonexistent/gasnub.pack"),
                 ::testing::ExitedWithCode(1),
                 "cannot open pack '/nonexistent/gasnub\\.pack'");
+}
+
+TEST(PackFormat, UnreadableFileIsAClearError)
+{
+    // A directory opens but cannot be read.
+    EXPECT_EXIT(loadPackFile(::testing::TempDir()),
+                ::testing::ExitedWithCode(1), "cannot read pack '");
 }
 
 } // namespace

@@ -35,51 +35,6 @@ TEST(Scalar, CountsAndResets)
     EXPECT_EQ(s.value(), 42.0);
 }
 
-TEST(Average, ComputesMean)
-{
-    Group g("test");
-    Average a(&g, "test.avg", "an average");
-    EXPECT_EQ(a.mean(), 0.0);
-    a.sample(10);
-    a.sample(20);
-    a.sample(30);
-    EXPECT_DOUBLE_EQ(a.mean(), 20.0);
-    EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(Distribution, BucketsSamplesCorrectly)
-{
-    Group g("test");
-    Distribution d(&g, "test.dist", "a distribution", 0, 100, 10);
-    d.sample(5);    // bucket 0
-    d.sample(15);   // bucket 1
-    d.sample(95);   // bucket 9
-    d.sample(-1);   // underflow
-    d.sample(100);  // overflow (max is exclusive)
-    EXPECT_EQ(d.count(), 5u);
-    EXPECT_EQ(d.buckets()[0], 1u);
-    EXPECT_EQ(d.buckets()[1], 1u);
-    EXPECT_EQ(d.buckets()[9], 1u);
-    EXPECT_EQ(d.underflow(), 1u);
-    EXPECT_EQ(d.overflow(), 1u);
-    EXPECT_DOUBLE_EQ(d.minSeen(), -1.0);
-    EXPECT_DOUBLE_EQ(d.maxSeen(), 100.0);
-}
-
-TEST(Distribution, MeanTracksAllSamples)
-{
-    Group g("test");
-    Distribution d(&g, "test.dist", "d", 0, 10, 5);
-    d.sample(2);
-    d.sample(4);
-    EXPECT_DOUBLE_EQ(d.mean(), 3.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.underflow(), 0u);
-}
-
 TEST(Group, DumpContainsNamesValuesAndDescriptions)
 {
     Group g("grp");

@@ -172,37 +172,46 @@ else
     echo "ok: --jobs 1 and --jobs 4 are byte-identical"
 fi
 
-# --profile must not perturb the measured surface (byte-identical
-# with and without), while its stderr report names the sweep hot path
-# and the stats tree gains the perf throughput group.
-if ! "$bin" t3e loads --max-ws=8K --cap 4K --jobs 2 \
-        --out "$tmp/plain" >/dev/null 2>"$err"; then
-    echo "FAIL: plain run for --profile comparison failed"
-    cat "$err"
-    fails=1
-fi
-if ! "$bin" t3e loads --max-ws=8K --cap 4K --jobs 2 --profile \
-        --out "$tmp/profiled" \
-        --stats-json "$tmp/jprof" >/dev/null 2>"$err"; then
-    echo "FAIL: --profile run failed"
-    cat "$err"
-    fails=1
-fi
-if ! cmp -s "$tmp/plain" "$tmp/profiled"; then
-    echo "FAIL: --profile perturbed the measured surface"
-    fails=1
-elif ! grep -q "== profile:" "$err"; then
-    echo "FAIL: --profile printed no zone report"
-    fails=1
-elif ! grep -q "sweep.localLoads;point" "$err"; then
-    echo "FAIL: profile report does not name the sweep hot path"
-    fails=1
-elif ! grep -q '"name":"pointsPerSec"' "$tmp/jprof"; then
-    echo "FAIL: --profile stats tree has no perf throughput group"
-    fails=1
-else
-    echo "ok: --profile reports zones without perturbing the surface"
-fi
+# --profile must not perturb the measured surface or the stats tree
+# (byte-identical with and without, serial and parallel): the profiler
+# is the only host-time channel.  Its stderr report names the sweep
+# hot path and gives each thread's busy time.
+for jobs in 1 2; do
+    if ! "$bin" t3e loads --max-ws=8K --cap 4K --jobs $jobs \
+            --out "$tmp/plain" \
+            --stats-json "$tmp/jplain" >/dev/null 2>"$err"; then
+        echo "FAIL: plain run for --profile comparison failed"
+        cat "$err"
+        fails=1
+    fi
+    if ! "$bin" t3e loads --max-ws=8K --cap 4K --jobs $jobs --profile \
+            --out "$tmp/profiled" \
+            --stats-json "$tmp/jprof" >/dev/null 2>"$err"; then
+        echo "FAIL: --profile run failed"
+        cat "$err"
+        fails=1
+    fi
+    if ! cmp -s "$tmp/plain" "$tmp/profiled"; then
+        echo "FAIL: --profile perturbed the measured surface (--jobs $jobs)"
+        fails=1
+    elif ! cmp -s "$tmp/jplain" "$tmp/jprof"; then
+        echo "FAIL: --profile changed --stats-json (--jobs $jobs)"
+        fails=1
+    elif ! grep -q "== profile:" "$err"; then
+        echo "FAIL: --profile printed no zone report"
+        fails=1
+    elif ! grep -q "sweep.localLoads;point" "$err"; then
+        echo "FAIL: profile report does not name the sweep hot path"
+        fails=1
+    elif ! grep -Eq '^ *[0-9]+\.[0-9]+ +[1-9][0-9]*  thread [0-9]+$' \
+            "$err"; then
+        echo "FAIL: profile report has no per-thread busy line"
+        fails=1
+    else
+        echo "ok: --profile (--jobs $jobs) leaves surface and stats" \
+             "byte-identical"
+    fi
+done
 
 # GASNUB_PROFILE=1 enables the same report without the flag.
 if ! GASNUB_PROFILE=1 "$bin" t3e loads --max-ws=4K --cap 4K \

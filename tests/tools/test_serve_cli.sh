@@ -166,6 +166,19 @@ else
     echo "ok: pack --describe"
 fi
 
+# A pack read from a pipe (no size to stat) loads like the file.
+piped=$(cat "$tmp/demo.pack" | "$pack" --describe /dev/stdin 2>"$tmp/err")
+if [ $? -ne 0 ]; then
+    echo "FAIL: pack --describe from a pipe failed"
+    cat "$tmp/err"
+    fails=1
+elif [ "$(echo "$piped" | sed 1d)" != "$(echo "$out" | sed 1d)" ]; then
+    echo "FAIL: a piped pack describes differently from the file"
+    fails=1
+else
+    echo "ok: pack loads from a pipe"
+fi
+
 # A corrupt pack dies with exit 1 naming the file.
 head -c 100 "$tmp/demo.pack" > "$tmp/corrupt.pack"
 "$pack" --describe "$tmp/corrupt.pack" >/dev/null 2>"$tmp/err"

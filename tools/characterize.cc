@@ -42,16 +42,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <string>
-
-#include <chrono>
 #include <optional>
+#include <string>
 
 #include "cli_util.hh"
 #include "core/characterizer.hh"
 #include "core/surface_io.hh"
 #include "core/sweep_runner.hh"
-#include "core/telemetry.hh"
 #include "machine/machine.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
@@ -133,14 +130,11 @@ help()
            "bottleneck breakdown\n"
            "  --profile           profile the simulator itself "
            "(host wall clock):\n"
-           "                      ranked zone report on stderr, plus "
-           "points/sec,\n"
-           "                      accesses/sec and per-worker "
-           "utilization under the\n"
-           "                      'perf' group of --stats-json "
-           "(GASNUB_PROFILE=1 works\n"
-           "                      too); measured surfaces stay "
-           "byte-identical\n"
+           "                      ranked zone report and per-thread "
+           "busy time on\n"
+           "                      stderr (GASNUB_PROFILE=1 works "
+           "too); surfaces and\n"
+           "                      --stats-json stay byte-identical\n"
            "  --profile-json FILE  write the zone profile as JSON "
            "(implies --profile)\n"
            "  --profile-folded FILE  write folded stacks for "
@@ -329,44 +323,10 @@ main(int argc, char **argv)
     if (!sys.faults.empty())
         std::cerr << "faults: " << sys.faults.describe() << "\n";
     machine::Machine m(sys);
-    core::Characterizer c(m);
 
-    const int jobs = sim::defaultJobs(jobs_arg);
-    // Throughput telemetry rides the stats tree only under --profile:
-    // the rates are wall-clock derived, and the default --stats-json
-    // must stay byte-identical across runs and --jobs values.  The
-    // "perf" group attaches only after the sweep (and after the
-    // parallel workers' exact-structure stats merge, which the extra
-    // child would otherwise break).
-    std::optional<core::SweepTelemetry> telemetry;
-    const auto wallStart = std::chrono::steady_clock::now();
     core::Surface s("", {512}, {1});
     try {
-        if (jobs <= 1) {
-            s = c.run(*spec, cfg);
-            if (prof::enabled()) {
-                telemetry.emplace(m.statsGroup(), jobs);
-                telemetry->recordSweep(
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wallStart)
-                        .count(),
-                    c.points(), c.accesses());
-            }
-        } else {
-            core::SweepRunner runner(sys, jobs);
-            s = runner.run(*spec, cfg);
-            runner.mergeStatsInto(m.statsGroup());
-            if (prof::enabled()) {
-                telemetry.emplace(m.statsGroup(), jobs);
-                telemetry->recordSweep(
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - wallStart)
-                        .count(),
-                    runner.points(), runner.accesses());
-                telemetry->updateWorkers(
-                    runner.pool().workerTelemetry());
-            }
-        }
+        s = core::sweep(m, *spec, cfg, sim::defaultJobs(jobs_arg));
     } catch (const sim::FaultError &e) {
         // Characterization kernels do not retry: a fault that severs
         // the measured path ends the sweep with a clean diagnosis
@@ -380,39 +340,13 @@ main(int argc, char **argv)
         core::saveSurfaceFile(s, out);
         std::cout << "saved to " << out << "\n";
     }
-    if (!trace_out.empty()) {
-        trace::Tracer &tracer = trace::Tracer::instance();
-        std::ofstream os(trace_out);
-        if (!os)
-            GASNUB_FATAL("cannot open ", trace_out);
-        const bool csv =
-            trace_out.size() > 4 &&
-            trace_out.compare(trace_out.size() - 4, 4, ".csv") == 0;
-        if (csv)
-            tracer.exportCsv(os);
-        else
-            tracer.exportChromeJson(os);
-        std::cerr << "trace: " << tracer.size() << " events to "
-                  << trace_out;
-        if (tracer.dropped())
-            std::cerr << " (" << tracer.dropped() << " dropped)";
-        std::cerr << "\n";
-    }
-    if (!stats_json.empty()) {
-        std::ofstream os(stats_json);
-        if (!os)
-            GASNUB_FATAL("cannot open ", stats_json);
-        m.statsGroup().dumpJson(os);
-        os << "\n";
-        std::cerr << "stats: " << stats_json << "\n";
-    }
+    if (!trace_out.empty())
+        toolcli::writeTrace(trace_out);
+    if (!stats_json.empty())
+        toolcli::writeStatsJson(m.statsGroup(), stats_json);
     if (prof::enabled()) {
         const prof::Profiler &profiler = prof::Profiler::instance();
         profiler.report(std::cerr);
-        if (telemetry)
-            std::cerr << "throughput: " << telemetry->points()
-                      << " points in " << telemetry->wallSeconds()
-                      << " s\n";
         if (!profile_json.empty()) {
             std::ofstream os(profile_json);
             if (!os)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared command-line value parsing for the tools.  A malformed
- * numeric flag must fail loudly: "1e6", "4x", "-1" or an out-of-range
- * count never silently becomes some other number.
+ * Shared command-line helpers for the tools and the figure benches:
+ * value parsing and the --trace-out / --stats-json writers.  A
+ * malformed numeric flag must fail loudly: "1e6", "4x", "-1" or an
+ * out-of-range count never silently becomes some other number.
  */
 
 #ifndef GASNUB_TOOLS_CLI_UTIL_HH
@@ -11,8 +12,13 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <string>
+
+#include "sim/logging.hh"
+#include "sim/stats.hh"
+#include "sim/trace.hh"
 
 namespace gasnub::toolcli {
 
@@ -39,6 +45,41 @@ parseIntOpt(const char *tool, const std::string &opt,
         std::exit(2);
     }
     return v;
+}
+
+/**
+ * --trace-out: write the calling thread's trace to @p path (CSV when
+ * it ends in .csv, Chrome trace JSON otherwise) and note the event
+ * count, and any dropped events, on stderr.
+ */
+inline void
+writeTrace(const std::string &path)
+{
+    const trace::Tracer &tracer = trace::Tracer::instance();
+    std::ofstream os(path);
+    if (!os)
+        GASNUB_FATAL("cannot open ", path);
+    if (path.size() > 4 &&
+        path.compare(path.size() - 4, 4, ".csv") == 0)
+        tracer.exportCsv(os);
+    else
+        tracer.exportChromeJson(os);
+    std::cerr << "trace: " << tracer.size() << " events to " << path;
+    if (tracer.dropped())
+        std::cerr << " (" << tracer.dropped() << " dropped)";
+    std::cerr << "\n";
+}
+
+/** --stats-json: dump the stats tree @p root as JSON to @p path. */
+inline void
+writeStatsJson(const stats::Group &root, const std::string &path)
+{
+    std::ofstream os(path);
+    if (!os)
+        GASNUB_FATAL("cannot open ", path);
+    root.dumpJson(os);
+    os << "\n";
+    std::cerr << "stats: " << path << "\n";
 }
 
 } // namespace gasnub::toolcli

@@ -298,82 +298,12 @@ collectLedgers(const JsonValue &group, const std::string &path,
             collectLedgers(g, here, out);
 }
 
-/**
- * Throughput telemetry from a --profile run's stats tree (the "perf"
- * group core::SweepTelemetry attaches; see docs/perf_tracking.md).
- */
-struct Throughput
-{
-    bool present = false;
-    double points = 0;
-    double accesses = 0;
-    double wallSeconds = 0;
-    double pointsPerSec = 0;
-    double accessesPerSec = 0;
-    double workerUtilization = -1; ///< < 0 = not reported
-};
-
-void
-collectThroughput(const JsonValue &group, Throughput &out)
-{
-    const JsonValue *name = group.find("name");
-    if (name && name->string == "perf") {
-        const JsonValue *stats = group.find("stats");
-        if (stats) {
-            for (const JsonValue &st : stats->array) {
-                const JsonValue *sn = st.find("name");
-                const JsonValue *v = st.find("value");
-                if (!sn || !v)
-                    continue;
-                if (sn->string == "points")
-                    out.points = v->number;
-                else if (sn->string == "accesses")
-                    out.accesses = v->number;
-                else if (sn->string == "wallSeconds")
-                    out.wallSeconds = v->number;
-                else if (sn->string == "pointsPerSec") {
-                    out.pointsPerSec = v->number;
-                    out.present = true;
-                } else if (sn->string == "accessesPerSec")
-                    out.accessesPerSec = v->number;
-                else if (sn->string == "workerUtilization")
-                    out.workerUtilization = v->number;
-            }
-        }
-    }
-    if (const JsonValue *groups = group.find("groups"))
-        for (const JsonValue &g : groups->array)
-            collectThroughput(g, out);
-}
-
-std::string
-throughputLine(const Throughput &t)
-{
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%.0f points/s, %.3g accesses/s (%.0f points in "
-                  "%.4g s)",
-                  t.pointsPerSec, t.accessesPerSec, t.points,
-                  t.wallSeconds);
-    std::string line = buf;
-    if (t.workerUtilization >= 0) {
-        std::snprintf(buf, sizeof(buf),
-                      ", worker utilization %.0f%%",
-                      100.0 * t.workerUtilization);
-        line += buf;
-    }
-    return line;
-}
-
 // ------------------------------------------------------------------
 // Formatting
 
 void
-printText(const std::vector<Report> &reports, const Throughput &thr,
-          std::ostream &os)
+printText(const std::vector<Report> &reports, std::ostream &os)
 {
-    if (thr.present)
-        os << "throughput: " << throughputLine(thr) << "\n\n";
     for (const Report &rep : reports) {
         os << "== " << rep.title << " (" << rep.source << ") ==\n";
         for (const Region &r : rep.regions) {
@@ -399,11 +329,8 @@ printText(const std::vector<Report> &reports, const Throughput &thr,
 }
 
 void
-printMd(const std::vector<Report> &reports, const Throughput &thr,
-        std::ostream &os)
+printMd(const std::vector<Report> &reports, std::ostream &os)
 {
-    if (thr.present)
-        os << "**throughput:** " << throughputLine(thr) << "\n\n";
     for (const Report &rep : reports) {
         os << "## " << rep.title << " (" << rep.source << ")\n\n";
         os << "| region | points | share | resource | meaning |\n";
@@ -424,29 +351,9 @@ printMd(const std::vector<Report> &reports, const Throughput &thr,
 }
 
 void
-printJson(const std::vector<Report> &reports, const Throughput &thr,
-          std::ostream &os)
+printJson(const std::vector<Report> &reports, std::ostream &os)
 {
-    os << "{";
-    if (thr.present) {
-        char buf[200];
-        std::snprintf(
-            buf, sizeof(buf),
-            "\"throughput\":{\"points\":%.0f,\"accesses\":%.0f,"
-            "\"wallSeconds\":%.9g,\"pointsPerSec\":%.9g,"
-            "\"accessesPerSec\":%.9g",
-            thr.points, thr.accesses, thr.wallSeconds,
-            thr.pointsPerSec, thr.accessesPerSec);
-        os << buf;
-        if (thr.workerUtilization >= 0) {
-            std::snprintf(buf, sizeof(buf),
-                          ",\"workerUtilization\":%.9g",
-                          thr.workerUtilization);
-            os << buf;
-        }
-        os << "},";
-    }
-    os << "\"reports\":[";
+    os << "{\"reports\":[";
     bool firstRep = true;
     for (const Report &rep : reports) {
         os << (firstRep ? "" : ",")
@@ -513,7 +420,6 @@ main(int argc, char **argv)
         usage();
 
     std::vector<Report> reports;
-    Throughput throughput;
     for (const std::string &path : surfaces)
         reports.push_back(reportSurface(path));
     if (!stats_json.empty()) {
@@ -529,10 +435,7 @@ main(int argc, char **argv)
         const JsonValue root = parser.parse();
         const std::size_t before = reports.size();
         collectLedgers(root, "", reports);
-        collectThroughput(root, throughput);
-        // A --profile tree carries throughput telemetry but not
-        // necessarily a ledger; only a tree with neither is an error.
-        if (reports.size() == before && !throughput.present) {
+        if (reports.size() == before) {
             std::cerr << "report: " << stats_json
                       << ": no timeAccount ledger found (re-run with "
                          "--attribution)\n";
@@ -541,11 +444,11 @@ main(int argc, char **argv)
     }
 
     if (format == "json")
-        printJson(reports, throughput, std::cout);
+        printJson(reports, std::cout);
     else if (format == "md")
-        printMd(reports, throughput, std::cout);
+        printMd(reports, std::cout);
     else
-        printText(reports, throughput, std::cout);
+        printText(reports, std::cout);
 
     if (violation) {
         std::cerr << "report: attribution invariant violated\n";
