@@ -15,6 +15,7 @@
 #include "core/surface_io.hh"
 #include "core/sweep_runner.hh"
 #include "machine/machine.hh"
+#include "sim/profiler.hh"
 #include "sim/trace.hh"
 #include "sim/units.hh"
 
@@ -240,6 +241,83 @@ TEST(SweepRunner, EverySpecKindMatchesCharacterizerRun)
                 << name << " at jobs " << runner->workers();
         }
     }
+}
+
+/**
+ * Surface and stats of @p specs swept one after another through
+ * core::sweep() with @p jobs, into one caller-owned machine.
+ */
+RunOutput
+sweepCalls(machine::SystemKind kind, const std::vector<SweepSpec> &specs,
+           const CharacterizeConfig &cfg, int jobs)
+{
+    trace::Tracer tracer;
+    trace::ScopedThreadTracer scoped(tracer, trace::allCategories);
+    machine::SystemConfig sys;
+    sys.kind = kind;
+    machine::Machine m(sys);
+    RunOutput out;
+    std::ostringstream so;
+    for (const SweepSpec &spec : specs)
+        saveSurface(sweep(m, spec, cfg, jobs), so);
+    out.surface = so.str();
+    std::ostringstream st;
+    m.statsGroup().dumpJson(st);
+    out.stats = st.str();
+    std::ostringstream tr;
+    tracer.exportChromeJson(tr);
+    out.trace = tr.str();
+    return out;
+}
+
+TEST(Sweep, EveryJobCountMatchesASerialRun)
+{
+    // characterize and the figure benches call sweep() with the
+    // user's --jobs; each sweep builds its own runner and merges its
+    // stats into the caller's machine.
+    const std::vector<SweepSpec> specs = {
+        SweepSpec::localLoads(0),
+        SweepSpec::localCopy(kernels::CopyVariant::StridedLoads, 0)};
+    const RunOutput serial =
+        serialRun(machine::SystemKind::CrayT3E, specs, tinyGrid());
+    for (int jobs : {-1, 0, 1, 2, 3}) {
+        SCOPED_TRACE(jobs);
+        expectIdentical(serial, sweepCalls(machine::SystemKind::CrayT3E,
+                                           specs, tinyGrid(), jobs));
+    }
+}
+
+TEST(Sweep, RemoteSweepsAccumulateIntoTheCallerMachine)
+{
+    const std::vector<SweepSpec> specs = {
+        SweepSpec::remote(remote::TransferMethod::Deposit, false, 0, 2),
+        SweepSpec::remote(remote::TransferMethod::Fetch, true, 1, 0)};
+    expectIdentical(
+        serialRun(machine::SystemKind::CrayT3D, specs, tinyRemoteGrid()),
+        sweepCalls(machine::SystemKind::CrayT3D, specs, tinyRemoteGrid(),
+                   4));
+}
+
+TEST(Sweep, ProfilingChangesNoOutputAndCountsEveryPoint)
+{
+    // The profiler is the only host-time channel: it records one
+    // sweep.worker zone per grid point and leaves the surface, stats
+    // and trace of the sweep untouched.
+    const std::vector<SweepSpec> specs = {SweepSpec::localLoads(0)};
+    const RunOutput plain =
+        sweepCalls(machine::SystemKind::Dec8400, specs, tinyGrid(), 2);
+    prof::Profiler::enable(true);
+    prof::Profiler::instance().reset();
+    const RunOutput profiled =
+        sweepCalls(machine::SystemKind::Dec8400, specs, tinyGrid(), 2);
+    prof::Profiler::enable(false);
+    expectIdentical(plain, profiled);
+    std::uint64_t jobs = 0;
+    for (const prof::ZoneStats &z : prof::Profiler::instance().merged())
+        if (z.path == "sweep.worker")
+            jobs = z.calls;
+    EXPECT_EQ(jobs, tinyGrid().workingSets.size() *
+                        tinyGrid().strides.size());
 }
 
 } // namespace

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "machine/machine.hh"
+#include "remote/cray_engine.hh"
 #include "remote/remote_ops.hh"
+#include "sim/stats.hh"
 #include "sim/units.hh"
 
 namespace {
@@ -169,6 +171,137 @@ TEST(CrayEngine, ElementRunsKeepWbqCoalescing)
     // Pair elements landing contiguously coalesce in the WBQ and beat
     // the same data scattered word-by-word.
     EXPECT_LT(run(2, 2), run(1, 16));
+}
+
+/**
+ * A CrayEngine with a test-chosen configuration, driving the nodes
+ * and torus of a fresh 4-node machine of @p kind.
+ */
+struct EngineRig
+{
+    machine::Machine m;
+    stats::Group stats{"rig"};
+    remote::CrayEngine engine;
+
+    EngineRig(machine::SystemKind kind,
+              const remote::CrayEngineConfig &cfg)
+        : m(kind, 4),
+          engine(cfg, {&m.node(0), &m.node(1), &m.node(2), &m.node(3)},
+                 m.torus(), &stats)
+    {
+    }
+
+    double
+    stat(const std::string &name) const
+    {
+        const auto *s = dynamic_cast<const stats::Scalar *>(
+            stats.find(engine.config().name + "." + name));
+        EXPECT_NE(s, nullptr) << name;
+        return s ? s->value() : -1;
+    }
+};
+
+TransferRequest
+contiguousRequest(std::uint64_t words)
+{
+    TransferRequest req;
+    req.src = 0;
+    req.dst = 1;
+    req.srcAddr = 0;
+    req.dstAddr = 1ull << 33;
+    req.words = words;
+    return req;
+}
+
+TEST(CrayEngine, T3eElementSplitIssuesOneTransferPerWordOffset)
+{
+    // Section 7.3: an E-register call takes one stride pair, so a
+    // request of 3-word elements becomes three word-granular calls.
+    TransferRequest req = contiguousRequest(3 * 128);
+    req.elemWords = 3;
+    req.srcStride = 5;
+    req.dstStride = 7;
+    for (TransferMethod method :
+         {TransferMethod::Deposit, TransferMethod::Fetch}) {
+        EngineRig rig(machine::SystemKind::CrayT3E,
+                      machine::t3eEngineConfig());
+        EXPECT_GT(rig.engine.transfer(req, method, 0), 0u);
+        const bool dep = method == TransferMethod::Deposit;
+        EXPECT_EQ(rig.stat("deposits"), dep ? 3.0 : 0.0);
+        EXPECT_EQ(rig.stat("fetches"), dep ? 0.0 : 3.0);
+        // Each word is counted once, not once per part.
+        EXPECT_EQ(rig.stat("wordsMoved"), 3.0 * 128);
+    }
+}
+
+TEST(CrayEngine, T3dCpuDepositKeepsElementsWhole)
+{
+    // The T3D's CPU-driven deposit walks element runs itself; only
+    // its fetch goes through the block loop and splits.
+    TransferRequest req = contiguousRequest(2 * 64);
+    req.dst = 2;
+    req.elemWords = 2;
+    req.srcStride = 4;
+    req.dstStride = 4;
+    EngineRig dep(machine::SystemKind::CrayT3D,
+                  machine::t3dEngineConfig());
+    dep.engine.transfer(req, TransferMethod::Deposit, 0);
+    EXPECT_EQ(dep.stat("deposits"), 1.0);
+    EngineRig fetch(machine::SystemKind::CrayT3D,
+                    machine::t3dEngineConfig());
+    fetch.engine.transfer(req, TransferMethod::Fetch, 0);
+    EXPECT_EQ(fetch.stat("fetches"), 2.0);
+}
+
+TEST(CrayEngine, FetchExtraLatencyDelaysFetchesOnly)
+{
+    remote::CrayEngineConfig slow = machine::t3eEngineConfig();
+    slow.fetchExtraNs = 600;
+    const TransferRequest req = contiguousRequest(1024);
+    auto run = [&](const remote::CrayEngineConfig &cfg,
+                   TransferMethod method) {
+        EngineRig rig(machine::SystemKind::CrayT3E, cfg);
+        return rig.engine.transfer(req, method, 0);
+    };
+    const remote::CrayEngineConfig base = machine::t3eEngineConfig();
+    EXPECT_GE(run(slow, TransferMethod::Fetch),
+              run(base, TransferMethod::Fetch) + 600'000u);
+    EXPECT_EQ(run(slow, TransferMethod::Deposit),
+              run(base, TransferMethod::Deposit));
+}
+
+TEST(CrayEngine, WiderWindowOverlapsBlocks)
+{
+    remote::CrayEngineConfig serial = machine::t3eEngineConfig();
+    serial.window = 1;
+    const TransferRequest req = contiguousRequest(4096);
+    for (TransferMethod method :
+         {TransferMethod::Deposit, TransferMethod::Fetch}) {
+        EngineRig one(machine::SystemKind::CrayT3E, serial);
+        EngineRig deep(machine::SystemKind::CrayT3E,
+                       machine::t3eEngineConfig());
+        // One block in flight waits out every round trip; 32 overlap.
+        EXPECT_GT(static_cast<double>(one.engine.transfer(req, method,
+                                                          0)),
+                  2.0 * static_cast<double>(
+                            deep.engine.transfer(req, method, 0)))
+            << remote::methodName(method);
+    }
+}
+
+TEST(CrayEngine, SingleBlockFetchPaysTheRequestPacket)
+{
+    // One 64-byte block: a deposit sends only the data; a fetch first
+    // sends its request packet dst -> src.
+    const TransferRequest req = contiguousRequest(8);
+    EngineRig dep(machine::SystemKind::CrayT3E,
+                  machine::t3eEngineConfig());
+    EngineRig fetch(machine::SystemKind::CrayT3E,
+                    machine::t3eEngineConfig());
+    const Tick d = dep.engine.transfer(req, TransferMethod::Deposit, 0);
+    const Tick f = fetch.engine.transfer(req, TransferMethod::Fetch, 0);
+    EXPECT_GT(d, 0u);
+    EXPECT_GT(f, d);
 }
 
 TEST(SmpPull, TransferEndsInConsumerCaches)

@@ -8,9 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/surface.hh"
 #include "serve/pack.hh"
@@ -171,6 +178,76 @@ TEST(PackRoundTrip, FileRoundTrip)
     ASSERT_EQ(out.options.size(), in.options.size());
     const std::string again = packBytes(out);
     EXPECT_EQ(packBytes(in), again);
+    fs::remove(path);
+}
+
+TEST(PackRoundTrip, PipeRoundTrip)
+{
+    // A pipe has no size to stat; the loader reads to end of file.
+    // The writer thread feeds more than one pipe buffer's worth, so
+    // the read loop must keep going past partial reads.
+    std::vector<std::uint64_t> ws, strides;
+    for (std::uint64_t i = 1; i <= 64; ++i) {
+        ws.push_back(i * 1_KiB);
+        strides.push_back(i);
+    }
+    MachinePack in = samplePack();
+    for (int i = 0; i < 8; ++i) {
+        core::Surface s("wide", ws, strides);
+        for (std::uint64_t w : ws)
+            for (std::uint64_t st : strides)
+                s.set(w, st, 100.0 + i + 1e-3 * w / st);
+        in.options.emplace_back("wide-" + std::to_string(i),
+                                remote::TransferMethod::Deposit, false,
+                                std::move(s));
+    }
+    const std::string bytes = packBytes(in);
+    ASSERT_GT(bytes.size(), std::size_t(1) << 17);
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    std::thread writer([&] {
+        std::size_t off = 0;
+        while (off < bytes.size()) {
+            const ssize_t n = ::write(fds[1], bytes.data() + off,
+                                      bytes.size() - off);
+            if (n <= 0)
+                break;
+            off += static_cast<std::size_t>(n);
+        }
+        ::close(fds[1]);
+    });
+    const MachinePack out =
+        loadPackFile("/dev/fd/" + std::to_string(fds[0]));
+    writer.join();
+    ::close(fds[0]);
+    EXPECT_EQ(out.machine, in.machine);
+    ASSERT_EQ(out.options.size(), in.options.size());
+    EXPECT_EQ(packBytes(out), bytes);
+}
+
+TEST(PackFormat, EmptyFileIsDiagnosedAsTruncated)
+{
+    const fs::path path = fs::path(::testing::TempDir()) / "empty.pack";
+    std::ofstream(path.string()).close();
+    EXPECT_EXIT(loadPackFile(path.string()),
+                ::testing::ExitedWithCode(1),
+                "pack '.*empty\\.pack', offset 0: file is");
+    fs::remove(path);
+}
+
+TEST(PackFormat, TruncatedFileNamesThePath)
+{
+    const fs::path path =
+        fs::path(::testing::TempDir()) / "truncated.pack";
+    const std::string bytes = packBytes(samplePack());
+    {
+        std::ofstream os(path.string(), std::ios::binary);
+        os.write(bytes.data(),
+                 static_cast<std::streamsize>(bytes.size() - 100));
+    }
+    EXPECT_EXIT(loadPackFile(path.string()),
+                ::testing::ExitedWithCode(1),
+                "pack '.*truncated\\.pack', offset ");
     fs::remove(path);
 }
 

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/pool.hh"
@@ -231,6 +232,170 @@ TEST(Profiler, Exporters)
     p.reportFolded(folded);
     EXPECT_NE(folded.str().find("exp.outer;exp.leaf "),
               std::string::npos);
+}
+
+/** One "total calls thread N" line of the text report. */
+struct ThreadLine
+{
+    double seconds = 0;
+    unsigned long long calls = 0;
+    unsigned thread = 0;
+};
+
+std::vector<ThreadLine>
+threadLines(const std::string &report)
+{
+    std::vector<ThreadLine> out;
+    std::istringstream lines(report);
+    std::string line;
+    while (std::getline(lines, line)) {
+        ThreadLine t;
+        if (std::sscanf(line.c_str(), "%lf %llu thread %u", &t.seconds,
+                        &t.calls, &t.thread) == 3)
+            out.push_back(t);
+    }
+    return out;
+}
+
+std::string
+textReport()
+{
+    std::ostringstream os;
+    prof::Profiler::instance().report(os);
+    return os.str();
+}
+
+TEST(Profiler, ReportListsEveryRegisteredThreadOnce)
+{
+    ScopedProfiling on;
+    {
+        GASNUB_PROF_ZONE("list.main");
+        spin(10);
+    }
+    for (int i = 0; i < 2; ++i) {
+        std::thread t([] {
+            GASNUB_PROF_ZONE("list.side");
+            spin(10);
+        });
+        t.join();
+    }
+    // Exited threads keep their lines: the registry owns their trees.
+    const std::vector<ThreadLine> lines = threadLines(textReport());
+    ASSERT_EQ(lines.size(), prof::Profiler::instance().threads());
+    ASSERT_GE(lines.size(), 3u);
+    for (std::size_t i = 0; i < lines.size(); ++i)
+        EXPECT_EQ(lines[i].thread, i);
+}
+
+TEST(Profiler, ThreadLineSumsTopLevelZonesOnly)
+{
+    ScopedProfiling on;
+    // A fresh thread registers last, so its line is the report's last.
+    std::thread t([] {
+        {
+            GASNUB_PROF_ZONE("top.a");
+            for (int i = 0; i < 3; ++i) {
+                GASNUB_PROF_ZONE("top.a.child");
+                spin(100);
+            }
+        }
+        for (int i = 0; i < 2; ++i) {
+            GASNUB_PROF_ZONE("top.b");
+            spin(100);
+        }
+    });
+    t.join();
+    const std::vector<ThreadLine> lines = threadLines(textReport());
+    ASSERT_FALSE(lines.empty());
+    const ThreadLine &mine = lines.back();
+    // Nested zones are inside their parent's time: 1 + 2 calls, not 6.
+    EXPECT_EQ(mine.calls, 3u);
+    const std::vector<prof::ZoneStats> zones =
+        prof::Profiler::instance().merged();
+    const prof::ZoneStats *a = findZone(zones, "top.a");
+    const prof::ZoneStats *b = findZone(zones, "top.b");
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    // Printed with six decimals: equal to the zones' sum within
+    // rounding.
+    EXPECT_NEAR(mine.seconds,
+                static_cast<double>(a->totalNs + b->totalNs) / 1e9,
+                1e-6);
+    EXPECT_GT(mine.seconds, 0.0);
+}
+
+TEST(Profiler, ResetZeroesThreadLines)
+{
+    ScopedProfiling on;
+    {
+        GASNUB_PROF_ZONE("zero.zone");
+        spin(20);
+    }
+    prof::Profiler::instance().reset();
+    const std::vector<ThreadLine> lines = threadLines(textReport());
+    ASSERT_FALSE(lines.empty());
+    for (const ThreadLine &t : lines) {
+        EXPECT_EQ(t.calls, 0u) << "thread " << t.thread;
+        EXPECT_EQ(t.seconds, 0.0) << "thread " << t.thread;
+    }
+}
+
+TEST(Profiler, DisabledThreadsNeverRegister)
+{
+    prof::Profiler::enable(false);
+    const std::size_t before = prof::Profiler::instance().threads();
+    std::thread t([] {
+        GASNUB_PROF_ZONE("unregistered.zone");
+        spin(10);
+    });
+    t.join();
+    {
+        sim::ThreadPool pool(3);
+        pool.parallelFor(16, [](int, std::size_t) {
+            GASNUB_PROF_ZONE("unregistered.job");
+        });
+    }
+    // No thread-local tree, hence no report line, without profiling.
+    EXPECT_EQ(prof::Profiler::instance().threads(), before);
+    EXPECT_EQ(threadLines(textReport()).size(), before);
+}
+
+TEST(Profiler, MachineReadableExportsCarryNoThreadLines)
+{
+    ScopedProfiling on;
+    std::thread t([] {
+        GASNUB_PROF_ZONE("plain.zone");
+        spin(1200);
+    });
+    t.join();
+    const prof::Profiler &p = prof::Profiler::instance();
+
+    // The per-thread lines belong to the text report alone; the JSON
+    // keeps the gasnub-profile-1 shape perfbench parses.
+    std::ostringstream json;
+    p.reportJson(json);
+    const std::string head = "{\"schema\":\"gasnub-profile-1\","
+                             "\"threads\":" +
+                             std::to_string(p.threads()) +
+                             ",\"zones\":[{\"path\":";
+    EXPECT_EQ(json.str().substr(0, head.size()), head);
+    EXPECT_EQ(json.str().substr(json.str().size() - 3), "]}\n");
+    EXPECT_EQ(json.str().find("thread "), std::string::npos);
+
+    std::ostringstream folded;
+    p.reportFolded(folded);
+    std::istringstream lines(folded.str());
+    std::string line;
+    bool sawPlain = false;
+    while (std::getline(lines, line)) {
+        // "path <self-us>": one space, a positive integer after it.
+        const std::size_t sp = line.rfind(' ');
+        ASSERT_NE(sp, std::string::npos) << line;
+        EXPECT_EQ(line.find("thread"), std::string::npos) << line;
+        EXPECT_GT(std::stoull(line.substr(sp + 1)), 0u) << line;
+        sawPlain = sawPlain || line.substr(0, sp) == "plain.zone";
+    }
+    EXPECT_TRUE(sawPlain);
 }
 
 TEST(Profiler, EnableFromEnvRespectsValue)
