@@ -233,7 +233,7 @@ Runtime::allocate(std::uint64_t words)
     for (Segment &seg : _segments)
         index = seg.add(words, _config.payload);
     _allocWords.push_back(words);
-    _heapWords += static_cast<double>(words);
+    _heapWords += words;
     return GlobalArray(this, index);
 }
 
@@ -567,7 +567,7 @@ Runtime::transferOp(GlobalPtr src, GlobalPtr dst, const Strided &spec,
     ++_pendingOps;
     countMethod(method);
 
-    const double bytes = static_cast<double>(spec.words * wordBytes);
+    const std::uint64_t bytes = spec.words * wordBytes;
     if (is_put) {
         ++_rputOps;
         _rputBytes += bytes;

@@ -35,8 +35,8 @@ struct MemAccess
  * A struct-of-arrays block of accesses, the unit the kernels hand to
  * MemoryHierarchy::processBatch().  Batching lets the hierarchy hoist
  * the per-access profiler zone and stats increments out of the loop
- * (doubles used as counters stay exact under a single `+= n` below
- * 2^53, so batched stats are bit-identical to per-access updates).
+ * (stats::Scalar counts in integers, so one `+= n` per batch equals n
+ * per-access increments exactly).
  */
 struct AccessBatch
 {

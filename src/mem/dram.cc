@@ -120,8 +120,7 @@ Dram::access(Addr addr, AccessType type, Tick earliest,
         const Tick delayed = _faults->dramDelay(earliest, bankOf(addr));
         if (delayed != earliest) {
             ++_faultStalls;
-            _faultStallTicks +=
-                static_cast<double>(delayed - earliest);
+            _faultStallTicks += delayed - earliest;
             if (_acct)
                 _acct->stall(_bankRes, delayed - earliest);
             earliest = delayed;

@@ -389,7 +389,7 @@ void
 MemoryHierarchy::readBatch(const Addr *addrs, std::size_t n)
 {
     GASNUB_PROF_ZONE("mem.readBatch");
-    _reads += static_cast<double>(n);
+    _reads += n;
     for (std::size_t i = 0; i < n; ++i)
         readOne(addrs[i]);
 }
@@ -398,7 +398,7 @@ void
 MemoryHierarchy::writeBatch(const Addr *addrs, std::size_t n)
 {
     GASNUB_PROF_ZONE("mem.writeBatch");
-    _writes += static_cast<double>(n);
+    _writes += n;
     for (std::size_t i = 0; i < n; ++i)
         writeOne(addrs[i]);
 }
@@ -410,8 +410,8 @@ MemoryHierarchy::processBatch(const AccessBatch &batch)
     std::size_t reads = 0;
     for (std::size_t i = 0; i < batch.count; ++i)
         reads += batch.kinds[i] == AccessType::Read ? 1 : 0;
-    _reads += static_cast<double>(reads);
-    _writes += static_cast<double>(batch.count - reads);
+    _reads += reads;
+    _writes += batch.count - reads;
     for (std::size_t i = 0; i < batch.count; ++i) {
         if (batch.kinds[i] == AccessType::Read)
             readOne(batch.addrs[i]);

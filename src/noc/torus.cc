@@ -203,7 +203,7 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
     GASNUB_ASSERT(src >= 0 && src < _numNodes, "bad src node ", src);
     GASNUB_ASSERT(dst >= 0 && dst < _numNodes, "bad dst node ", dst);
     ++_packets;
-    _payloadBytes += static_cast<double>(payload_bytes);
+    _payloadBytes += payload_bytes;
 
     const std::uint32_t wire_bytes = payload_bytes + _config.headerBytes;
     const Tick wire_ticks = ticksForBytes(wire_bytes, _config.linkMBs);
@@ -227,8 +227,7 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
             inject_earliest);
         if (delayed != inject_earliest) {
             ++_faultNicStalls;
-            _faultNicStallTicks +=
-                static_cast<double>(delayed - inject_earliest);
+            _faultNicStallTicks += delayed - inject_earliest;
             if (_acct)
                 _acct->stall(_nicRes, delayed - inject_earliest);
             inject_earliest = delayed;
@@ -293,8 +292,7 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
             // bandwidth: occupancy scales by the divisor.
             occupy = static_cast<Tick>(
                 static_cast<double>(wire_ticks) * _linkSlow[l] + 0.5);
-            _faultSlowTicks +=
-                static_cast<double>(occupy - wire_ticks);
+            _faultSlowTicks += occupy - wire_ticks;
         }
         const Tick start = _links[l].acquire(head, occupy);
         _linkBusyTicks[l] += static_cast<double>(occupy);

@@ -75,7 +75,7 @@ CrayEngine::transfer(const TransferRequest &req, TransferMethod method,
                   "strides must be >= 1");
     GASNUB_ASSERT(req.elemWords >= 1 && req.words % req.elemWords == 0,
                   "words must be a whole number of elements");
-    _wordsMoved += static_cast<double>(req.words);
+    _wordsMoved += req.words;
     if (req.words == 0)
         return start;
 

@@ -38,7 +38,7 @@ SmpPull::transfer(const TransferRequest &req, TransferMethod method,
                       req.dst < static_cast<NodeId>(_nodes.size()),
                   "bad destination node");
     ++_pulls;
-    _wordsMoved += static_cast<double>(req.words);
+    _wordsMoved += req.words;
 
     // The consumer reads the producer's data; the coherency protocol
     // sources each line from the owner's board or from shared DRAM.

@@ -46,14 +46,14 @@ void
 Scalar::print(std::ostream &os) const
 {
     os << std::left << std::setw(40) << name() << " "
-       << std::setw(16) << _value << " # " << desc() << "\n";
+       << std::setw(16) << value() << " # " << desc() << "\n";
 }
 
 void
 Scalar::printJson(std::ostream &os) const
 {
     jsonHead(os, *this, "scalar");
-    os << ",\"value\":" << json::number(_value) << "}";
+    os << ",\"value\":" << json::number(value()) << "}";
 }
 
 void

@@ -11,6 +11,7 @@
 #define GASNUB_SIM_STATS_HH
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -71,17 +72,24 @@ class StatBase
     std::string _desc;
 };
 
-/** A simple counting statistic. */
+/**
+ * A simple counting statistic: an integer event count, so a hot-path
+ * increment is an integer add.  A floating-point amount does not
+ * compile.
+ */
 class Scalar : public StatBase
 {
   public:
     using StatBase::StatBase;
 
     Scalar &operator++() { ++_value; return *this; }
-    Scalar &operator+=(double v) { _value += v; return *this; }
-    Scalar &operator=(double v) { _value = v; return *this; }
+    Scalar &operator+=(std::uint64_t n) { _value += n; return *this; }
+    Scalar &operator=(std::uint64_t n) { _value = n; return *this; }
+    template <std::floating_point F> Scalar &operator+=(F) = delete;
+    template <std::floating_point F> Scalar &operator=(F) = delete;
 
-    double value() const { return _value; }
+    /** The count as a double, as the text and JSON dumps print it. */
+    double value() const { return static_cast<double>(_value); }
 
     void print(std::ostream &os) const override;
     void printJson(std::ostream &os) const override;
@@ -89,7 +97,7 @@ class Scalar : public StatBase
     void mergeFrom(const StatBase &other) override;
 
   private:
-    double _value = 0;
+    std::uint64_t _value = 0;
 };
 
 /**

@@ -7,6 +7,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cfloat>
@@ -167,6 +168,64 @@ TEST(ServeJsonEncode, MatchesSnprintfOnEdgeAndRandomDoubles)
     EXPECT_EQ(diffs, 0u);
 }
 
+/** writeG17()'s output for @p x. */
+std::string
+g17(double x)
+{
+    char buf[servejson::kDoubleRoom];
+    return std::string(buf, servejson::writeG17(buf, x));
+}
+
+/** printf's "%.17g" of @p x. */
+std::string
+printfG17(double x)
+{
+    char buf[64];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", x);
+    return std::string(buf, static_cast<std::size_t>(n));
+}
+
+TEST(ServeJsonEncode, TiesAtTheSeventeenthDigitRoundToEven)
+{
+    // Both lie exactly halfway between two 17-digit decimals.
+    EXPECT_EQ(g17(2251799813685247.75), "2251799813685247.8");
+    EXPECT_EQ(g17(2251799813685246.25), "2251799813685246.2");
+    EXPECT_EQ(g17(2251799813685247.75), printfG17(2251799813685247.75));
+    EXPECT_EQ(g17(2251799813685246.25), printfG17(2251799813685246.25));
+}
+
+TEST(ServeJsonEncode, SixteenDigitCarryKeepsTheExponent)
+{
+    // The double nearest 1e-7 lies just below it: its 17 digits do
+    // not carry into 1e-07, though 16 would.
+    EXPECT_EQ(g17(1e-7), "9.9999999999999995e-08");
+    EXPECT_EQ(g17(1e-7), printfG17(1e-7));
+}
+
+TEST(ServeJsonEncode, PowersOfTenAndTheirNeighboursMatchPrintf)
+{
+    std::vector<double> values = {1e-11, 1e17};
+    for (int e = -11; e <= 17; ++e) {
+        const double p = std::stod("1e" + std::to_string(e));
+        values.push_back(p);
+        values.push_back(std::nextafter(p, 0.0));
+        values.push_back(std::nextafter(p, 1e300));
+    }
+    // The edges of the integer formatter's range, and the doubles
+    // either side of each edge.
+    for (double edge : {1e-11, 1e17}) {
+        double below = edge, above = edge;
+        for (int i = 0; i < 4; ++i) {
+            below = std::nextafter(below, 0.0);
+            above = std::nextafter(above, 1e300);
+            values.push_back(below);
+            values.push_back(above);
+        }
+    }
+    for (double x : values)
+        EXPECT_EQ(g17(x), printfG17(x)) << std::hexfloat << x;
+}
+
 TEST(ServeJsonEncode, NamesAndLabelsAreEscapedOnce)
 {
     const serve::PlannerIndex index = demoIndex();
@@ -241,7 +300,129 @@ TEST(ServeJsonDecode, ReadsEverySpellingAsTheTreeDid)
     }
 }
 
+/** The number a one-member object's "n" holds, through members(). */
+double
+membersNumber(const std::string &text)
+{
+    double n = -1;
+    tooljson::JsonParser parser(text, "number");
+    parser.members(
+        [&](std::string_view key, const tooljson::JsonFieldView &v) {
+            if (key == "n")
+                n = v.number;
+        });
+    return n;
+}
+
+/** The same, through the parse() tree. */
+double
+treeNumber(const std::string &text)
+{
+    tooljson::JsonParser parser(text, "number");
+    return parser.parse().find("n")->number;
+}
+
+TEST(ServeJsonDecode, IntegerFastPathAgreesWithTheTree)
+{
+    const std::vector<std::string> tokens = {
+        "7",
+        "123456789012345",   // 15 digits: the fast path's longest
+        "1234567890123456",  // 16: from_chars
+        "12345678901234567", // 17: rounds to a double
+        "999999999999999",
+        "9999999999999999",
+        "0",
+        "-0",
+        "-15",
+        "12.5",
+        "12.0",
+        "12e3",
+        "12E-1",
+        "100000000000000",
+    };
+    for (const std::string &t : tokens) {
+        for (const std::string &text :
+             {"{\"n\": " + t + "}", "{\"n\":" + t + ",\"m\":1}",
+              "{\"n\": " + t + " }"}) {
+            const double got = membersNumber(text);
+            const double want = treeNumber(text);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                      std::bit_cast<std::uint64_t>(want))
+                << text;
+            EXPECT_EQ(got, std::strtod(t.c_str(), nullptr)) << text;
+        }
+    }
+}
+
+TEST(ServeJsonReader, SplitsLinesAcrossReadsAndNeverWaitsPastOne)
+{
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    auto send = [&](const std::string &bytes) {
+        ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+                  static_cast<ssize_t>(bytes.size()));
+    };
+    // A 4-byte block: lines span reads and grow the buffer.
+    servejson::LineReader reader(fds[0], 4);
+    std::string_view line;
+
+    // The pipe stays open: a reader that waited for more than the
+    // current line would hang here.
+    send("first\nsec");
+    ASSERT_TRUE(reader.next(line));
+    EXPECT_EQ(line, "first");
+
+    const std::string longest(100, 'x');
+    send("ond\n\n\r\n" + longest);
+    ::close(fds[1]);
+    const std::vector<std::string> want = {"second", "", "\r", longest};
+    for (const std::string &w : want) {
+        ASSERT_TRUE(reader.next(line));
+        EXPECT_EQ(line, w);
+    }
+    EXPECT_FALSE(reader.next(line));
+    EXPECT_FALSE(reader.next(line));
+    ::close(fds[0]);
+}
+
 using ServeJsonDeath = ::testing::Test;
+
+TEST(ServeJsonDeath, MalformedNumbersFailAtTheSameByteEitherWay)
+{
+    struct Case
+    {
+        const char *text;
+        const char *message;
+    };
+    const Case cases[] = {
+        {R"({"n": 01})", "number: JSON error at byte 6: bad number"},
+        {R"({"n": 12-3})", "number: JSON error at byte 6: bad number"},
+        {R"({"n": 12.})", "number: JSON error at byte 6: bad number"},
+        {R"({"n": 12e})", "number: JSON error at byte 6: bad number"},
+        {R"({"n": 123456789012345-})",
+         "number: JSON error at byte 6: bad number"},
+        {R"({"n": 1234567890123456.})",
+         "number: JSON error at byte 6: bad number"},
+        {R"({"n": 12x})", "number: JSON error at byte 8: expected '}'"},
+        {R"({"n": 12)", "number: JSON error at byte 8: unexpected end"},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EXIT(
+            {
+                membersNumber(c.text);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(2), c.message)
+            << c.text;
+        EXPECT_EXIT(
+            {
+                treeNumber(c.text);
+                std::exit(0);
+            },
+            ::testing::ExitedWithCode(2), c.message)
+            << c.text;
+    }
+}
 
 TEST(ServeJsonDeath, ErrorsNameTheLine)
 {

@@ -413,6 +413,136 @@ else
     echo "ok: serve answers while its input stays open"
 fi
 
+# --binary framing (docs/planner_service.md): 32-byte GQRY records in,
+# 32-byte GANS records out.  le32/le64 write host little-endian words.
+le32() {
+    v=$1
+    for _ in 1 2 3 4; do
+        printf "\\$(printf '%03o' $((v & 255)))"
+        v=$((v >> 8))
+    done
+}
+le64() {
+    le32 $(($1 & 4294967295))
+    le32 $(($1 >> 32))
+}
+# gqry <machine> <bytes> <ws> <stride>: one query record.
+gqry() {
+    printf 'GQRY'
+    le32 "$1"
+    le64 "$2"
+    le64 "$3"
+    le64 "$4"
+}
+
+# A second machine whose pull surface wins at a 1 KB working set and
+# stride 1, so answers pick both option indices.
+mkdir "$tmp/mix"
+sed 's/^120.5 /500.5 /' "$tmp/surfaces/pull.surface" \
+    > "$tmp/mix/pull.surface"
+cp "$tmp/surfaces/fetch-sload.surface" "$tmp/mix/"
+"$pack" --machine mix --surfaces "$tmp/mix" --out "$tmp/mix.pack" \
+    2>/dev/null
+
+# Parity: each binary answer carries the option index, method and
+# doubles the JSON framing prints for the same query (the same
+# doubles once parsed; awk compares the two spellings as numbers).
+: > "$tmp/bin.queries"
+: > "$tmp/bin.jsonl"
+n=0
+for m in 0 1; do
+    for ws in 1024 3000 1048576; do
+        for st in 1 8 20; do
+            gqry "$m" $((ws * 2)) "$ws" "$st" >> "$tmp/bin.queries"
+            name=demo
+            [ "$m" -eq 1 ] && name=mix
+            printf '{"machine": "%s", "bytes": %d, "ws": %d, "stride": %d}\n' \
+                "$name" $((ws * 2)) "$ws" "$st" >> "$tmp/bin.jsonl"
+            n=$((n + 1))
+        done
+    done
+done
+"$serve" --pack "$tmp/demo.pack" --pack "$tmp/mix.pack" --binary \
+    < "$tmp/bin.queries" > "$tmp/bin.answers" 2>"$tmp/err"
+bin_code=$?
+"$serve" --pack "$tmp/demo.pack" --pack "$tmp/mix.pack" \
+    < "$tmp/bin.jsonl" > "$tmp/bin.json_answers" 2>/dev/null
+# One line per record: magic optionIndex method strideOnSource mbs
+# seconds, from od's fields.
+i=0
+: > "$tmp/bin.decoded"
+while [ "$i" -lt "$n" ]; do
+    at=$((32 * i))
+    words=$(od -A n -v -t u4 -j "$at" -N 8 "$tmp/bin.answers")
+    doubles=$(od -A n -v -t f8 -j $((at + 8)) -N 16 "$tmp/bin.answers")
+    flags=$(od -A n -v -t u1 -j $((at + 24)) -N 2 "$tmp/bin.answers")
+    echo $words $flags $doubles >> "$tmp/bin.decoded"
+    i=$((i + 1))
+done
+# JSON: option index (fetch-sload is 0, pull 1 in both packs), method
+# code (0 pull, 1 fetch, 2 deposit), strideOnSource, mbs, seconds.
+sed -e 's/.*"option": "fetch-sload".*"method": "\([a-z-]*\)".*"strideOnSource": \([a-z]*\), "mbs": \([^,]*\), "seconds": \([^}]*\)}/0 \1 \2 \3 \4/' \
+    -e 's/.*"option": "pull".*"method": "\([a-z-]*\)".*"strideOnSource": \([a-z]*\), "mbs": \([^,]*\), "seconds": \([^}]*\)}/1 \1 \2 \3 \4/' \
+    "$tmp/bin.json_answers" |
+    sed -e 's/ coherent-pull / 0 /' -e 's/ fetch / 1 /' \
+        -e 's/ deposit / 2 /' -e 's/ true / 1 /' -e 's/ false / 0 /' \
+    > "$tmp/bin.json_decoded"
+mismatch=$(paste -d ' ' "$tmp/bin.decoded" "$tmp/bin.json_decoded" |
+    awk '$1 != 1397637447 || $2 != $7 || $3 != $8 || $4 != $9 ||
+         $5 != $10 || $6 != $11 { print NR }')
+picked=$(cut -d ' ' -f 2 "$tmp/bin.decoded" | sort -u | tr '\n' ' ')
+if [ "$bin_code" -ne 0 ]; then
+    echo "FAIL: serve --binary failed (exit $bin_code)"
+    cat "$tmp/err"
+    fails=1
+elif [ "$(wc -c < "$tmp/bin.answers")" -ne $((32 * n)) ]; then
+    echo "FAIL: serve --binary wrote $(wc -c < "$tmp/bin.answers")" \
+         "bytes for $n records"
+    fails=1
+elif [ "$(wc -l < "$tmp/bin.json_decoded")" -ne "$n" ] ||
+        [ -n "$mismatch" ]; then
+    echo "FAIL: binary and JSON answers differ (records: $mismatch)"
+    paste -d ' ' "$tmp/bin.decoded" "$tmp/bin.json_decoded"
+    fails=1
+elif [ "$picked" != "0 1 " ]; then
+    echo "FAIL: the parity queries picked options '$picked', not 0 and 1"
+    fails=1
+else
+    echo "ok: serve --binary answers match the JSON framing's"
+fi
+
+# expect_binary_fatal <description> <message> <serve args...>: the
+# records on stdin ($tmp/bin.bad) exit 1 with a message on stderr.
+expect_binary_fatal() {
+    desc="$1"
+    message="$2"
+    shift 2
+    "$serve" --pack "$tmp/demo.pack" --pack "$tmp/mix.pack" --binary \
+        "$@" < "$tmp/bin.bad" >/dev/null 2>"$tmp/err"
+    code=$?
+    if [ "$code" -ne 1 ]; then
+        echo "FAIL: $desc: exit $code, expected 1"
+        fails=1
+    elif ! grep -qF "$message" "$tmp/err"; then
+        echo "FAIL: $desc: stderr lacks '$message'"
+        cat "$tmp/err"
+        fails=1
+    else
+        echo "ok: $desc"
+    fi
+}
+{ gqry 0 2048 1024 1; printf 'GQRX'; le32 0; le64 8; le64 8; le64 1; } \
+    > "$tmp/bin.bad"
+expect_binary_fatal "binary bad magic names the record" \
+    "serve: binary record 2: bad magic 1481789767; expected GQRY"
+{ gqry 1 2048 1024 1; gqry 2 2048 1024 1; } > "$tmp/bin.bad"
+expect_binary_fatal "binary machine id out of range names the record" \
+    "serve: binary record 2: machine id 2 out of range (2 loaded)"
+{ gqry 0 2048 1024 1; printf 'GQRY0'; } > "$tmp/bin.bad"
+expect_binary_fatal "truncated binary record is fatal" \
+    "serve: truncated binary request after record 1: trailing 5 byte(s)" \
+    --batch 1
+
 # Telemetry differential: answers must be byte-identical with the
 # full telemetry stack on (metrics file, trace spans, slow-query log)
 # versus everything off.  A plan query takes well under a

@@ -7,9 +7,11 @@
  * Group::dumpJson trees, profiler exports: objects, arrays, strings, numbers, bools and null, with
  * sim/json.hh's control-byte escapes; any other \uXXXX escape,
  * surrogate pairs included, decodes to UTF-8.  Numbers follow RFC
- * 8259's grammar exactly and convert with std::from_chars; literals are
- * spelled out in full.  parse() builds a JsonValue tree; members()
- * walks one object's members with the same lexer and builds nothing.
+ * 8259's grammar exactly and convert with std::from_chars, except
+ * that a plain integer of at most 15 digits converts inline, exactly;
+ * literals are spelled out in full.  parse() builds a JsonValue
+ * tree; members() walks one object's members with the same lexer and
+ * builds nothing.
  * Parse errors are fatal (exit 2) with the caller-supplied context
  * in the message.
  */
@@ -128,7 +130,9 @@ class JsonParser
     }
 
   private:
-    [[noreturn]] void fail(std::string_view what)
+    /** Errors are out of line and cold, so the lexer's hot helpers
+     *  stay small enough to inline. */
+    [[noreturn, gnu::cold, gnu::noinline]] void fail(std::string_view what)
     {
         if (_stem)
             std::cerr << _stem << " line " << _line;
@@ -139,7 +143,12 @@ class JsonParser
         std::exit(2);
     }
 
-    void skipWs()
+    [[noreturn, gnu::cold, gnu::noinline]] void failExpected(char c)
+    {
+        fail(std::string("expected '") + c + "'");
+    }
+
+    [[gnu::always_inline]] void skipWs()
     {
         while (_i < _s.size() &&
                (_s[_i] == ' ' || _s[_i] == '\t' || _s[_i] == '\n' ||
@@ -147,18 +156,18 @@ class JsonParser
             ++_i;
     }
 
-    char peek()
+    [[gnu::always_inline]] char peek()
     {
         skipWs();
-        if (_i >= _s.size())
+        if (_i >= _s.size()) [[unlikely]]
             fail("unexpected end of input");
         return _s[_i];
     }
 
-    void expect(char c)
+    [[gnu::always_inline]] void expect(char c)
     {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
+        if (peek() != c) [[unlikely]]
+            failExpected(c);
         ++_i;
     }
 
@@ -304,8 +313,15 @@ class JsonParser
         const std::size_t start = _i;
         while (_i < _s.size() && _s[_i] != '"' && _s[_i] != '\\')
             ++_i;
-        if (_i < _s.size() && _s[_i] == '"')
-            return _s.substr(start, _i++ - start);
+        if (_i < _s.size() && _s[_i] == '"') [[likely]]
+            return {_s.data() + start, _i++ - start};
+        return escapedString(start, scratch);
+    }
+
+    /** The rest of string() from its first backslash (or the end). */
+    [[gnu::noinline]] std::string_view
+    escapedString(std::size_t start, std::string &scratch)
+    {
         scratch.assign(_s.substr(start, _i - start));
         while (_i < _s.size() && _s[_i] != '"') {
             char c = _s[_i++];
@@ -366,18 +382,48 @@ class JsonParser
         return i == t.size();
     }
 
+    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+    /** A byte that may continue a number token once it has begun. */
+    static bool
+    continuesNumber(char c)
+    {
+        return isDigit(c) || c == '-' || c == '+' || c == '.' ||
+               c == 'e' || c == 'E';
+    }
+
     /**
-     * A number: the run of number bytes must match isNumberToken() as a
-     * whole ("1-2", "-", "+7", "01" and "1.2.3" are errors at their
-     * first byte, never a prefix's value).
+     * A number.  A run of at most 15 digits with no leading zero,
+     * ended by a byte that cannot continue the token, is an integer
+     * below 10^15 that a double holds exactly, so it converts here;
+     * every other token takes numberToken().
      */
     double number()
     {
+        if (_i < _s.size() && _s[_i] >= '1' && _s[_i] <= '9') {
+            const std::size_t stop =
+                _s.size() - _i > 15 ? _i + 15 : _s.size();
+            std::size_t j = _i;
+            std::uint64_t v = 0;
+            while (j < stop && isDigit(_s[j]))
+                v = v * 10 + static_cast<std::uint64_t>(_s[j++] - '0');
+            if (j == _s.size() || !continuesNumber(_s[j])) {
+                _i = j;
+                return static_cast<double>(v);
+            }
+        }
+        return numberToken();
+    }
+
+    /**
+     * The run of number bytes at _i, which must match isNumberToken()
+     * as a whole ("1-2", "-", "+7", "01" and "1.2.3" are errors at
+     * their first byte, never a prefix's value).
+     */
+    [[gnu::noinline]] double numberToken()
+    {
         const std::size_t start = _i;
-        while (_i < _s.size() &&
-               ((_s[_i] >= '0' && _s[_i] <= '9') || _s[_i] == '-' ||
-                _s[_i] == '+' || _s[_i] == '.' || _s[_i] == 'e' ||
-                _s[_i] == 'E'))
+        while (_i < _s.size() && continuesNumber(_s[_i]))
             ++_i;
         if (_i == start)
             fail("expected a value");

@@ -22,7 +22,7 @@
  *         "stride": 8}
  *   out: {"machine": "t3e", "option": "fetch-sload",
  *         "method": "fetch", "strideOnSource": true,
- *         "mbs": 154.2, "seconds": 0.0068}
+ *         "mbs": 154.19999999999999, "seconds": 0.0067999999999999996}
  *
  * Control commands ride the same stream: {"cmd": "metrics"} answers
  * everything queued so far, then emits one compact JSON metrics
@@ -41,10 +41,11 @@
  * number token as a whole
  * (-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?), and a query
  * field must be an integer below 2^53.  Lines may end in LF or
- * CRLF.  The reader never waits for more than the current line, so
- * a client may wait for its answers before sending more.  Answers
- * print each double as "%.17g" would, via std::to_chars, straight
- * into stdout's buffer.
+ * CRLF.  Lines are read from stdin in blocks (servejson::LineReader),
+ * and the reader never waits for more than the current line, so a
+ * client may wait for its answers before sending more.  Answers
+ * print each double as "%.17g" would (servejson::writeG17), encoded
+ * into one buffer that goes to stdout a block at a time.
  *
  * Live telemetry (--metrics-out / --slow-query-us / --trace-out)
  * feeds the process-wide metrics::Registry: request/batch counters,
@@ -263,17 +264,29 @@ int
 runJson(const serve::PlannerIndex &index, int threads,
         std::size_t batch, Telemetry &telem)
 {
-    // Unsynced cin reads what the pipe holds, never waiting past the
-    // current line (the client may be waiting for its answer).
-    std::ios::sync_with_stdio(false);
-    // Answers go out through stdout's own buffer, sized so a batch
-    // takes a few writes.
-    std::setvbuf(stdout, nullptr, _IOFBF, 1 << 16);
     std::vector<Request> requests(batch);
     std::vector<serve::PlanAnswer> answers;
     const servejson::WireNames names(index);
-    std::vector<char> out(names.maxAnswerBytes());
-    std::string line;
+    // Answers are encoded straight into a 16 KiB buffer, handed to
+    // stdout in one fwrite when it cannot take another answer and at
+    // the end of each batch: one stdio call (and lock) per buffer, not
+    // per answer, and every planned answer is in stdout before the
+    // next line is read, so a fatal line still prints the batches
+    // before it.  stdout's own buffer is sized so a batch takes a few
+    // writes.
+    std::setvbuf(stdout, nullptr, _IOFBF, 1 << 16);
+    std::vector<char> out(std::max<std::size_t>(
+        std::size_t{1} << 14, 2 * names.maxAnswerBytes()));
+    char *put = out.data();
+    char *const put_limit =
+        out.data() + out.size() - names.maxAnswerBytes();
+    auto emit = [&] {
+        std::fwrite(out.data(), 1,
+                    static_cast<std::size_t>(put - out.data()), stdout);
+        put = out.data();
+    };
+    servejson::LineReader reader(STDIN_FILENO);
+    std::string_view line;
     std::uint64_t line_no = 0;
     std::size_t n = 0;
     std::uint64_t served = 0;
@@ -284,19 +297,19 @@ runJson(const serve::PlannerIndex &index, int threads,
         planBatch(index, requests, n, threads, answers, telem,
                   served);
         for (std::size_t i = 0; i < n; ++i) {
+            if (put > put_limit)
+                emit();
             const serve::PlanAnswer &a = answers[i];
-            const char *end = servejson::encodeAnswer(
-                out.data(), names.machine(a.machine),
+            put = servejson::encodeAnswer(
+                put, names.machine(a.machine),
                 names.label(a.machine, a.optionIndex), a);
-            std::fwrite(out.data(), 1,
-                        static_cast<std::size_t>(end - out.data()),
-                        stdout);
         }
+        emit();
         served += n;
         n = 0;
     };
 
-    while (std::getline(std::cin, line)) {
+    while (reader.next(line)) {
         ++line_no;
         // A CRLF stream's blank line is a lone '\r'.
         if (line.empty() || line == "\r")

@@ -15,7 +15,12 @@
 #ifndef GASNUB_TOOLS_SERVE_JSON_HH
 #define GASNUB_TOOLS_SERVE_JSON_HH
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -32,6 +37,81 @@
 #include "sim/logging.hh"
 
 namespace gasnub::servejson {
+
+/**
+ * The lines of a file descriptor, read in blocks and split with
+ * memchr.  A read() takes what the pipe holds and is made only when
+ * no whole line is buffered, so the reader never waits past the
+ * current line: a client may wait for its answers before it sends
+ * more.  Lines end in '\n', which is dropped; the last line needs
+ * none.  A line longer than the buffer grows it.
+ */
+class LineReader
+{
+  public:
+    explicit LineReader(int fd, std::size_t block = std::size_t{1} << 16)
+        : _fd(fd), _buf(block)
+    {
+    }
+
+    /** The next line, valid until the next call; false at the end
+     *  of input (or a read error). */
+    bool
+    next(std::string_view &line)
+    {
+        for (;;) {
+            const char *begin = _buf.data() + _begin;
+            const std::size_t held = _end - _begin;
+            if (const void *nl = std::memchr(begin + _scanned, '\n',
+                                             held - _scanned)) {
+                const char *end = static_cast<const char *>(nl);
+                line = std::string_view(begin, end - begin);
+                _begin += line.size() + 1;
+                _scanned = 0;
+                return true;
+            }
+            _scanned = held;
+            if (_eof) {
+                if (held == 0)
+                    return false;
+                line = std::string_view(begin, held);
+                _begin = _end;
+                _scanned = 0;
+                return true;
+            }
+            fill();
+        }
+    }
+
+  private:
+    /** Move the partial line to the front and read more after it. */
+    void
+    fill()
+    {
+        if (_begin > 0) {
+            std::memmove(_buf.data(), _buf.data() + _begin, _end - _begin);
+            _end -= _begin;
+            _begin = 0;
+        }
+        if (_end == _buf.size())
+            _buf.resize(2 * _buf.size());
+        ssize_t got;
+        do {
+            got = ::read(_fd, _buf.data() + _end, _buf.size() - _end);
+        } while (got < 0 && errno == EINTR);
+        if (got <= 0)
+            _eof = true;
+        else
+            _end += static_cast<std::size_t>(got);
+    }
+
+    int _fd;
+    std::vector<char> _buf;
+    std::size_t _begin = 0;   ///< first byte of the current line
+    std::size_t _end = 0;     ///< end of the bytes read
+    std::size_t _scanned = 0; ///< bytes past _begin known to hold no '\n'
+    bool _eof = false;
+};
 
 /** One decoded query line: a plan query, or {"cmd": "metrics"}. */
 struct QueryLine
@@ -57,8 +137,11 @@ queryInteger(const tooljson::JsonFieldView *f, const char *key,
         GASNUB_FATAL("serve: query line ", line_no,
                      ": missing or bad '", key,
                      "' (want a non-negative number)");
+    // Below 2^53 the integer cast is exact, so a fraction shows as
+    // a difference.
     if (!(f->number < kExactLimit) ||
-        f->number != std::floor(f->number))
+        static_cast<double>(static_cast<std::uint64_t>(f->number)) !=
+            f->number)
         GASNUB_FATAL("serve: query line ", line_no, ": '", key,
                      "' is ", f->number,
                      ", not an integer below 2^53");
@@ -144,7 +227,8 @@ decodeQuery(std::string_view text, std::uint64_t line_no,
 /** Room for an answer line besides its machine and option literals:
  *  87 bytes of fixed text, the longest method name (13,
  *  "coherent-pull") and two doubles of at most 24 characters each
- *  ("-2.2250738585072014e-308"), with to_chars given 32 for each. */
+ *  ("-2.2250738585072014e-308"), each given writeG17()'s 34 bytes of
+ *  room, rounded up. */
 constexpr std::size_t kAnswerFixedBytes = 192;
 
 /** @p s as a quoted JSON string literal (sim/json.hh escapes). */
@@ -207,6 +291,134 @@ put(char *p, std::string_view s)
     return p + s.size();
 }
 
+namespace detail {
+
+/** 5^s for s in [0, 27]; 5^27 < 2^63. */
+inline constexpr auto kPow5 = [] {
+    std::array<std::uint64_t, 28> pow5{};
+    pow5[0] = 1;
+    for (std::size_t s = 1; s < pow5.size(); ++s)
+        pow5[s] = 5 * pow5[s - 1];
+    return pow5;
+}();
+
+/**
+ * The 8 decimal digits of @p v < 10^8 as the bytes of a word, most
+ * significant first in memory order (little-endian), each 0-9: v is
+ * split into 4-digit, then 2-digit, then 1-digit lanes with one
+ * multiply-shift per level.
+ */
+inline std::uint64_t
+eightDigits(std::uint32_t v)
+{
+    const std::uint64_t x = (v / 10000) | std::uint64_t{v % 10000} << 32;
+    const std::uint64_t hundreds = (x * 10486 >> 20) & 0x0000007f0000007fULL;
+    const std::uint64_t y = hundreds | (x - hundreds * 100) << 16;
+    const std::uint64_t tens = (y * 103 >> 10) & 0x000f000f000f000fULL;
+    return tens | (y - tens * 10) << 8;
+}
+
+} // namespace detail
+
+/** Room writeG17() needs past its output pointer: it writes at most
+ *  24 characters, but may scribble up to 34 bytes. */
+constexpr std::size_t kDoubleRoom = 34;
+
+/**
+ * Write @p x at @p out exactly as printf's "%.17g" does; returns the
+ * end.  Positive doubles in [1e-11, 1e17), every magnitude a plan
+ * answer takes, are formatted here with integer arithmetic; zero,
+ * negatives, subnormals, NaN, infinities and other magnitudes go to
+ * std::to_chars (general, precision 17), which prints the same bytes.
+ *
+ * With x = m * 2^e and k = floor(log10 x), the 17 significant digits
+ * are D = round(x * 10^(16 - k)) = round(m * 5^s * 2^(e + s)) for
+ * s = 16 - k, exact in 128 bits (m < 2^53, 5^s <= 5^28), rounded
+ * half to even as glibc's printf rounds an exact tie.  k is estimated
+ * from the binary exponent and lowered by one if the quotient before
+ * rounding is below 10^16; a D that rounds up to 10^17 carries into
+ * k.  Then %g's layout: fixed notation for -4 <= k < 17, otherwise
+ * d.ddde[+-]XX, with trailing fraction zeros and a bare point dropped.
+ */
+inline char *
+writeG17(char *out, double x)
+{
+    if (!(x >= 1e-11 && x < 1e17))
+        return std::to_chars(out, out + kDoubleRoom, x,
+                             std::chars_format::general, 17)
+            .ptr;
+    constexpr std::uint64_t kP16 = 10'000'000'000'000'000ULL;
+    using u128 = unsigned __int128;
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+    const int biased = static_cast<int>(bits >> 52); // sign bit is 0
+    const std::uint64_t m =
+        (bits & ((std::uint64_t{1} << 52) - 1)) | std::uint64_t{1} << 52;
+    // floor(log2 x) * log10(2), floored: k is that or one more.
+    int k = std::min(((biased - 1023) * 78913 >> 18) + 1, 16);
+    int s = 16 - k;
+    int sh = biased - 1075 + s; // x * 10^s = m * 5^s * 2^sh
+    u128 n = static_cast<u128>(m) * detail::kPow5[s];
+    auto quotient = [&] { return sh >= 0 ? n << sh : n >> -sh; };
+    const bool low = quotient() < kP16;
+    k -= low;
+    sh += low;
+    n *= low ? 5 : 1;
+    std::uint64_t d = static_cast<std::uint64_t>(quotient());
+    if (sh < 0) {
+        const u128 rem = n & ((u128{1} << -sh) - 1);
+        const u128 half = u128{1} << (-sh - 1);
+        d += rem > half || (rem == half && (d & 1));
+    }
+    if (d == 10 * kP16) {
+        d = kP16;
+        ++k;
+    }
+
+    // The 17 digits: a lead digit and two words of 8, as one 16-byte
+    // value of ASCII digits.  `last` is the last digit %g keeps (it
+    // drops trailing fraction zeros).
+    static_assert(std::endian::native == std::endian::little);
+    const std::uint64_t head = d / 100'000'000;
+    const char lead = static_cast<char>('0' + head / 100'000'000);
+    const std::uint64_t w1 = detail::eightDigits(
+        static_cast<std::uint32_t>(head % 100'000'000));
+    const std::uint64_t w2 = detail::eightDigits(
+        static_cast<std::uint32_t>(d % 100'000'000));
+    const int last = w2   ? 16 - std::countl_zero(w2) / 8
+                     : w1 ? 8 - std::countl_zero(w1) / 8
+                          : 0;
+    constexpr std::uint64_t kZeros = 0x3030303030303030ULL;
+    const u128 tail = (static_cast<u128>(w2 | kZeros) << 64) | (w1 | kZeros);
+
+    // Every store has a fixed size; what lands past the end is cut off.
+    if (k < -4 || k >= 17) {
+        out[0] = lead;
+        out[1] = '.';
+        std::memcpy(out + 2, &tail, 16);
+        char *p = out + (last > 0 ? last + 2 : 1);
+        p[0] = 'e';
+        p[1] = k < 0 ? '-' : '+';
+        const int exponent = k < 0 ? -k : k; // below 100
+        p[2] = static_cast<char>('0' + exponent / 10);
+        p[3] = static_cast<char>('0' + exponent % 10);
+        return p + 4;
+    }
+    if (k >= 0) {
+        out[0] = lead;
+        std::memcpy(out + 1, &tail, 16);
+        if (last <= k)
+            return out + k + 1;
+        out[k + 1] = '.';
+        const u128 fraction = tail >> (8 * k); // k < last <= 16
+        std::memcpy(out + k + 2, &fraction, 16);
+        return out + last + 2;
+    }
+    std::memcpy(out, "0.000000", 8);
+    out[1 - k] = lead;
+    std::memcpy(out + 2 - k, &tail, 16);
+    return out + 2 - k + last;
+}
+
 /**
  * Write the answer line for @p a at @p out, which has room for
  * kAnswerFixedBytes plus @p machine and @p label, the answer's
@@ -221,7 +433,6 @@ inline char *
 encodeAnswer(char *out, std::string_view machine, std::string_view label,
              const serve::PlanAnswer &a)
 {
-    constexpr int kDigits = 17;
     char *p = put(out, "{\"machine\": ");
     p = put(p, machine);
     p = put(p, ", \"option\": ");
@@ -231,13 +442,9 @@ encodeAnswer(char *out, std::string_view machine, std::string_view label,
     p = put(p, a.strideOnSource ? "\", \"strideOnSource\": true"
                                 : "\", \"strideOnSource\": false");
     p = put(p, ", \"mbs\": ");
-    p = std::to_chars(p, p + 32, a.predictedMBs,
-                      std::chars_format::general, kDigits)
-            .ptr;
+    p = writeG17(p, a.predictedMBs);
     p = put(p, ", \"seconds\": ");
-    p = std::to_chars(p, p + 32, a.predictedSeconds,
-                      std::chars_format::general, kDigits)
-            .ptr;
+    p = writeG17(p, a.predictedSeconds);
     return put(p, "}\n");
 }
 
