@@ -1,6 +1,5 @@
 #include "core/planner.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -43,8 +42,6 @@ void
 TransferPlanner::addOption(PlanOption option)
 {
     _options.add(std::move(option));
-    _strikes.push_back(0);
-    _demoted.push_back(0);
 }
 
 const PlanOption &
@@ -90,16 +87,12 @@ TransferPlanner::predictAll(const TransferQuery &query) const
 }
 
 Plan
-TransferPlanner::best(const TransferQuery &query) const
+TransferPlanner::best(const TransferQuery &query,
+                      const char *skip) const
 {
     validateQuery(_options, query);
-    // Demotions only apply while a healthy option remains; a fully
-    // demoted planner behaves like an undemoted one rather than
-    // stranding the transfer.
-    const bool honor_demotions = numDemoted() < _options.size();
-    const OptionEvaluator::Choice c =
-        _options.best(planQueryWorkingSet(query), query.stride,
-                      honor_demotions ? _demoted.data() : nullptr);
+    const OptionEvaluator::Choice c = _options.best(
+        planQueryWorkingSet(query), query.stride, skip);
     const PlanOption &o = _options[c.index];
     Plan p;
     p.optionIndex = c.index;
@@ -109,79 +102,6 @@ TransferPlanner::best(const TransferQuery &query) const
     p.predictedMBs = c.mbs;
     p.predictedSeconds = planSeconds(query, c.mbs);
     return p;
-}
-
-void
-TransferPlanner::setDegradePolicy(const DegradePolicy &policy)
-{
-    GASNUB_ASSERT(policy.minRatio > 0 && policy.minRatio <= 1,
-                  "degrade minRatio must be in (0, 1]");
-    GASNUB_ASSERT(policy.strikes >= 1, "degrade strikes must be >= 1");
-    _degrade = policy;
-}
-
-bool
-TransferPlanner::observe(std::size_t i, const TransferQuery &query,
-                         double achievedMBs)
-{
-    GASNUB_ASSERT(i < _options.size(), "bad option index ", i);
-    const std::vector<double> mbs = predictAll(query);
-    const double predicted = mbs[i];
-    if (predicted <= 0)
-        return false;
-    if (achievedMBs >= _degrade.minRatio * predicted) {
-        _strikes[i] = 0;
-        return false;
-    }
-    if (_demoted[i])
-        return false;
-    if (++_strikes[i] < _degrade.strikes)
-        return false;
-    _demoted[i] = 1;
-    GASNUB_WARN("planner option '", _options[i].label,
-                "' demoted: delivered ", achievedMBs,
-                " MB/s for ", _strikes[i],
-                " consecutive transfers against a predicted ",
-                predicted, " MB/s");
-    return true;
-}
-
-void
-TransferPlanner::demote(std::size_t i)
-{
-    GASNUB_ASSERT(i < _options.size(), "bad option index ", i);
-    _demoted[i] = 1;
-}
-
-void
-TransferPlanner::restore(std::size_t i)
-{
-    GASNUB_ASSERT(i < _options.size(), "bad option index ", i);
-    _demoted[i] = 0;
-    _strikes[i] = 0;
-}
-
-void
-TransferPlanner::restoreAll()
-{
-    std::fill(_demoted.begin(), _demoted.end(), 0);
-    std::fill(_strikes.begin(), _strikes.end(), 0);
-}
-
-bool
-TransferPlanner::demoted(std::size_t i) const
-{
-    GASNUB_ASSERT(i < _options.size(), "bad option index ", i);
-    return _demoted[i] != 0;
-}
-
-std::size_t
-TransferPlanner::numDemoted() const
-{
-    std::size_t n = 0;
-    for (const char d : _demoted)
-        n += d != 0;
-    return n;
 }
 
 } // namespace gasnub::core

@@ -207,28 +207,8 @@ class OptionEvaluator
 };
 
 /**
- * When does an option get demoted for under-delivering?  A demotion
- * needs @a strikes consecutive observations below @a minRatio of the
- * surface prediction — one slow transfer (a cold cache, a contended
- * link) should not reshape the plan, a persistently degraded path
- * should.
- */
-struct DegradePolicy
-{
-    double minRatio = 0.5; ///< observed/predicted below this = strike
-    int strikes = 3;       ///< consecutive strikes before demotion
-};
-
-/**
  * Picks the cheapest implementation of a communication step from
  * measured characterization surfaces.
- *
- * Graceful degradation: callers can feed achieved bandwidths back via
- * observe(); an option that persistently under-delivers its surface
- * prediction (see DegradePolicy) is demoted and best() stops picking
- * it — unless every option is demoted, in which case demotions are
- * ignored so the planner never strands a transfer without an
- * implementation.
  */
 class TransferPlanner
 {
@@ -246,12 +226,14 @@ class TransferPlanner
 
     /**
      * Choose the best option for @p query (highest predicted
-     * bandwidth at the query's working set and stride).  Ties keep
+     * bandwidth at the query's working set and stride), as
+     * OptionEvaluator::best with the same @p skip mask.  Ties keep
      * the first-registered option.  Fatal (clear diagnostic, not UB)
      * when no options are registered, when the query moves zero
      * words (bytes and wsBytes both 0), or when stride is 0.
      */
-    Plan best(const TransferQuery &query) const;
+    Plan best(const TransferQuery &query,
+              const char *skip = nullptr) const;
 
     /**
      * Predicted bandwidth of every option at the query point, in
@@ -259,35 +241,8 @@ class TransferPlanner
      */
     std::vector<double> predictAll(const TransferQuery &query) const;
 
-    /** Tune the demotion thresholds (before the first observe()). */
-    void setDegradePolicy(const DegradePolicy &policy);
-    const DegradePolicy &degradePolicy() const { return _degrade; }
-
-    /**
-     * Report the bandwidth actually achieved by option @p i for a
-     * transfer matching @p query (0 for a failed transfer).  Compares
-     * against the surface prediction and applies the degrade policy.
-     *
-     * @return true when this observation demoted the option.
-     */
-    bool observe(std::size_t i, const TransferQuery &query,
-                 double achievedMBs);
-
-    /** Demote / restore option @p i by hand. */
-    void demote(std::size_t i);
-    void restore(std::size_t i);
-
-    /** Forget all demotions and strikes. */
-    void restoreAll();
-
-    bool demoted(std::size_t i) const;
-    std::size_t numDemoted() const;
-
   private:
     OptionEvaluator _options;
-    DegradePolicy _degrade;
-    std::vector<int> _strikes;    ///< consecutive poor observations
-    std::vector<char> _demoted;   ///< parallel to _options
 };
 
 } // namespace gasnub::core

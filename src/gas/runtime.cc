@@ -1,11 +1,9 @@
 #include "gas/runtime.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "sim/logging.hh"
 #include "sim/profiler.hh"
-#include "sim/units.hh"
 
 namespace gasnub::gas {
 
@@ -199,24 +197,14 @@ Runtime::Runtime(machine::Machine &m, RuntimeConfig cfg)
                 "barriers executed"),
       _heapWords(&_stats, _config.name + ".heap.words",
                  "symmetric-heap words allocated per node"),
-      _retries(&_stats, _config.name + ".retries",
-               "transfer attempts beyond the first"),
-      _failedOps(&_stats, _config.name + ".failed.ops",
-                 "transfers abandoned after retries or timeout"),
-      _timeouts(&_stats, _config.name + ".failed.timeouts",
-                "transfers abandoned on the per-op timeout"),
       _deliveredBytes(&_stats, _config.name + ".delivered.bytes",
-                      "bytes successfully delivered remotely"),
-      _autoDemotions(&_stats, _config.name + ".auto.demotions",
-                     "planner options demoted by observed bandwidth")
+                      "bytes successfully delivered remotely")
 {
     GASNUB_ASSERT(_machine.numNodes() > 0, "machine has no nodes");
     _segments.reserve(static_cast<std::size_t>(_machine.numNodes()));
     for (NodeId n = 0; n < _machine.numNodes(); ++n)
         _segments.emplace_back(n, _config.regionsPerNode);
     _machine.statsGroup().addChild(&_stats);
-    if ((_acct = _machine.timeAccount()))
-        _retryRes = _acct->resource("gas.retry");
 }
 
 Runtime::~Runtime()
@@ -251,6 +239,17 @@ Runtime::setPlanner(core::TransferPlanner planner)
     if (planner.numOptions() == 0)
         GASNUB_FATAL("refusing to arm Method::Auto with an empty "
                      "planner; add characterization surfaces first");
+    // A planner loaded from another machine's directory may carry
+    // methods this machine cannot execute: Auto skips those options.
+    _unsupported.clear();
+    for (std::size_t i = 0; i < planner.numOptions(); ++i)
+        _unsupported.push_back(
+            !_machine.remote().supports(planner.option(i).method));
+    if (std::count(_unsupported.begin(), _unsupported.end(), 0) == 0)
+        GASNUB_FATAL("planner has no option the ",
+                     machine::systemName(_machine.kind()),
+                     " supports; load surfaces measured on this "
+                     "machine");
     _planner = std::move(planner);
 }
 
@@ -261,13 +260,6 @@ Runtime::planner() const
 }
 
 namespace {
-
-/** Microseconds of simulated time in ticks (Tick = picoseconds). */
-Tick
-usToTicks(double us)
-{
-    return us <= 0 ? 0 : static_cast<Tick>(us * 1e6 + 0.5);
-}
 
 /** The planner query matching a gas transfer shape. */
 core::TransferQuery
@@ -287,57 +279,18 @@ queryFor(const Strided &spec)
 remote::TransferMethod
 Runtime::resolveMethod(const Strided &spec, Method m) const
 {
-    if (m != Method::Auto) {
-        const remote::TransferMethod lowered = lowerMethod(m);
-        if (!_machine.remote().supports(lowered))
-            GASNUB_FATAL("method '", methodName(m),
-                         "' is not implemented on the ",
-                         machine::systemName(_machine.kind()),
-                         "; use Method::Auto or a supported method");
-        return lowered;
+    if (m == Method::Auto) {
+        if (!_planner)
+            return _machine.nativeMethod();
+        return _planner->best(queryFor(spec), _unsupported.data()).method;
     }
-    return resolveAuto(spec, nullptr);
-}
-
-remote::TransferMethod
-Runtime::resolveAuto(const Strided &spec,
-                     std::size_t *optionIndex) const
-{
-    if (!_planner)
-        return _machine.nativeMethod();
-
-    const std::vector<double> mbs = _planner->predictAll(queryFor(spec));
-
-    // best() over the options this machine can actually execute
-    // (a planner loaded from another machine's directory may carry
-    // foreign methods); strict > keeps the first-registered winner.
-    // Demoted options (graceful degradation) are skipped unless every
-    // supported option is demoted — Auto must always resolve.
-    constexpr std::size_t none = std::numeric_limits<std::size_t>::max();
-    const auto pick = [&](bool honor_demotions) {
-        std::size_t best = none;
-        for (std::size_t i = 0; i < mbs.size(); ++i) {
-            if (!_machine.remote().supports(
-                    _planner->option(i).method))
-                continue;
-            if (honor_demotions && _planner->demoted(i))
-                continue;
-            if (best == none || mbs[i] > mbs[best])
-                best = i;
-        }
-        return best;
-    };
-    std::size_t best = pick(true);
-    if (best == none)
-        best = pick(false);
-    if (best == none)
-        GASNUB_FATAL("planner has no option the ",
+    const remote::TransferMethod lowered = lowerMethod(m);
+    if (!_machine.remote().supports(lowered))
+        GASNUB_FATAL("method '", methodName(m),
+                     "' is not implemented on the ",
                      machine::systemName(_machine.kind()),
-                     " supports; load surfaces measured on this "
-                     "machine");
-    if (optionIndex)
-        *optionIndex = best;
-    return _planner->option(best).method;
+                     "; use Method::Auto or a supported method");
+    return lowered;
 }
 
 void
@@ -366,7 +319,7 @@ Runtime::countMethod(remote::TransferMethod m)
     GASNUB_PANIC("bad transfer method");
 }
 
-remote::TransferStatus
+Tick
 Runtime::lowerTransfer(GlobalPtr src, GlobalPtr dst,
                        const Strided &spec,
                        remote::TransferMethod method, Tick start)
@@ -383,7 +336,7 @@ Runtime::lowerTransfer(GlobalPtr src, GlobalPtr dst,
 
     if (method != remote::TransferMethod::CoherentPull ||
         spec.elemWords <= 1)
-        return _machine.remote().tryTransfer(req, method, start);
+        return _machine.remote().transfer(req, method, start);
 
     // SmpPull is word-granular (strides are per word, elemWords is
     // not interpreted): lower element runs explicitly.  A dense
@@ -393,27 +346,20 @@ Runtime::lowerTransfer(GlobalPtr src, GlobalPtr dst,
         req.srcStride = 1;
         req.dstStride = 1;
         req.elemWords = 1;
-        return _machine.remote().tryTransfer(req, method, start);
+        return _machine.remote().transfer(req, method, start);
     }
     const std::uint64_t elems = spec.words / spec.elemWords;
-    remote::TransferStatus st;
-    st.complete = start;
+    Tick complete = start;
     for (std::uint64_t k = 0; k < spec.elemWords; ++k) {
         remote::TransferRequest lane = req;
         lane.srcAddr = src.addr + k * wordBytes;
         lane.dstAddr = dst.addr + k * wordBytes;
         lane.words = elems;
         lane.elemWords = 1;
-        const remote::TransferStatus ls =
-            _machine.remote().tryTransfer(lane, method, start);
-        if (!ls.ok()) {
-            // The op fails as a unit; the first failing lane decides
-            // the outcome and the whole transfer will be retried.
-            return ls;
-        }
-        st.complete = std::max(st.complete, ls.complete);
+        complete = std::max(
+            complete, _machine.remote().transfer(lane, method, start));
     }
-    return st;
+    return complete;
 }
 
 void
@@ -477,12 +423,7 @@ Runtime::transferOp(GlobalPtr src, GlobalPtr dst, const Strided &spec,
                      spec.dstStride, ") must cover the ",
                      spec.elemWords, "-word element run");
 
-    constexpr std::size_t no_option =
-        std::numeric_limits<std::size_t>::max();
-    std::size_t planned = no_option;
-    const remote::TransferMethod method =
-        requested == Method::Auto ? resolveAuto(spec, &planned)
-                                  : resolveMethod(spec, requested);
+    const remote::TransferMethod method = resolveMethod(spec, requested);
     if (requested == Method::Auto) {
         if (_planner)
             ++_autoPlanned;
@@ -500,11 +441,8 @@ Runtime::transferOp(GlobalPtr src, GlobalPtr dst, const Strided &spec,
     auto &cur = _cursor[static_cast<std::size_t>(initiator)];
     const Tick start = std::max(cur, _machine.node(initiator).now());
 
+    const std::uint64_t bytes = spec.words * wordBytes;
     Tick end = 0;
-    remote::TransferStatus status;
-    int attempts = 1;
-    bool timed_out = false;
-    bool remote_op = false;
     if (src.node == dst.node) {
         // Same-node "transfer": served by the local hierarchy, one
         // load + store per word.
@@ -525,41 +463,8 @@ Runtime::transferOp(GlobalPtr src, GlobalPtr dst, const Strided &spec,
         }
         ++_localCopies;
     } else {
-        // Remote transfer with bounded retry: transient failures are
-        // retried after an exponentially growing simulated-time
-        // backoff, permanent failures give up immediately, and the
-        // whole op abandons once its elapsed time crosses the per-op
-        // timeout.
-        remote_op = true;
-        const RetryPolicy &rp = _config.retry;
-        const Tick timeout = usToTicks(rp.timeoutUs);
-        const int max_attempts = std::max(1, rp.maxAttempts);
-        double backoff_us = rp.backoffUs;
-        Tick attempt_start = start;
-        attempts = 0;
-        for (;;) {
-            ++attempts;
-            status =
-                lowerTransfer(src, dst, spec, method, attempt_start);
-            if (status.ok() ||
-                status.outcome ==
-                    remote::TransferOutcome::PermanentFailure ||
-                attempts >= max_attempts)
-                break;
-            const Tick next = status.complete + usToTicks(backoff_us);
-            if (timeout != 0 && next - start > timeout) {
-                timed_out = true;
-                break;
-            }
-            ++_retries;
-            // The backoff window is pure lost time waiting to retry;
-            // the ledger sees it as the retry resource's busy span.
-            if (_acct)
-                _acct->charge(_retryRes, status.complete, next);
-            attempt_start = next;
-            backoff_us *= rp.backoffMult;
-        }
-        end = status.complete;
+        end = lowerTransfer(src, dst, spec, method, start);
+        _deliveredBytes += bytes;
     }
 
     cur = std::max(cur, end);
@@ -567,7 +472,6 @@ Runtime::transferOp(GlobalPtr src, GlobalPtr dst, const Strided &spec,
     ++_pendingOps;
     countMethod(method);
 
-    const std::uint64_t bytes = spec.words * wordBytes;
     if (is_put) {
         ++_rputOps;
         _rputBytes += bytes;
@@ -575,52 +479,18 @@ Runtime::transferOp(GlobalPtr src, GlobalPtr dst, const Strided &spec,
         ++_rgetOps;
         _rgetBytes += bytes;
     }
-    const bool delivered = status.ok() && !timed_out;
-    if (remote_op) {
-        if (delivered) {
-            _deliveredBytes += bytes;
-        } else {
-            ++_failedOps;
-            if (timed_out)
-                ++_timeouts;
-            GASNUB_WARN(_config.name, ": ",
-                        is_put ? "rput" : "rget", " of ", spec.words,
-                        " words to node ", dst.node, " failed after ",
-                        attempts, " attempt(s): ",
-                        timed_out ? "per-op timeout exceeded"
-                                  : status.reason);
-        }
-        // Close the planner's loop: feed the achieved bandwidth back
-        // so persistently under-delivering options get demoted and
-        // Auto replans onto the next-cheapest supported method.
-        if (planned != no_option) {
-            const double achieved =
-                delivered && end > start
-                    ? bandwidthMBs(spec.words * wordBytes,
-                                        end - start)
-                    : 0.0;
-            if (_planner->observe(planned, queryFor(spec), achieved))
-                ++_autoDemotions;
-        }
-    }
     GASNUB_TRACE(trace::Category::Remote, _traceTrack,
                  is_put ? "gas.rput" : "gas.rget", start, end,
                  "words", spec.words, "node",
                  static_cast<std::uint64_t>(initiator));
 
-    // The payload only moves when the transfer actually succeeded;
-    // a failed op leaves destination memory untouched.
-    if (!remote_op || delivered)
-        copyPayload(src, dst, spec);
+    copyPayload(src, dst, spec);
 
     Handle h;
     h.complete = end;
     h.id = ++_nextId;
     h.initiator = initiator;
     h.method = method;
-    h.outcome = status.outcome;
-    h.attempts = attempts;
-    h.timedOut = timed_out;
     return h;
 }
 

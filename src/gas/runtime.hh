@@ -46,21 +46,6 @@ namespace gasnub::gas {
 
 class Runtime;
 
-/**
- * Bounded-retry policy for fallible transfers (injected faults).  A
- * transiently failed transfer is retried after an exponentially
- * growing simulated-time backoff, up to @a maxAttempts total attempts
- * or until the op's elapsed simulated time exceeds @a timeoutUs.
- * Permanent failures are never retried.
- */
-struct RetryPolicy
-{
-    int maxAttempts = 4;      ///< total attempts, including the first
-    double backoffUs = 1.0;   ///< backoff before the first retry
-    double backoffMult = 2.0; ///< backoff growth per retry
-    double timeoutUs = 0;     ///< per-op elapsed-time cap; 0 = none
-};
-
 /** Runtime construction parameters. */
 struct RuntimeConfig
 {
@@ -75,8 +60,6 @@ struct RuntimeConfig
     int regionsPerNode = 8;
     /** Allocate functional backing storage for each allocation. */
     bool payload = true;
-    /** Retry policy for transfers that fail transiently. */
-    RetryPolicy retry;
 };
 
 /** A strided transfer shape (SHMEM iput/iget style). */
@@ -96,34 +79,19 @@ struct Strided
 };
 
 /**
- * Completion handle of a one-sided operation.
- *
- * Operations can fail under fault injection: @a outcome records how
- * the op (after any retries) ended, and on failure @a complete is the
- * tick at which the initiator gave up.  wait() on a completed or
- * failed handle — repeatedly — is a safe no-op beyond stalling the
- * initiator to @a complete.
+ * Completion handle of a one-sided operation.  wait() on a completed
+ * handle — repeatedly — is a safe no-op beyond stalling the initiator
+ * to @a complete.
  */
 struct Handle
 {
-    Tick complete = 0;   ///< data visible (or op abandoned) at this tick
+    Tick complete = 0;   ///< data globally visible at this tick
     std::uint64_t id = 0;
     NodeId initiator = -1; ///< node whose clock drove the op
     remote::TransferMethod method =
         remote::TransferMethod::Fetch; ///< resolved implementation
-    remote::TransferOutcome outcome =
-        remote::TransferOutcome::Ok;   ///< how the op ended
-    int attempts = 1;      ///< transfer attempts made
-    bool timedOut = false; ///< gave up on RetryPolicy::timeoutUs
 
     bool valid() const { return initiator >= 0; }
-
-    /** Did the data actually arrive? */
-    bool ok() const
-    {
-        return valid() && !timedOut &&
-               outcome == remote::TransferOutcome::Ok;
-    }
 };
 
 /**
@@ -233,6 +201,8 @@ class Runtime
      * Arm Method::Auto with a cost model (the machine's measured
      * characterization surfaces).  Without a planner, Auto falls back
      * to Machine::nativeMethod() — the paper's Section 9 default.
+     * Fatal when no option's method runs on this machine (a planner
+     * loaded from another machine's directory).
      */
     void setPlanner(core::TransferPlanner planner);
     const core::TransferPlanner *planner() const;
@@ -306,27 +276,6 @@ class Runtime
     /** Operations issued since the last fence()/barrier(). */
     std::uint64_t pendingOps() const { return _pendingOps; }
 
-    /** Transfers that failed for good (after retries / timeouts). */
-    std::uint64_t failedOps() const
-    {
-        return static_cast<std::uint64_t>(_failedOps.value());
-    }
-
-    /** Retry attempts made beyond first attempts. */
-    std::uint64_t retries() const
-    {
-        return static_cast<std::uint64_t>(_retries.value());
-    }
-
-    /** Bytes successfully delivered by remote transfers. */
-    double deliveredBytes() const { return _deliveredBytes.value(); }
-
-    /** Auto options demoted by observed-bandwidth degradation. */
-    std::uint64_t autoDemotions() const
-    {
-        return static_cast<std::uint64_t>(_autoDemotions.value());
-    }
-
     /**
      * Reset all *timing* — machine clocks, engine state, cursors —
      * keeping allocations and payload data (Machine::resetAll plus
@@ -338,11 +287,9 @@ class Runtime
     Handle transferOp(GlobalPtr src, GlobalPtr dst,
                       const Strided &spec, Method requested,
                       bool is_put);
-    remote::TransferStatus lowerTransfer(
-        GlobalPtr src, GlobalPtr dst, const Strided &spec,
-        remote::TransferMethod method, Tick start);
-    remote::TransferMethod resolveAuto(const Strided &spec,
-                                       std::size_t *optionIndex) const;
+    Tick lowerTransfer(GlobalPtr src, GlobalPtr dst,
+                       const Strided &spec,
+                       remote::TransferMethod method, Tick start);
     void copyPayload(GlobalPtr src, GlobalPtr dst,
                      const Strided &spec);
     void validatePtr(GlobalPtr p, const char *what) const;
@@ -350,9 +297,9 @@ class Runtime
 
     machine::Machine &_machine;
     RuntimeConfig _config;
-    sim::TimeAccount *_acct = nullptr; // machine's ledger, if any
-    sim::TimeAccount::ResId _retryRes = 0;
     std::optional<core::TransferPlanner> _planner;
+    /** Per planner option: its method does not run on this machine. */
+    std::vector<char> _unsupported;
     std::vector<Segment> _segments;
     std::vector<Tick> _cursor;   // per-node op issue cursor
     Tick _maxComplete = 0;
@@ -368,8 +315,7 @@ class Runtime
     stats::Scalar _methodDeposit, _methodFetch, _methodPull;
     stats::Scalar _autoPlanned, _autoNative;
     stats::Scalar _fences, _barriers, _heapWords;
-    stats::Scalar _retries, _failedOps, _timeouts;
-    stats::Scalar _deliveredBytes, _autoDemotions;
+    stats::Scalar _deliveredBytes;
 
     friend class GlobalArray;
 };

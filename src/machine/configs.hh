@@ -19,7 +19,6 @@
 #include <string>
 
 #include "mem/hierarchy.hh"
-#include "sim/fault.hh"
 
 namespace gasnub::machine {
 
@@ -84,14 +83,6 @@ struct SystemConfig
     int numNodes = 4; ///< the paper's configurations use 4 processors
     /** Node memory system override; nullopt = nodeConfig(kind, "node"). */
     std::optional<mem::HierarchyConfig> node;
-    /**
-     * Injected faults; an empty plan (the default) builds no fault
-     * domain at all.  Living in the recipe means every sweep replica
-     * carries the identical plan, which together with the per-point
-     * FaultDomain::reset() keeps faulty sweeps byte-identical at any
-     * --jobs value.
-     */
-    sim::FaultPlan faults;
     /**
      * Build the per-resource time-accounting ledger
      * (sim::TimeAccount) and wire every timed component to it.  Off

@@ -208,20 +208,6 @@ Machine::Machine(const SystemConfig &cfg)
       }
     }
 
-    // Fault injection: only built for a non-empty plan, so fault-free
-    // machines carry no hooks and stay byte-identical to the golden
-    // runs.
-    if (!cfg.faults.empty()) {
-        _faults = std::make_unique<sim::FaultDomain>(cfg.faults);
-        for (int i = 0; i < num_nodes; ++i)
-            raw[i]->dram().setFaultSite(_faults->dramSite(i));
-        if (_sharedMem)
-            _sharedMem->dram().setFaultSite(_faults->dramSite(-1));
-        if (_torus)
-            _torus->setFaults(_faults.get());
-        _remote->setFaultSite(_faults->transferSite());
-    }
-
     // Bottleneck attribution: one machine-wide ledger shared by every
     // node (the paper's benchmarks are SPMD, so the per-node replicas
     // contend for the same *class* of resource).  Resources are
@@ -261,9 +247,6 @@ Machine::Machine(const SystemConfig &cfg)
             const auto engine = _acct->resource("engine");
             cray->setTimeAccount(_acct.get(), engine, wbq);
         }
-        // Registered up front (not lazily by gas::Runtime) so the
-        // resource order never depends on whether a runtime exists.
-        _acct->resource("gas.retry");
         _acctStat.emplace(&_stats, systemName(kind) + ".timeAccount",
                           "cumulative busy/stall ticks per resource",
                           _acct.get());
@@ -364,8 +347,6 @@ Machine::resetTiming()
         _sharedMem->resetTiming();
     if (_remote)
         _remote->resetTiming();
-    if (_faults)
-        _faults->reset();
     if (_acct)
         _acct->resetPoint();
 }
@@ -381,8 +362,6 @@ Machine::resetAll()
         _sharedMem->resetAll();
     if (_remote)
         _remote->resetTiming();
-    if (_faults)
-        _faults->reset();
     if (_acct)
         _acct->resetPoint();
 }

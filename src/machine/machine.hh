@@ -98,9 +98,6 @@ class Machine
     /** The torus, or nullptr on the bus-based 8400. */
     noc::Torus *torus() { return _torus.get(); }
 
-    /** The fault domain, or nullptr when no faults are injected. */
-    sim::FaultDomain *faults() { return _faults.get(); }
-
     /** The shared memory subsystem, or nullptr on the Crays. */
     bus::Dec8400Memory *sharedMemory() { return _sharedMem.get(); }
 
@@ -147,7 +144,6 @@ class Machine
     stats::Group _stats;
     trace::TrackId _traceTrack;
     std::vector<std::unique_ptr<mem::MemoryHierarchy>> _nodes;
-    std::unique_ptr<sim::FaultDomain> _faults;
     std::unique_ptr<noc::Torus> _torus;
     std::unique_ptr<bus::Dec8400Memory> _sharedMem;
     std::unique_ptr<remote::RemoteOps> _remote;

@@ -55,10 +55,6 @@ Dram::Dram(const DramConfig &config, stats::Group *parent)
                           _rowHits.value() + _rowMisses.value();
                       return n > 0 ? _rowHits.value() / n : 0.0;
                   }),
-      _faultStalls(&_stats, config.name + ".faults.stalls",
-                   "accesses delayed by injected faults"),
-      _faultStallTicks(&_stats, config.name + ".faults.stallTicks",
-                       "injected delay in ticks"),
       _traceTrack(trace::Tracer::instance().track(config.name))
 {
     GASNUB_ASSERT(isPow2(config.banks), "banks must be pow2");
@@ -112,21 +108,6 @@ Dram::access(Addr addr, AccessType type, Tick earliest,
     else
         ++_writes;
 
-    const Tick requested = earliest;
-
-    // Injected bank stalls / refresh storms push the access back
-    // before any resource is reserved.
-    if (_faults) {
-        const Tick delayed = _faults->dramDelay(earliest, bankOf(addr));
-        if (delayed != earliest) {
-            ++_faultStalls;
-            _faultStallTicks += delayed - earliest;
-            if (_acct)
-                _acct->stall(_bankRes, delayed - earliest);
-            earliest = delayed;
-        }
-    }
-
     // Accesses come in a handful of sizes (line fills, word writes);
     // cache the last conversion so the hot path skips the FP math.
     if (bytes != _lastTfBytes) {
@@ -160,7 +141,7 @@ Dram::access(Addr addr, AccessType type, Tick earliest,
                               cs + _rowHitTicks + transfer_t);
         }
         _bandwidth.addBytes(res.dataReady, bytes);
-        _latency.sample(res.dataReady - requested);
+        _latency.sample(res.dataReady - earliest);
         GASNUB_TRACE(trace::Category::Mem, _traceTrack,
                      type == AccessType::Read ? "dram.read"
                                               : "dram.write",
@@ -221,7 +202,7 @@ Dram::access(Addr addr, AccessType type, Tick earliest,
                           chan_start + service + transfer);
     }
     _bandwidth.addBytes(res.dataReady, bytes);
-    _latency.sample(res.dataReady - requested);
+    _latency.sample(res.dataReady - earliest);
     GASNUB_TRACE(trace::Category::Mem, _traceTrack,
                  type == AccessType::Read ? "dram.read" : "dram.write",
                  res.start, res.dataReady, "bank",

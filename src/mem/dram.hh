@@ -19,7 +19,6 @@
 
 #include "mem/access.hh"
 #include "mem/resource.hh"
-#include "sim/fault.hh"
 #include "sim/stats.hh"
 #include "sim/time_account.hh"
 #include "sim/trace.hh"
@@ -105,12 +104,6 @@ class Dram
     void reset();
 
     /**
-     * Install the injected-fault hook (bank stalls and refresh
-     * storms); null (the default) means no faults and no overhead.
-     */
-    void setFaultSite(sim::FaultSite *site) { _faults = site; }
-
-    /**
      * Attach the machine's time account; @p bank / @p chan name the
      * resource classes this DRAM charges (per-node DRAMs share
      * "dram.*", the 8400's shared memory charges "bus.dram.*").  Null
@@ -163,7 +156,6 @@ class Dram
     Tick _lastTfTicks = 0;          ///< ... and its value
     std::vector<Bank> _banks;
     Resource _bus;
-    sim::FaultSite *_faults = nullptr;
     sim::TimeAccount *_acct = nullptr;
     sim::TimeAccount::ResId _bankRes = 0;
     sim::TimeAccount::ResId _chanRes = 0;
@@ -179,8 +171,6 @@ class Dram
     stats::IntervalBandwidth _bandwidth;
     stats::Histogram _latency; ///< log2 access latency in ticks
     stats::Formula _rowHitRate;
-    stats::Scalar _faultStalls;     ///< accesses delayed by faults
-    stats::Scalar _faultStallTicks; ///< injected delay in ticks
     trace::TrackId _traceTrack;
 };
 

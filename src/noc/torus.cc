@@ -41,15 +41,6 @@ Torus::Torus(const TorusConfig &config, stats::Group *parent)
       _packetLatency(&_stats, config.name + ".packetLatency",
                      "inject-to-arrival latency in ticks (log2 "
                      "buckets)"),
-      _faultDetours(&_stats, config.name + ".faults.detours",
-                    "rings routed the long way around a severed link"),
-      _faultSlowTicks(&_stats, config.name + ".faults.slowTicks",
-                      "extra link occupancy injected by slow links"),
-      _faultNicStalls(&_stats, config.name + ".faults.nicStalls",
-                      "injections delayed by NIC backpressure"),
-      _faultNicStallTicks(&_stats,
-                          config.name + ".faults.nicStallTicks",
-                          "injection delay from NIC backpressure"),
       _traceTrack(trace::Tracer::instance().track(config.name))
 {
     GASNUB_ASSERT(config.dimX >= 1 && config.dimY >= 1 &&
@@ -127,16 +118,15 @@ Torus::hopCount(NodeId src, NodeId dst) const
 }
 
 std::size_t
-Torus::linkIndex(int dim, int dir, int router,
-                 const TorusCoord &) const
+Torus::linkIndex(int dim, int dir, int router) const
 {
     // dim 0..2, dir 0 (positive) or 1 (negative).
     return static_cast<std::size_t>(router) * 6 + dim * 2 + dir;
 }
 
 void
-Torus::route(NodeId src, NodeId dst, std::vector<std::size_t> &links,
-             int &detours) const
+Torus::route(NodeId src, NodeId dst,
+             std::vector<std::size_t> &links) const
 {
     links.clear();
     TorusCoord at = coordOf(src);
@@ -148,48 +138,11 @@ Torus::route(NodeId src, NodeId dst, std::vector<std::size_t> &links,
     // Dimension-order (X, then Y, then Z) routing, shortest direction.
     for (int d = 0; d < 3; ++d) {
         int dir = 0;
-        int hops = ringHops(*cur[d], tgt[d], dims[d], dir);
-        if (hops == 0)
-            continue;
-        if (_anyLinkDown) {
-            // Does the ring walk from the current coordinate along
-            // dir_sign cross a severed link?
-            const auto clear = [&](int dir_sign, int nhops) {
-                int c = *cur[d];
-                for (int h = 0; h < nhops; ++h) {
-                    int xyz[3] = {at.x, at.y, at.z};
-                    xyz[d] = c;
-                    const int router =
-                        xyz[0] +
-                        _config.dimX * (xyz[1] + _config.dimY * xyz[2]);
-                    const std::size_t l = linkIndex(
-                        d, dir_sign > 0 ? 0 : 1, router, at);
-                    if (_linkDownMap[l])
-                        return false;
-                    c = (c + dir_sign + dims[d]) % dims[d];
-                }
-                return true;
-            };
-            if (!clear(dir, hops)) {
-                // Detour: take the ring the long way round, keeping
-                // dimension order intact.
-                const int other = dims[d] - hops;
-                if (!clear(-dir, other))
-                    throw sim::FaultError(
-                        0, "no fault-free route from node " +
-                               std::to_string(src) + " to node " +
-                               std::to_string(dst) +
-                               ": both directions of a ring are "
-                               "severed");
-                dir = -dir;
-                hops = other;
-                ++detours;
-            }
-        }
+        const int hops = ringHops(*cur[d], tgt[d], dims[d], dir);
         for (int h = 0; h < hops; ++h) {
             const int router =
                 at.x + _config.dimX * (at.y + _config.dimY * at.z);
-            links.push_back(linkIndex(d, dir > 0 ? 0 : 1, router, at));
+            links.push_back(linkIndex(d, dir > 0 ? 0 : 1, router));
             *cur[d] = (*cur[d] + dir + dims[d]) % dims[d];
         }
     }
@@ -219,19 +172,6 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
             inject_earliest += _switchTicks;
         }
         _lastPartner[src_nic] = dst;
-    }
-
-    // Injected NIC backpressure at the source.
-    if (!_nicFault.empty() && _nicFault[src_nic]) {
-        const Tick delayed = _nicFault[src_nic]->nicDelay(
-            inject_earliest);
-        if (delayed != inject_earliest) {
-            ++_faultNicStalls;
-            _faultNicStallTicks += delayed - inject_earliest;
-            if (_acct)
-                _acct->stall(_nicRes, delayed - inject_earliest);
-            inject_earliest = delayed;
-        }
     }
 
     // Source NIC injection port busy for the whole packet.
@@ -266,38 +206,21 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
         _newestRoute ^= 1;
         rt = &_routes[_newestRoute];
         if (rt->src != src || rt->dst != dst) {
-            // Invalidate first: route() throws when every direction of
-            // a ring is severed, and a half-written entry must not
-            // survive.
-            rt->src = invalidNode;
-            rt->dst = invalidNode;
-            int detours = 0;
-            route(src, dst, rt->links, detours);
-            rt->detours = detours;
+            route(src, dst, rt->links);
             rt->src = src;
             rt->dst = dst;
         }
     }
-    if (rt->detours)
-        _faultDetours += rt->detours;
     res.hops = static_cast<int>(rt->links.size());
 
     // Cut-through: the head advances one hop latency per router; each
     // link is occupied for the full wire time of the packet.
     Tick head = injected + _nicTicks;
     for (const std::size_t l : rt->links) {
-        Tick occupy = wire_ticks;
-        if (_anyLinkSlow && _linkSlow[l] != 1.0) {
-            // A slow link carries the same bytes at a fraction of the
-            // bandwidth: occupancy scales by the divisor.
-            occupy = static_cast<Tick>(
-                static_cast<double>(wire_ticks) * _linkSlow[l] + 0.5);
-            _faultSlowTicks += occupy - wire_ticks;
-        }
-        const Tick start = _links[l].acquire(head, occupy);
-        _linkBusyTicks[l] += static_cast<double>(occupy);
+        const Tick start = _links[l].acquire(head, wire_ticks);
+        _linkBusyTicks[l] += static_cast<double>(wire_ticks);
         if (_acct)
-            _acct->charge(_linkRes, start, start + occupy);
+            _acct->charge(_linkRes, start, start + wire_ticks);
         head = start + _hopTicks;
     }
     // Tail arrives one wire time after the head clears the last link;
@@ -314,58 +237,6 @@ Torus::send(NodeId src, NodeId dst, std::uint32_t payload_bytes,
                  static_cast<std::uint64_t>(dst), "bytes",
                  static_cast<std::uint64_t>(payload_bytes));
     return res;
-}
-
-void
-Torus::setFaults(sim::FaultDomain *domain)
-{
-    _linkSlow.clear();
-    _linkDownMap.clear();
-    _nicFault.clear();
-    _anyLinkSlow = false;
-    _anyLinkDown = false;
-    // Severed links change the detour structure: drop the route cache.
-    for (CachedRoute &rt : _routes) {
-        rt.src = invalidNode;
-        rt.dst = invalidNode;
-        rt.detours = 0;
-    }
-    if (!domain)
-        return;
-    for (const sim::FaultSpec &s : domain->plan().specs()) {
-        const bool link_fault =
-            s.kind == sim::FaultKind::LinkSlow ||
-            s.kind == sim::FaultKind::LinkDown ||
-            s.kind == sim::FaultKind::NicBackpressure;
-        if (link_fault && s.router >= _nicCount)
-            GASNUB_WARN("fault spec targets router ", s.router,
-                        " but '", _config.name, "' only has ",
-                        _nicCount, " routers; it will never fire");
-    }
-    if (domain->hasLinkFaults()) {
-        _linkSlow.assign(_links.size(), 1.0);
-        _linkDownMap.assign(_links.size(), 0);
-        for (int r = 0; r < _nicCount; ++r) {
-            for (int d = 0; d < 6; ++d) {
-                const std::size_t l =
-                    static_cast<std::size_t>(r) * 6 + d;
-                _linkSlow[l] = domain->linkFactor(r, d);
-                if (_linkSlow[l] != 1.0)
-                    _anyLinkSlow = true;
-                _linkDownMap[l] = domain->linkDown(r, d);
-                if (_linkDownMap[l])
-                    _anyLinkDown = true;
-            }
-        }
-    }
-    _nicFault.assign(_nicCount, nullptr);
-    bool any_nic = false;
-    for (int r = 0; r < _nicCount; ++r) {
-        _nicFault[r] = domain->nicSite(r);
-        any_nic = any_nic || _nicFault[r];
-    }
-    if (!any_nic)
-        _nicFault.clear();
 }
 
 void

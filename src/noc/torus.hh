@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "mem/resource.hh"
-#include "sim/fault.hh"
 #include "sim/stats.hh"
 #include "sim/time_account.hh"
 #include "sim/trace.hh"
@@ -104,23 +103,12 @@ class Torus
     PacketResult send(NodeId src, NodeId dst,
                       std::uint32_t payload_bytes, Tick earliest);
 
-    /**
-     * Install (or clear, with null) the machine's fault domain: link
-     * slowdowns and severed links are precomputed per directed link,
-     * NIC backpressure sites resolved per router.  Dimension-order
-     * routing detours around severed links by taking the opposite ring
-     * direction; when both directions of a ring are cut, send() throws
-     * sim::FaultError.  Out-of-range router filters are warned about.
-     */
-    void setFaults(sim::FaultDomain *domain);
-
     /** Forget all reservations and partner state. */
     void reset();
 
     /**
-     * Attach the machine's time account; link occupancy (including
-     * fault-injected slowdowns) charges @p link, NIC inject/eject
-     * occupancy charges @p nic, backpressure counts as NIC stall.
+     * Attach the machine's time account; link occupancy charges
+     * @p link, NIC inject/eject occupancy charges @p nic.
      */
     void
     setTimeAccount(sim::TimeAccount *acct,
@@ -143,17 +131,11 @@ class Torus
 
   private:
     /** Directed link id for one hop out of @p router along @p dim. */
-    std::size_t linkIndex(int dim, int dir, int router,
-                          const TorusCoord &at) const;
+    std::size_t linkIndex(int dim, int dir, int router) const;
 
-    /**
-     * Route from src to dst as a list of link indices, detouring
-     * around severed links; bumps @p detours per ring taken the long
-     * way round.  Throws sim::FaultError when no fault-free route
-     * exists.
-     */
-    void route(NodeId src, NodeId dst, std::vector<std::size_t> &links,
-               int &detours) const;
+    /** Dimension-order route from src to dst as link indices. */
+    void route(NodeId src, NodeId dst,
+               std::vector<std::size_t> &links) const;
 
     TorusConfig _config;
     int _numNodes;
@@ -168,12 +150,11 @@ class Torus
     std::vector<mem::Resource> _nicsIn;
     std::vector<NodeId> _lastPartner;  ///< per NIC
 
-    /** One cached route: its links and fault detour count. */
+    /** One cached route: its endpoints and links. */
     struct CachedRoute
     {
         NodeId src = invalidNode;
         NodeId dst = invalidNode;
-        int detours = 0;
         std::vector<std::size_t> links;
     };
 
@@ -182,9 +163,8 @@ class Torus
      * between the same pair, and a fetch alternates request (dst ->
      * src) with response (src -> dst) packets, so the dimension-order
      * walk is computed once per pair instead of once per packet.  A
-     * miss refills the entry used less recently.  Invalidated when the
-     * fault topology changes (setFaults); reset() keeps it — calendars
-     * change between experiments, link geometry does not.
+     * miss refills the entry used less recently.  reset() keeps it —
+     * calendars change between experiments, link geometry does not.
      */
     CachedRoute _routes[2];
     unsigned _newestRoute = 0; ///< index of the entry used last
@@ -193,13 +173,6 @@ class Torus
     sim::TimeAccount::ResId _linkRes = 0;
     sim::TimeAccount::ResId _nicRes = 0;
 
-    /** Injected faults; all empty/false when injection is off. */
-    std::vector<double> _linkSlow;        ///< bandwidth divisor per link
-    std::vector<char> _linkDownMap;       ///< severed directed links
-    std::vector<sim::FaultSite *> _nicFault; ///< per-router, may be null
-    bool _anyLinkSlow = false;
-    bool _anyLinkDown = false;
-
     stats::Group _stats;
     stats::Scalar _packets;
     stats::Scalar _payloadBytes;
@@ -207,10 +180,6 @@ class Torus
     stats::Vector _linkBusyTicks; ///< occupancy per directed link
     stats::IntervalBandwidth _bandwidth;
     stats::Histogram _packetLatency; ///< inject-to-arrival, log2 ticks
-    stats::Scalar _faultDetours;      ///< rings routed the long way
-    stats::Scalar _faultSlowTicks;    ///< extra occupancy on slow links
-    stats::Scalar _faultNicStalls;    ///< injections hit by backpressure
-    stats::Scalar _faultNicStallTicks;
     trace::TrackId _traceTrack;
 };
 

@@ -1,8 +1,5 @@
 #include "remote/remote_ops.hh"
 
-#include <algorithm>
-
-#include "sim/fault.hh"
 #include "sim/logging.hh"
 
 namespace gasnub::remote {
@@ -16,47 +13,6 @@ methodName(TransferMethod m)
       case TransferMethod::CoherentPull: return "coherent-pull";
     }
     GASNUB_PANIC("bad TransferMethod");
-}
-
-const char *
-outcomeName(TransferOutcome o)
-{
-    switch (o) {
-      case TransferOutcome::Ok: return "ok";
-      case TransferOutcome::TransientFailure: return "transient";
-      case TransferOutcome::PermanentFailure: return "permanent";
-    }
-    GASNUB_PANIC("bad TransferOutcome");
-}
-
-TransferStatus
-RemoteOps::tryTransfer(const TransferRequest &req,
-                       TransferMethod method, Tick start)
-{
-    TransferStatus st;
-    if (_faultSite) {
-        bool transient = false;
-        Tick detect = 0;
-        if (_faultSite->transferFails(start, req.dst, transient,
-                                      detect)) {
-            st.outcome = transient
-                             ? TransferOutcome::TransientFailure
-                             : TransferOutcome::PermanentFailure;
-            st.complete = start + detect;
-            st.reason = transient
-                            ? "injected transient transfer failure"
-                            : "injected permanent transfer failure";
-            return st;
-        }
-    }
-    try {
-        st.complete = transfer(req, method, start);
-    } catch (const sim::FaultError &e) {
-        st.outcome = TransferOutcome::PermanentFailure;
-        st.complete = std::max(start, e.at());
-        st.reason = e.what();
-    }
-    return st;
 }
 
 } // namespace gasnub::remote

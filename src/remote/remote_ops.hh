@@ -27,13 +27,8 @@
 #define GASNUB_REMOTE_REMOTE_OPS_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
-
-namespace gasnub::sim {
-class FaultSite;
-} // namespace gasnub::sim
 
 namespace gasnub::remote {
 
@@ -67,30 +62,6 @@ enum class TransferMethod {
 /** Human-readable method name. */
 const char *methodName(TransferMethod m);
 
-/** How a fallible transfer ended. */
-enum class TransferOutcome {
-    Ok,               ///< all data visible at the destination
-    TransientFailure, ///< failed this attempt; retrying may succeed
-    PermanentFailure, ///< failed for good (e.g. no route exists)
-};
-
-/** Human-readable outcome name. */
-const char *outcomeName(TransferOutcome o);
-
-/**
- * Result of a fallible transfer (tryTransfer).  On failure @a complete
- * is the tick at which the failure was detected — time the initiator
- * spent before it could react — and @a reason says why.
- */
-struct TransferStatus
-{
-    TransferOutcome outcome = TransferOutcome::Ok;
-    Tick complete = 0;
-    std::string reason;
-
-    bool ok() const { return outcome == TransferOutcome::Ok; }
-};
-
 /**
  * Abstract remote-transfer engine; one concrete implementation per
  * machine family.
@@ -114,23 +85,8 @@ class RemoteOps
     virtual Tick transfer(const TransferRequest &req,
                           TransferMethod method, Tick start) = 0;
 
-    /**
-     * Fallible variant of transfer(): consults the machine's injected
-     * transfer faults and converts routing FaultErrors into a status
-     * instead of letting them propagate.  With no fault plan this is
-     * exactly transfer() with outcome Ok.
-     */
-    TransferStatus tryTransfer(const TransferRequest &req,
-                               TransferMethod method, Tick start);
-
-    /** Install the transfer-level fault hook (null = no faults). */
-    void setFaultSite(sim::FaultSite *site) { _faultSite = site; }
-
     /** Reset engine-internal timing state (between experiments). */
     virtual void resetTiming() = 0;
-
-  protected:
-    sim::FaultSite *_faultSite = nullptr;
 };
 
 } // namespace gasnub::remote

@@ -82,8 +82,8 @@ PlannerIndex::plan(std::size_t machine_id,
                    const core::TransferQuery &query) const
 {
     validateQuery(machine_id, _machines.size(), query);
-    // The same evaluator and selection rule as TransferPlanner::best
-    // with no demotions, so the two consumers never disagree.
+    // The same evaluator and selection rule as TransferPlanner::best,
+    // so the two consumers never disagree.
     const core::OptionEvaluator &options = _machines[machine_id].options;
     const core::OptionEvaluator::Choice c = options.best(
         core::planQueryWorkingSet(query), query.stride);

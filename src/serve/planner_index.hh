@@ -3,11 +3,11 @@
  * serve::PlannerIndex — the serve-time half of the measure-once /
  * decide-often split.
  *
- * core::TransferPlanner is the sweep-side consumer: it owns demotion
- * state, is built per process (or per worker) and answers one
- * machine's queries.  PlannerIndex is the serving layer: an
- * immutable, shareable in-process index over one or more surface
- * packs (one per machine) that answers
+ * core::TransferPlanner is the sweep-side consumer: it is built per
+ * process (or per worker) and answers one machine's queries.
+ * PlannerIndex is the serving layer: an immutable, shareable
+ * in-process index over one or more surface packs (one per machine)
+ * that answers
  * (machine x pattern x working set) -> (method + predicted bandwidth)
  * queries from any number of threads without locks.
  *

@@ -204,8 +204,6 @@ resultLine(const kernels::KernelResult &r)
            " bytes=" + std::to_string(r.bytes) + " mbs=" + exact(r.mbs);
 }
 
-constexpr const char *kFaultPlan = "seed=7;dram-stall:prob=.3,extra=300";
-
 CharacterizeConfig
 smallGrid()
 {
@@ -233,15 +231,13 @@ localSpecs()
  * production drivers do — which must give the same bytes.
  */
 std::string
-runLocal(machine::SystemKind kind, int jobs, const std::string &faults)
+runLocal(machine::SystemKind kind, int jobs)
 {
     trace::Tracer tracer;
     trace::ScopedThreadTracer scoped(tracer, 0);
     machine::SystemConfig sys;
     sys.kind = kind;
     sys.attribution = true;
-    if (!faults.empty())
-        sys.faults = sim::FaultPlan::parse(faults);
     machine::Machine m(sys);
     const CharacterizeConfig cfg = smallGrid();
     std::ostringstream so;
@@ -260,10 +256,9 @@ runLocal(machine::SystemKind kind, int jobs, const std::string &faults)
 }
 
 std::string
-localFixture(machine::SystemKind kind, bool faults)
+localFixture(machine::SystemKind kind)
 {
-    return std::string("local_") + slug(kind) +
-           (faults ? "_faults" : "") + ".txt";
+    return std::string("local_") + slug(kind) + ".txt";
 }
 
 class Differential
@@ -273,26 +268,14 @@ class Differential
 
 TEST_P(Differential, SerialMatchesFixture)
 {
-    expectMatchesFixture(localFixture(GetParam(), false),
-                         runLocal(GetParam(), 0, ""));
+    expectMatchesFixture(localFixture(GetParam()),
+                         runLocal(GetParam(), 0));
 }
 
 TEST_P(Differential, ParallelMatchesFixture)
 {
-    expectMatchesFixture(localFixture(GetParam(), false),
-                         runLocal(GetParam(), 4, ""));
-}
-
-TEST_P(Differential, FaultySerialMatchesFixture)
-{
-    expectMatchesFixture(localFixture(GetParam(), true),
-                         runLocal(GetParam(), 0, kFaultPlan));
-}
-
-TEST_P(Differential, FaultyParallelMatchesFixture)
-{
-    expectMatchesFixture(localFixture(GetParam(), true),
-                         runLocal(GetParam(), 4, kFaultPlan));
+    expectMatchesFixture(localFixture(GetParam()),
+                         runLocal(GetParam(), 4));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMachines, Differential, kAllMachines,

@@ -1,8 +1,8 @@
 /**
  * @file
  * Hardening tests for the transfer planner: defined, diagnosable
- * behaviour on degenerate queries, blockBytes blocking, and stable
- * tie-breaking.
+ * behaviour on degenerate queries, blockBytes blocking, stable
+ * tie-breaking and the skip mask.
  */
 
 #include <gtest/gtest.h>
@@ -149,62 +149,19 @@ TEST(PlannerTieBreaking, OrderIndependentOfEqualTrailingOptions)
     }
 }
 
-TEST(PlannerDegradation, ConsecutiveStrikesDemote)
+TEST(PlannerSkip, SkippedOptionsNeverWin)
 {
     TransferPlanner p;
     p.addOption(option("fast", 200));
     p.addOption(option("slow", 100));
-    // Three consecutive deliveries far below prediction (default
-    // minRatio 0.5, strikes 3) demote the winner.
-    EXPECT_FALSE(p.observe(0, query(1_MiB), 10));
-    EXPECT_FALSE(p.observe(0, query(1_MiB), 10));
-    EXPECT_TRUE(p.observe(0, query(1_MiB), 10));
-    EXPECT_TRUE(p.demoted(0));
-    EXPECT_EQ(p.best(query(1_MiB)).label, "slow");
-}
-
-TEST(PlannerDegradation, AHealthyObservationClearsStrikes)
-{
-    TransferPlanner p;
-    p.addOption(option("fast", 200));
-    p.observe(0, query(1_MiB), 10);
-    p.observe(0, query(1_MiB), 10);
-    // Delivering the prediction resets the streak: no demotion.
-    p.observe(0, query(1_MiB), 200);
-    p.observe(0, query(1_MiB), 10);
-    p.observe(0, query(1_MiB), 10);
-    EXPECT_FALSE(p.demoted(0));
-    EXPECT_TRUE(p.observe(0, query(1_MiB), 10));
-}
-
-TEST(PlannerDegradation, AllDemotedFallsBackToTheFullSet)
-{
-    TransferPlanner p;
-    p.addOption(option("a", 200));
-    p.addOption(option("b", 100));
-    p.demote(0);
-    p.demote(1);
-    EXPECT_EQ(p.numDemoted(), 2u);
-    // With nothing left, demotions are ignored rather than fatal:
-    // the original best wins again.
-    EXPECT_EQ(p.best(query(1_MiB)).label, "a");
-    p.restore(0);
-    EXPECT_EQ(p.best(query(1_MiB)).label, "a");
-    p.restoreAll();
-    EXPECT_EQ(p.numDemoted(), 0u);
-}
-
-TEST(PlannerDegradation, TunedPolicyChangesTheThreshold)
-{
-    TransferPlanner p;
-    p.addOption(option("only", 200));
-    DegradePolicy pol;
-    pol.minRatio = 0.9;
-    pol.strikes = 1;
-    p.setDegradePolicy(pol);
-    // 150/200 = 0.75 < 0.9: one strike now suffices.
-    EXPECT_TRUE(p.observe(0, query(1_MiB), 150));
-    EXPECT_TRUE(p.demoted(0));
+    p.addOption(option("mid", 150));
+    const char skip_fast[] = {1, 0, 0};
+    const Plan plan = p.best(query(1_MiB), skip_fast);
+    EXPECT_EQ(plan.optionIndex, 2u);
+    EXPECT_EQ(plan.label, "mid");
+    EXPECT_DOUBLE_EQ(plan.predictedMBs, 150);
+    const char none[] = {0, 0, 0};
+    EXPECT_EQ(p.best(query(1_MiB), none).label, "fast");
 }
 
 } // namespace

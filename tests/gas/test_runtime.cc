@@ -18,7 +18,6 @@
 #include "gas/factory.hh"
 #include "gas/runtime.hh"
 #include "machine/machine.hh"
-#include "sim/fault.hh"
 #include "sim/trace.hh"
 #include "sim/units.hh"
 
@@ -342,116 +341,48 @@ TEST(GasRuntimeFactory, ParallelReplicasAreDeterministic)
     EXPECT_GT(ends[0], 0);
 }
 
-/** A T3E replica with @p spec injected and @p retry. */
-std::unique_ptr<machine::Machine>
-faultyMachine(const std::string &spec)
+/** A planner option whose surface predicts @p mbs everywhere. */
+core::PlanOption
+flatOption(const std::string &label, remote::TransferMethod method,
+           double mbs)
 {
-    machine::SystemConfig sys;
-    sys.kind = machine::SystemKind::CrayT3E;
-    sys.numNodes = 2;
-    sys.faults = sim::FaultPlan::parse(spec);
-    return std::make_unique<machine::Machine>(sys);
+    core::Surface s(label, {1_KiB, 1_MiB}, {1, 8, 64});
+    for (std::uint64_t ws : s.workingSets())
+        for (std::uint64_t st : s.strides())
+            s.set(ws, st, mbs);
+    return {label, method, true, std::move(s), 0};
 }
 
-TEST(GasFaults, TransientFailuresAreRetriedInvisibly)
+TEST(GasRuntime, AutoSkipsOptionsTheMachineCannotRun)
 {
-    auto m = faultyMachine("seed=16;flaky-transfer:prob=.2");
-    gas::RuntimeConfig cfg;
-    cfg.retry.maxAttempts = 8;
-    Runtime rt(*m, cfg);
-    GlobalArray a = rt.allocate(64);
-    for (int i = 0; i < 64; ++i)
-        a.data(0)[i] = i + 1;
-    for (int i = 0; i < 32; ++i) {
-        gas::Handle h = rt.rput(a.on(0), a.on(1), 64);
-        EXPECT_TRUE(h.ok());
-    }
-    rt.barrier();
-    // Retries happened, but no op was lost and the payload landed.
-    EXPECT_GT(rt.retries(), 0u);
-    EXPECT_EQ(rt.failedOps(), 0u);
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(a.data(1)[i], i + 1);
-}
-
-TEST(GasFaults, PermanentFailureSurfacesInTheHandle)
-{
-    auto m = faultyMachine("drop-transfer:prob=1");
-    Runtime rt(*m);
-    GlobalArray a = rt.allocate(16);
-    a.data(0)[0] = 7;
-    a.data(1)[0] = 0;
-    gas::Handle h = rt.rput(a.on(0), a.on(1), 16);
-    EXPECT_FALSE(h.ok());
-    EXPECT_EQ(h.outcome, remote::TransferOutcome::PermanentFailure);
-    EXPECT_EQ(h.attempts, 1); // permanent: retrying is pointless
-    EXPECT_EQ(rt.failedOps(), 1u);
-    EXPECT_EQ(rt.retries(), 0u);
-    // The payload must not be forged on failure.
-    EXPECT_EQ(a.data(1)[0], 0);
-    // wait() on a failed handle is a stall, not an error.
-    EXPECT_EQ(rt.wait(h), h.complete);
-}
-
-TEST(GasFaults, RetryBudgetExhaustionKeepsTheTransientOutcome)
-{
-    auto m = faultyMachine("flaky-transfer:prob=1");
-    gas::RuntimeConfig cfg;
-    cfg.retry.maxAttempts = 3;
-    Runtime rt(*m, cfg);
-    GlobalArray a = rt.allocate(16);
-    gas::Handle h = rt.rput(a.on(0), a.on(1), 16);
-    EXPECT_FALSE(h.ok());
-    EXPECT_EQ(h.outcome, remote::TransferOutcome::TransientFailure);
-    EXPECT_EQ(h.attempts, 3);
-    EXPECT_EQ(rt.retries(), 2u);
-    EXPECT_EQ(rt.failedOps(), 1u);
-}
-
-TEST(GasFaults, PerOpTimeoutCapsRetrying)
-{
-    auto m = faultyMachine("flaky-transfer:prob=1");
-    gas::RuntimeConfig cfg;
-    cfg.retry.maxAttempts = 100;
-    cfg.retry.backoffUs = 1000; // far beyond the timeout
-    cfg.retry.timeoutUs = 0.5;
-    Runtime rt(*m, cfg);
-    GlobalArray a = rt.allocate(16);
-    gas::Handle h = rt.rput(a.on(0), a.on(1), 16);
-    EXPECT_FALSE(h.ok());
-    EXPECT_TRUE(h.timedOut);
-    EXPECT_EQ(h.attempts, 1); // the first backoff already blows it
-}
-
-TEST(GasFaults, FailedAutoOpsDemoteTheOptionAndReplan)
-{
-    auto m = faultyMachine("drop-transfer:prob=1");
-    Runtime rt(*m);
+    // A planner loaded from another machine's directory: the coherent
+    // pull predicts fastest but the T3E has no such engine, so Auto
+    // takes the best option it can execute.
+    machine::Machine m(machine::SystemKind::CrayT3E, 2);
+    Runtime rt(m);
     core::TransferPlanner planner;
-    auto flat = [](const std::string &name, double mbs) {
-        core::Surface s(name, {1_KiB, 1_MiB}, {1, 8, 64});
-        for (std::uint64_t ws : s.workingSets())
-            for (std::uint64_t st : s.strides())
-                s.set(ws, st, mbs);
-        return s;
-    };
-    planner.addOption({"fetch", remote::TransferMethod::Fetch, true,
-                       flat("fetch", 200), 0});
-    planner.addOption({"deposit", remote::TransferMethod::Deposit,
-                       true, flat("deposit", 100), 0});
+    planner.addOption(
+        flatOption("pull", remote::TransferMethod::CoherentPull, 300));
+    planner.addOption(
+        flatOption("deposit", remote::TransferMethod::Deposit, 100));
+    planner.addOption(
+        flatOption("fetch", remote::TransferMethod::Fetch, 200));
     rt.setPlanner(std::move(planner));
     GlobalArray a = rt.allocate(64);
+    const gas::Handle h = rt.rput(a.on(0), a.on(1), 64, Method::Auto);
+    EXPECT_EQ(h.method, remote::TransferMethod::Fetch);
+}
 
-    // Three failed deliveries strike out the predicted-best option.
-    for (int i = 0; i < 3; ++i) {
-        gas::Handle h = rt.rput(a.on(0), a.on(1), 64, Method::Auto);
-        EXPECT_EQ(h.method, remote::TransferMethod::Fetch);
-        EXPECT_FALSE(h.ok());
-    }
-    EXPECT_EQ(rt.autoDemotions(), 1u);
-    // Auto now degrades gracefully onto the next-cheapest option.
-    gas::Handle h = rt.rput(a.on(0), a.on(1), 64, Method::Auto);
-    EXPECT_EQ(h.method, remote::TransferMethod::Deposit);
+TEST(GasRuntime, PlannerWithNoSupportedOptionIsAClearError)
+{
+    machine::Machine m(machine::SystemKind::CrayT3E, 2);
+    Runtime rt(m);
+    core::TransferPlanner planner;
+    planner.addOption(
+        flatOption("pull", remote::TransferMethod::CoherentPull, 300));
+    EXPECT_EXIT(rt.setPlanner(std::move(planner)),
+                ::testing::ExitedWithCode(1),
+                "planner has no option the Cray T3E supports");
 }
 
 TEST(GasRuntime, FenceWithNoOutstandingOpsIsANoOp)

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "mem/dram.hh"
-#include "sim/fault.hh"
 
 namespace {
 
@@ -152,76 +151,6 @@ TEST(Dram, ChannelBandwidthBoundsBackToBackTransfers)
     }
     // 50 ns row hit + 100 ns transfer.
     EXPECT_EQ(interval, 150000u);
-}
-
-TEST(DramFaults, CertainStallPushesTheAccessBack)
-{
-    const sim::FaultPlan plan =
-        sim::FaultPlan::parse("dram-stall:prob=1,extra=200");
-    sim::FaultDomain dom(plan);
-    Dram d(basicConfig());
-    d.setFaultSite(dom.dramSite(0));
-    // 200 ns stall ahead of the usual 150 ns miss + 100 ns transfer.
-    auto r = d.access(0, AccessType::Read, 0, 64);
-    EXPECT_EQ(r.dataReady, 450000u);
-}
-
-TEST(DramFaults, BankFilterSparesOtherBanks)
-{
-    const sim::FaultPlan plan =
-        sim::FaultPlan::parse("dram-stall:bank=1,prob=1,extra=200");
-    sim::FaultDomain dom(plan);
-    // Fresh DRAMs per probe so channel serialization cannot absorb
-    // the stall.  addr 0 -> bank 0: untouched; addr 64 -> bank 1.
-    Dram bank0(basicConfig());
-    bank0.setFaultSite(dom.dramSite(0));
-    EXPECT_EQ(bank0.access(0, AccessType::Read, 0, 64).dataReady,
-              250000u);
-    Dram bank1(basicConfig());
-    bank1.setFaultSite(dom.dramSite(0));
-    EXPECT_EQ(bank1.access(64, AccessType::Read, 0, 64).dataReady,
-              450000u);
-}
-
-TEST(DramFaults, RefreshStormIsADeterministicTimeWindow)
-{
-    const sim::FaultPlan plan = sim::FaultPlan::parse(
-        "refresh-storm:period=1000,window=100");
-    sim::FaultDomain dom(plan);
-    Dram d(basicConfig());
-    d.setFaultSite(dom.dramSite(0));
-    // An access landing inside the storm window waits for its end; one
-    // landing outside is untouched.  No randomness is involved.
-    auto in_storm = d.access(0, AccessType::Read, 0, 64);
-    EXPECT_EQ(in_storm.start, 100000u); // pushed to window end
-    d.reset();
-    dom.reset();
-    auto after = d.access(0, AccessType::Read, 100000, 64);
-    EXPECT_EQ(after.start, 100000u); // phase == window: no delay
-}
-
-TEST(DramFaults, ResetReplaysTheStallSequence)
-{
-    const sim::FaultPlan plan = sim::FaultPlan::parse(
-        "seed=3;dram-stall:prob=.5,extra=100");
-    sim::FaultDomain dom(plan);
-    Dram d(basicConfig());
-    d.setFaultSite(dom.dramSite(0));
-    auto sequence = [&] {
-        std::vector<Tick> ready;
-        Tick t = 0;
-        for (int i = 0; i < 32; ++i) {
-            auto r = d.access(static_cast<Addr>(i) * 64,
-                              AccessType::Read, t, 64);
-            ready.push_back(r.dataReady);
-            t = r.dataReady;
-        }
-        return ready;
-    };
-    const std::vector<Tick> first = sequence();
-    d.reset();
-    dom.reset();
-    EXPECT_EQ(sequence(), first);
 }
 
 } // namespace

@@ -1,19 +1,17 @@
 #!/bin/sh
 # CLI contract tests for the characterize tool: malformed command
 # lines exit with code 2 and an error on stderr, valid ones exit 0;
-# plus the report tool's JSON output over a hand-written ledger, the
-# numeric flags of the chaos tool and the options of two figure
-# benches, a single-machine one and an FFT one.
+# plus the report tool's JSON output over a hand-written ledger and
+# the options of two figure benches, a single-machine one and an FFT
+# one.
 # Usage: test_characterize_cli.sh /path/to/characterize /path/to/report \
-#            /path/to/chaos /path/to/fig05_t3d_deposit \
-#            /path/to/fig15_fft_overall
+#            /path/to/fig05_t3d_deposit /path/to/fig15_fft_overall
 set -u
 
 bin="$1"
 report="$2"
-chaos="$3"
-fig="$4"
-fft="$5"
+fig="$3"
+fft="$4"
 fails=0
 err=$(mktemp)
 trap 'rm -f "$err"' EXIT
@@ -54,6 +52,16 @@ else
     echo "ok: --procs=abc names the bad value"
 fi
 
+# The simulated machines are fault-free: there is no --faults option.
+"$bin" t3e loads --max-ws 16K --faults 'seed=1' >/dev/null 2>"$err"
+code=$?
+if [ "$code" -ne 2 ] || ! grep -qF "unknown option '--faults'" "$err"; then
+    echo "FAIL: --faults: exit $code, expected 2 naming the option"
+    fails=1
+else
+    echo "ok: --faults is an unknown option"
+fi
+
 # expect_bad_value <binary> <option> <value> [args...]: a malformed
 # numeric value exits 2 with a message naming the option and value.
 expect_bad_value() {
@@ -88,12 +96,6 @@ for v in abc -3 4097; do
     else
         echo "ok: characterize --jobs=$v rejected"
     fi
-done
-for v in 4 1e3 -64 64x 99999999; do
-    expect_bad_value "$chaos" --n "$v"
-done
-for v in 0 -1 abc 10s 1e999 inf nan "" " 5"; do
-    expect_bad_value "$chaos" --watchdog "$v"
 done
 
 # --help (anywhere on the command line) prints the usage and the

@@ -50,7 +50,6 @@
 #include "core/surface_io.hh"
 #include "core/sweep_runner.hh"
 #include "machine/machine.hh"
-#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/pool.hh"
 #include "sim/profiler.hh"
@@ -69,8 +68,7 @@ printUsage(std::ostream &os)
           "                    [--out FILE] [--procs N] [--jobs N]\n"
           "                    [--trace-out FILE] "
           "[--trace-categories LIST]\n"
-          "                    [--stats-json FILE] [--faults SPEC] "
-          "[--attribution]\n"
+          "                    [--stats-json FILE] [--attribution]\n"
           "                    [--profile] [--profile-json FILE] "
           "[--profile-folded FILE]\n"
           "       characterize --help\n"
@@ -141,30 +139,6 @@ help()
            "flamegraph.pl /\n"
            "                      speedscope (implies --profile); see "
            "docs/perf_tracking.md\n"
-           "  --faults SPEC       inject faults while measuring "
-           "(default: GASNUB_FAULTS;\n"
-           "                      SPEC is a ';'-separated list or "
-           "@file — see\n"
-           "                      docs/fault_injection.md)\n"
-           "\n"
-           "fault injection examples:\n"
-           "\n"
-           "  characterize t3e fetch-sload "
-           "--faults 'seed=7;link-slow:router=0,dir=+x,factor=8'\n"
-           "  characterize t3d deposit-sstore "
-           "--faults 'dram-stall:node=2,prob=.2,extra=400'\n"
-           "  characterize dec8400 pull --faults @storm.plan   "
-           "# spec file, '#' comments\n"
-           "  GASNUB_FAULTS='refresh-storm:period=50000,window=5000' "
-           "characterize t3e loads\n"
-           "\n"
-           "  The same seed and plan reproduce the same surface at "
-           "any --jobs\n"
-           "  value; without --faults (and with GASNUB_FAULTS unset) "
-           "the fault\n"
-           "  machinery is never built and output is byte-identical "
-           "to older\n"
-           "  builds.\n"
            "\n"
            "measure once, decide often — the planner pipeline:\n"
            "\n"
@@ -233,7 +207,6 @@ main(int argc, char **argv)
     std::string trace_out;
     std::string trace_categories = "all";
     std::string stats_json;
-    std::string faults_arg;
     bool attribution = false;
     bool profile = false;
     std::string profile_json;
@@ -284,8 +257,6 @@ main(int argc, char **argv)
             trace_categories = val;
         else if (opt == "--stats-json")
             stats_json = val;
-        else if (opt == "--faults")
-            faults_arg = val;
         else if (opt == "--profile-json")
             profile_json = val;
         else if (opt == "--profile-folded")
@@ -318,22 +289,11 @@ main(int argc, char **argv)
     machine::SystemConfig sys;
     sys.kind = kind;
     sys.numNodes = procs;
-    sys.faults = sim::FaultPlan::fromEnvOr(faults_arg);
     sys.attribution = attribution;
-    if (!sys.faults.empty())
-        std::cerr << "faults: " << sys.faults.describe() << "\n";
     machine::Machine m(sys);
 
-    core::Surface s("", {512}, {1});
-    try {
-        s = core::sweep(m, *spec, cfg, sim::defaultJobs(jobs_arg));
-    } catch (const sim::FaultError &e) {
-        // Characterization kernels do not retry: a fault that severs
-        // the measured path ends the sweep with a clean diagnosis
-        // rather than an abort.
-        GASNUB_FATAL("fault injection made the sweep impossible: ",
-                     e.what());
-    }
+    const core::Surface s =
+        core::sweep(m, *spec, cfg, sim::defaultJobs(jobs_arg));
 
     s.print(std::cout);
     if (!out.empty()) {

@@ -13,10 +13,10 @@
  *    the points into (working set x stride) regions and ranks each
  *    region's resources by share.
  *
- *  - A --stats-json tree from `characterize`, `chaos` or any stats
- *    Group::dumpJson.  The report extracts every timeAccount ledger
- *    (cumulative busy/stall ticks per resource) and the trace.dropped
- *    counter, and ranks resources by busy time.
+ *  - A --stats-json tree from `characterize`, a figure bench or any
+ *    stats Group::dumpJson.  The report extracts every timeAccount
+ *    ledger (cumulative busy/stall ticks per resource) and the
+ *    trace.dropped counter, and ranks resources by busy time.
  *
  * The exact-sum invariant is re-validated on every surface point: if
  * any point's shares do not sum to its elapsed ticks (100% +- epsilon
@@ -56,7 +56,7 @@ usage()
            "  SURFACE           surface file saved by 'characterize "
            "--attribution --out'\n"
            "  --stats-json FILE stats tree from --stats-json "
-           "(characterize or chaos)\n"
+           "(characterize or a figure bench)\n"
            "  --format FMT      text (default), json, or md\n"
            "exit status: 0 ok, 1 attribution invariant violated, 2 "
            "bad usage/input\n";
@@ -84,7 +84,6 @@ friendlyName(const std::string &res)
         {"noc.link", "link serialization"},
         {"noc.nic", "NIC processing"},
         {"engine", "remote-engine request issue"},
-        {"gas.retry", "retry backoff"},
     };
     const auto it = names.find(res);
     return it == names.end() ? "" : it->second;
