@@ -222,4 +222,77 @@ TEST(Torus, RouteCacheAlternatesThreePairs)
     }
 }
 
+TEST(Torus, LoopbackBetweenPairedProcessorsUsesNoLink)
+{
+    // T3D-style pairing: nodes 0 and 1 share NIC 0, so a packet
+    // between them is ejected through that NIC's input port without
+    // touching the network.  72 wire bytes take 720 ns at 100 MB/s.
+    TorusConfig cfg = smallTorus();
+    cfg.procsPerNic = 2;
+    Torus t(cfg);
+    const PacketResult r = t.send(0, 1, 64, 0);
+    EXPECT_EQ(r.hops, 0);
+    EXPECT_EQ(r.injected, 0u);
+    EXPECT_EQ(r.arrived, 20000u + 720000u + 20000u);
+
+    const auto *busy = static_cast<const stats::Vector *>(
+        t.statsGroup().find("torus.linkBusyTicks"));
+    ASSERT_NE(busy, nullptr);
+    for (std::size_t l = 0; l < busy->size(); ++l)
+        EXPECT_EQ(busy->value(l), 0.0) << "link " << l;
+}
+
+TEST(Torus, StatsCountPacketsPayloadAndPartnerSwitches)
+{
+    Torus t(smallTorus());
+    t.send(0, 1, 64, 0);       // first partner: no switch
+    t.send(0, 1, 32, 0);
+    t.send(0, 2, 8, 0);        // switch
+    t.send(0, 1, 8, 0);        // switch back
+    t.send(3, 2, 16, 0);       // another NIC's first partner
+    const auto value = [&t](const char *name) {
+        const auto *s = static_cast<const stats::Scalar *>(
+            t.statsGroup().find(name));
+        EXPECT_NE(s, nullptr) << name;
+        return s == nullptr ? -1.0 : s->value();
+    };
+    EXPECT_EQ(t.packets(), 5u);
+    EXPECT_EQ(value("torus.packets"), 5);
+    EXPECT_EQ(value("torus.payloadBytes"), 64 + 32 + 8 + 8 + 16);
+    EXPECT_EQ(value("torus.partnerSwitches"), 2);
+}
+
+TEST(Torus, HopCountIsSymmetric)
+{
+    for (int dim : {3, 4}) {
+        TorusConfig cfg = smallTorus();
+        cfg.dimX = dim;
+        cfg.dimY = dim;
+        cfg.dimZ = 2;
+        Torus t(cfg);
+        for (NodeId s = 0; s < t.numNodes(); ++s)
+            for (NodeId d = 0; d < t.numNodes(); ++d)
+                ASSERT_EQ(t.hopCount(s, d), t.hopCount(d, s))
+                    << dim << "-ring, " << s << " <-> " << d;
+    }
+}
+
+TEST(Torus, TimeAccountChargesLinksAndNics)
+{
+    // 0 -> 2 crosses two X links.  The source NIC is busy for its
+    // injection plus the wire time, each link for the wire time, and
+    // the destination NIC for one ejection.
+    Torus t(smallTorus());
+    sim::TimeAccount acct;
+    const auto link = acct.resource("noc.link");
+    const auto nic = acct.resource("noc.nic");
+    t.setTimeAccount(&acct, link, nic);
+    const PacketResult r = t.send(0, 2, 64, 0);
+    EXPECT_EQ(r.hops, 2);
+    EXPECT_EQ(r.arrived, 780000u);
+    EXPECT_EQ(acct.busyTicks(link), 2u * 720000u);
+    EXPECT_EQ(acct.busyTicks(nic), 740000u + 20000u);
+    EXPECT_EQ(acct.stallTicks(link), 0u);
+}
+
 } // namespace

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "machine/machine.hh"
 #include "remote/cray_engine.hh"
 #include "remote/remote_ops.hh"
@@ -351,5 +353,84 @@ INSTANTIATE_TEST_SUITE_P(AllMachines, TransferMonotonicity,
                              machine::SystemKind::Dec8400,
                              machine::SystemKind::CrayT3D,
                              machine::SystemKind::CrayT3E));
+
+/** One method a machine's engine implements. */
+struct EngineCase
+{
+    machine::SystemKind kind;
+    TransferMethod method;
+    const char *name;
+};
+
+class EngineTransfers : public ::testing::TestWithParam<EngineCase>
+{
+  protected:
+    /** A strided transfer between two nodes of different routers. */
+    static TransferRequest
+    request()
+    {
+        TransferRequest req;
+        req.src = 1;
+        req.dst = 2;
+        req.srcAddr = 0;
+        req.dstAddr = 1ull << 33;
+        req.words = 512;
+        req.srcStride = 3;
+        req.dstStride = 1;
+        return req;
+    }
+
+    static Tick
+    run(machine::Machine &m, Tick start)
+    {
+        const TransferRequest req = request();
+        if (m.kind() == machine::SystemKind::Dec8400)
+            m.produce(req.src, req.srcAddr,
+                      req.words * req.srcStride);
+        m.resetTiming();
+        return m.remote().transfer(req, GetParam().method, start);
+    }
+};
+
+TEST_P(EngineTransfers, EndsAfterItsStart)
+{
+    machine::Machine m(GetParam().kind, 4);
+    ASSERT_TRUE(m.remote().supports(GetParam().method));
+    const Tick from_zero = run(m, 0);
+    EXPECT_GT(from_zero, 0u);
+    m.resetAll();
+    const Tick late = run(m, 5'000'000);
+    EXPECT_GT(late, 5'000'000u);
+}
+
+TEST_P(EngineTransfers, FreshMachinesAgreeTickForTick)
+{
+    machine::Machine a(GetParam().kind, 4);
+    machine::Machine b(GetParam().kind, 4);
+    EXPECT_EQ(run(a, 0), run(b, 0));
+}
+
+TEST_P(EngineTransfers, ResetAllReplaysTheFirstTransfer)
+{
+    machine::Machine m(GetParam().kind, 4);
+    const Tick first = run(m, 0);
+    m.resetAll();
+    EXPECT_EQ(run(m, 0), first);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SupportedMethods, EngineTransfers,
+    ::testing::Values(
+        EngineCase{machine::SystemKind::Dec8400,
+                   TransferMethod::CoherentPull, "dec8400_pull"},
+        EngineCase{machine::SystemKind::CrayT3D,
+                   TransferMethod::Deposit, "t3d_deposit"},
+        EngineCase{machine::SystemKind::CrayT3D, TransferMethod::Fetch,
+                   "t3d_fetch"},
+        EngineCase{machine::SystemKind::CrayT3E,
+                   TransferMethod::Deposit, "t3e_deposit"},
+        EngineCase{machine::SystemKind::CrayT3E, TransferMethod::Fetch,
+                   "t3e_fetch"}),
+    [](const auto &info) { return std::string(info.param.name); });
 
 } // namespace

@@ -101,6 +101,40 @@ TEST(Units, ParseSizeAcceptsSuffixes)
     EXPECT_EQ(parseSize(".5k"), 512u);
 }
 
+// Malformed sizes are user errors: fatal with exit code 1 and a
+// message naming the input, never a silent zero or a truncation.
+TEST(UnitsDeath, EmptySizeIsFatal)
+{
+    EXPECT_EXIT(parseSize(""), ::testing::ExitedWithCode(1),
+                "empty size string");
+}
+
+TEST(UnitsDeath, NonNumericSizeIsFatal)
+{
+    EXPECT_EXIT(parseSize("big"), ::testing::ExitedWithCode(1),
+                "malformed size: 'big'");
+}
+
+TEST(UnitsDeath, UnknownSuffixIsFatal)
+{
+    EXPECT_EXIT(parseSize("12q"), ::testing::ExitedWithCode(1),
+                "unknown size suffix in '12q'");
+}
+
+TEST(UnitsDeath, TrailingJunkIsFatal)
+{
+    EXPECT_EXIT(parseSize("4kx"), ::testing::ExitedWithCode(1),
+                "trailing junk in size '4kx'");
+}
+
+TEST(UnitsDeath, FractionalByteCountIsFatal)
+{
+    EXPECT_EXIT(parseSize("1.5"), ::testing::ExitedWithCode(1),
+                "not a whole byte count: '1.5'");
+    EXPECT_EXIT(parseSize("-2k"), ::testing::ExitedWithCode(1),
+                "not a whole byte count: '-2k'");
+}
+
 class ParseFormatRoundTrip
     : public ::testing::TestWithParam<std::uint64_t>
 {
